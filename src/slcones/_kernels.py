@@ -16,9 +16,10 @@ Two interchangeable backends:
   the state space is tiny (|s| <= d*sqrt(cutoff), t <= cutoff), so this
   runs in milliseconds at any m we care about.
 
-Set ``SLCONES_NO_NUMBA=1`` to force the numpy path; the benchmark in
-``benchmarks/bench_spectrum.py`` compares the two.  Both backends are
-exact int64 counts and must agree bit-for-bit (tested).
+Set ``SLCONES_NO_NUMBA=1`` to force the numpy path.  Both backends are
+exact int64 counts and must agree bit-for-bit (tested).  The benchmark
+in ``perfbench/`` (exact-sweep workload) times the spectrum enumeration
+over an (m, cutoff) grid up to m = 30.
 """
 from __future__ import annotations
 

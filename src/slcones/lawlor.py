@@ -133,17 +133,25 @@ def _poly_coeffs(a) -> np.ndarray:
     return c[1:]  # drop the constant 1 of the product; c[0] = sum(a)
 
 
-def _P(coeffs: np.ndarray, x: float) -> float:
-    u = x * x
-    v = 0.0
-    for cj in coeffs[::-1]:
-        v = v * u + cj
-    return v
-
-
 def _integrand(coeffs, ak):
+    """The angle integrand 1 / ((1 + a_k x^2) sqrt(P(x))) as a closure.
+
+    quad calls it tens of thousands of times per inverse map, so it works
+    on Python floats only: numpy-scalar arithmetic costs about four times
+    as much.  P is evaluated by Horner in x^2 from the top coefficient
+    down, and ``ak * x * x`` is kept as ``(ak * x) * x``; reusing ``u``
+    there would round differently.
+    """
+    rev = tuple(float(c) for c in coeffs[::-1])
+    ak = float(ak)
+    sqrt = math.sqrt
+
     def f(x: float) -> float:
-        return 1.0 / ((1.0 + ak * x * x) * math.sqrt(_P(coeffs, x)))
+        u = x * x
+        v = 0.0
+        for cj in rev:
+            v = v * u + cj
+        return 1.0 / ((1.0 + ak * x * x) * sqrt(v))
 
     return f
 
@@ -178,16 +186,26 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
                 achieved=achieved,
             )
         phi.append(2.0 * ak * val)
+    # a certified quadrature can still return garbage at extreme ratios
+    # of the a_k; that is a numeric failure, not a bad AngleSpec input
+    sum_tol = max(p.m * tol, 1e-14)
+    dev = abs(sum(phi) - math.pi)
+    if any(not 0.0 < x < math.pi for x in phi) or dev > sum_tol:
+        raise NumericError(
+            f"quadrature angles {tuple(phi)} are not inside (0, pi) with "
+            f"sum pi within {sum_tol:.3e}: sum deviation {dev:.3e}",
+            achieved=dev if math.isfinite(dev) else None,
+        )
     prod = math.prod(p.a)
     A = sphere_area(p.m) / math.sqrt(prod)
-    spec = AngleSpec(phi, A, sum_tol=max(p.m * tol, 1e-14))
-    return spec
+    return AngleSpec(phi, A, sum_tol=sum_tol)
 
 
-def _angles_only(coeffs, a) -> np.ndarray:
-    """Uncertified fast angle evaluation used inside the Newton loop."""
-    out = np.empty(len(a))
-    for k, ak in enumerate(a):
+def _angles_only(coeffs, a, count: int) -> np.ndarray:
+    """Uncertified fast evaluation of the first ``count`` angles, used
+    inside the Newton loop."""
+    out = np.empty(count)
+    for k, ak in enumerate(a[:count]):
         val, _ = quad(
             _integrand(coeffs, ak),
             0.0,
@@ -223,9 +241,9 @@ def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:
 
     def residual(avec: np.ndarray) -> np.ndarray:
         coeffs = _poly_coeffs(avec)
-        ang = _angles_only(coeffs, avec)
+        ang = _angles_only(coeffs, avec, m - 1)
         logA = math.log(om) - 0.5 * float(np.sum(np.log(avec)))
-        return np.concatenate([ang[: m - 1] - phi_target, [logA - logA_target]])
+        return np.concatenate([ang - phi_target, [logA - logA_target]])
 
     g = residual(a)
     norm = float(np.max(np.abs(g)))
@@ -359,7 +377,7 @@ def verify_sl_neck(
     if not (h > 0):
         raise InputError("finite-difference step must be positive")
     m = p.m
-    coeffs = _poly_coeffs(p.a)
+    integrands = [_integrand(_poly_coeffs(p.a), ak) for ak in p.a]
     half = _half_phases(p)
     a_arr = np.array(p.a)
     rng = np.random.default_rng(20250821)
@@ -376,10 +394,10 @@ def verify_sl_neck(
         # quadrature noise out of the derivative
         dplus = np.empty(m)
         dminus = np.empty(m)
-        for k, ak in enumerate(p.a):
-            vp, _ = quad(_integrand(coeffs, ak), y, y + h,
+        for k, (ak, f) in enumerate(zip(p.a, integrands)):
+            vp, _ = quad(f, y, y + h,
                          epsabs=1e-14, epsrel=1e-13, limit=_QUAD_LIMIT)
-            vm, _ = quad(_integrand(coeffs, ak), y, y - h,
+            vm, _ = quad(f, y, y - h,
                          epsabs=1e-14, epsrel=1e-13, limit=_QUAD_LIMIT)
             dplus[k] = ak * vp
             dminus[k] = ak * vm

@@ -4,21 +4,35 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import slcones
 from slcones.planes import phi_frame
+
+# The child process imports the same package the tests do, also when it
+# comes from a source checkout rather than an install.
+_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(slcones.__file__).parent.parent),
+                      os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def _run(args, stdin: str | None = None) -> subprocess.CompletedProcess:
     # Module mode so nothing depends on a console_scripts install.
     cmd = [sys.executable, "-m", "slcones.cli", *args]
-    return subprocess.run(cmd, input=stdin, text=True, capture_output=True)
+    return subprocess.run(cmd, input=stdin, text=True, capture_output=True,
+                          env=_ENV)
 
 
 def _schema(name: str) -> dict:
@@ -143,6 +157,16 @@ class TestLawlor:
         _validate(err, "error")
         assert err["error"]["type"] == "NumericError"
         assert err["error"]["achieved"] > 0
+
+    @pytest.mark.parametrize("a", ["1e12,1e-12,1", "1e308,1e308,1e308,1e308"])
+    def test_garbage_quadrature_exits_3(self, a):
+        r = _run(["lawlor", "--a", a])
+        assert r.returncode == 3
+        assert r.stdout == ""
+        # library warnings precede the error document on stderr
+        err = json.loads(r.stderr.splitlines()[-1])
+        _validate(err, "error")
+        assert err["error"]["type"] == "NumericError"
 
     def test_phi_without_area_is_input_error(self):
         r = _run(["lawlor", "--phi", "1.0,1.0,1.1415926535897931"])

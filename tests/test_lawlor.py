@@ -142,6 +142,17 @@ class TestAnglesFromA:
             angles_from_a(NeckParams((1, 2, 3)), tol=1e-30)
         assert exc.value.achieved > 1e-30
 
+    def test_garbage_quadrature_is_numeric_error(self):
+        # quad certifies each angle here, yet phi_1 < 0 and the angles
+        # sum to ~0: a numeric failure, not an invalid AngleSpec
+        with pytest.raises(NumericError) as exc:
+            angles_from_a(NeckParams((1e12, 1e-12, 1.0)))
+        assert exc.value.achieved == pytest.approx(math.pi, rel=1e-4)
+        # overflowing coefficients give NaN angles: no finite bound exists
+        with pytest.raises(NumericError) as exc:
+            angles_from_a(NeckParams((1e308,) * 4))
+        assert exc.value.achieved is None
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InputError):
             NeckParams((1.0, -2.0, 3.0))
@@ -193,6 +204,61 @@ class TestAFromAngles:
             AngleSpec((1.0, 1.0, math.pi - 2.0), -5.0)  # bad area
         with pytest.raises(InputError):
             AngleSpec((1.5, math.pi - 1.5), 5.0)  # too short
+
+
+# ---------------------------------------------------------------------------
+# bit identity: frozen exact floats of both maps, compared with == so a
+# change to the quadrature cannot drift in the last digits unnoticed (the
+# CLI output bytes for the README inputs are part of the contract).
+
+EXACT_ROUND_TRIPS = {
+    (4.0, 1.0, 1.0): (
+        (1.7804300632948424, 0.6805812951474753, 0.6805812951474753),
+        6.283185307179586,
+        (4.000000000000113, 1.0000000000000064, 1.0000000000000067),
+    ),
+    (0.7, 1.9, 3.1, 0.4, 2.2): (
+        (0.32685818012993234, 0.7328359332154417, 1.0601521023799763,
+         0.20171767581633826, 0.8200287620481046),
+        13.817213688860445,
+        (0.7, 1.8999999999999997, 3.1, 0.4000000000000001, 2.2),
+    ),
+    (0.5, 1.3, 2.0, 4.4, 0.9, 1.7, 3.3, 0.6): (
+        (0.12921045535661702, 0.305771713558401, 0.4422170319857811,
+         0.8378662154482118, 0.2209209565330798, 0.3853589913274124,
+         0.6673412395372863, 0.15290604984300427),
+        7.800131261709493,
+        (0.5000000000000003, 1.3000000000000005, 2.0000000000000004,
+         4.400000000000005, 0.9000000000000001, 1.7000000000000008,
+         3.300000000000003, 0.5999999999999981),
+    ),
+    # wide ratio
+    (50.0, 0.03, 1.0): (
+        (2.8494368628836444, 0.01842856634931385, 0.27372722435683505),
+        10.260398641294913,
+        (50.000000000005734, 0.029999999999999145, 0.999999999999988),
+    ),
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("a", list(EXACT_ROUND_TRIPS))
+    def test_forward_and_round_trip_exact(self, a):
+        phi, A, back = EXACT_ROUND_TRIPS[a]
+        spec = angles_from_a(NeckParams(a))
+        assert spec.phi == phi
+        assert spec.A == A
+        assert a_from_angles(spec).a == back
+
+    def test_cli_golden_inverse_exact(self):
+        # the README `lawlor --phi ... --area ...` example
+        spec = AngleSpec(
+            (1.7804300632948424, 0.6805812951474753, 0.6805812951474753),
+            6.283185307179586,
+        )
+        assert a_from_angles(spec).a == (
+            4.000000000000113, 1.0000000000000064, 1.0000000000000067
+        )
 
 
 # ---------------------------------------------------------------------------
