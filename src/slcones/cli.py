@@ -4,7 +4,8 @@ Output is a single JSON document on standard output, serialized
 deterministically (sorted keys, no whitespace), so identical inputs give
 bit-identical bytes.  Exact rationals appear as ``"p/q"`` strings (plain
 integers when the denominator is 1); reals use the shortest decimal that
-round-trips.  Errors are reported as a JSON object on standard error.
+round-trips.  Errors are reported as a JSON object on standard error,
+which carries nothing else: library warnings go to the debug log.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric/verification failure,
 64 usage error (unknown subcommand or malformed flags).
@@ -23,6 +24,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -652,7 +654,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{parser.prog}: error: a subcommand is required\n")
         return EXIT_USAGE
     try:
-        input_doc, output, code = args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                input_doc, output, code = args.func(args)
+            finally:
+                for w in caught:
+                    _LOG.debug("%s: %s", w.category.__name__, w.message)
     except NumericError as exc:
         _LOG.debug("numeric failure", exc_info=True)
         _emit_error(exc)

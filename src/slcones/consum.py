@@ -7,7 +7,8 @@ power of the point's angle invariant.  Desingularizing all points at
 once is possible iff positive areas A_i can balance the weighted flow at
 every component, which holds iff every vertex bipartition is crossed in
 both directions — equivalently (on a connected graph) iff the digraph is
-strongly connected.
+strongly connected, which two reachability searches decide: component
+1 must reach every component both along the edges and against them.
 
 All feasibility and balance arithmetic here is exact over the rationals;
 floating point enters only through the phase-region classifier, whose
@@ -16,16 +17,21 @@ wall tolerance is :data:`WALL_TOL`.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .errors import DegeneratePhaseError, InfeasibleGraphError, InputError, PreconditionError
+from .errors import (
+    DegeneratePhaseError,
+    InfeasibleGraphError,
+    InputError,
+    NumericError,
+    PreconditionError,
+)
 
 __all__ = [
     "Edge",
@@ -60,6 +66,19 @@ def _as_fraction(x, what: str) -> Fraction:
     return f
 
 
+def _as_int(x, what: str) -> int:
+    """Exact integer from an int or an integral finite float; bools,
+    strings and every other type are rejected."""
+    if isinstance(x, float) and math.isfinite(x) and x.is_integer():
+        return int(x)
+    if not isinstance(x, (bool, float)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Edge:
     """Directed weighted edge: tail = component of the positive sheet,
@@ -73,8 +92,8 @@ class Edge:
         w = _as_fraction(weight, "edge weight")
         if w <= 0:
             raise InputError(f"edge weight must be positive, got {w}")
-        object.__setattr__(self, "tail", int(tail))
-        object.__setattr__(self, "head", int(head))
+        object.__setattr__(self, "tail", _as_int(tail, "edge tail"))
+        object.__setattr__(self, "head", _as_int(head, "edge head"))
         object.__setattr__(self, "weight", w)
 
 
@@ -86,7 +105,7 @@ class IntersectionGraph:
     edges: tuple
 
     def __init__(self, q: int, edges: Sequence):
-        q = int(q)
+        q = _as_int(q, "number of components q")
         if q < 1:
             raise InputError(f"need at least one component, got q = {q}")
         norm = []
@@ -119,33 +138,61 @@ class BalanceSolution:
         object.__setattr__(self, "A", vals)
 
 
-def _adjacency(g: IntersectionGraph, directed: bool) -> csr_matrix:
-    rows = [e.tail - 1 for e in g.edges]
-    cols = [e.head - 1 for e in g.edges]
-    data = np.ones(len(rows))
-    mat = csr_matrix((data, (rows, cols)), shape=(g.q, g.q))
-    return mat if directed else mat + mat.T
+def _neighbours(g: IntersectionGraph) -> tuple:
+    """Forward and reverse neighbour lists of vertices 1..q, in edge order."""
+    fwd = [[] for _ in range(g.q + 1)]
+    rev = [[] for _ in range(g.q + 1)]
+    for e in g.edges:
+        fwd[e.tail].append(e.head)
+        rev[e.head].append(e.tail)
+    return fwd, rev
+
+
+def _reach(adj: list, start: int, seen: list) -> int:
+    """Mark in ``seen`` every vertex reachable from ``start`` over ``adj``
+    and return how many vertices were newly marked."""
+    seen[start] = True
+    stack = [start]
+    count = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count
 
 
 def _require_connected(g: IntersectionGraph) -> None:
-    ncomp, _ = connected_components(_adjacency(g, directed=False), directed=False)
-    if ncomp != 1:
+    fwd, rev = _neighbours(g)
+    both = [f + r for f, r in zip(fwd, rev)]
+    seen = [False] * (g.q + 1)
+    pieces = 0
+    for v in range(1, g.q + 1):
+        if not seen[v]:
+            pieces += 1
+            _reach(both, v, seen)
+    if pieces != 1:
         raise PreconditionError(
-            f"underlying undirected graph must be connected, found {ncomp} pieces"
+            f"underlying undirected graph must be connected, found {pieces} pieces"
         )
 
 
 def feasible(g: IntersectionGraph) -> bool:
     """True iff every bipartition of the components is crossed by edges
     in both directions; on a connected graph this is strong connectivity
-    of the directed multigraph."""
-    _require_connected(g)
-    if g.q == 1:
+    of the directed multigraph.
+
+    Strong connectivity is decided by reachability: it holds iff a search
+    from component 1 reaches all q components both along the edges and
+    against them.  A disconnected graph raises :class:`PreconditionError`.
+    """
+    fwd, rev = _neighbours(g)
+    if (_reach(fwd, 1, [False] * (g.q + 1)) == g.q
+            and _reach(rev, 1, [False] * (g.q + 1)) == g.q):
         return True
-    ncomp, _ = connected_components(
-        _adjacency(g, directed=True), directed=True, connection="strong"
-    )
-    return ncomp == 1
+    _require_connected(g)
+    return False
 
 
 def bipartition_oracle(g: IntersectionGraph) -> bool:
@@ -168,29 +215,23 @@ def bipartition_oracle(g: IntersectionGraph) -> bool:
     return True
 
 
-def _directed_path_edges(g: IntersectionGraph, start: int, goal: int) -> list:
-    """Edge indices of some directed path start -> goal (BFS)."""
-    if start == goal:
-        return []
-    out = [[] for _ in range(g.q + 1)]
-    for idx, e in enumerate(g.edges):
-        out[e.tail].append((idx, e.head))
+def _bfs_tree(out: list, start: int, goals: set) -> dict:
+    """Breadth-first tree from ``start`` as {vertex: (parent, edge index)},
+    grown only until it holds every vertex of ``goals``."""
     prev = {start: None}
+    left = len(goals)
     queue = deque([start])
     while queue:
         v = queue.popleft()
         for idx, w in out[v]:
             if w not in prev:
                 prev[w] = (v, idx)
-                if w == goal:
-                    path = []
-                    while prev[w] is not None:
-                        v, idx = prev[w]
-                        path.append(idx)
-                        w = v
-                    return path[::-1]
+                if w in goals:
+                    left -= 1
+                    if not left:
+                        return prev
                 queue.append(w)
-    raise InfeasibleGraphError(f"no directed path from {start} to {goal}")
+    return prev
 
 
 def solve_areas(g: IntersectionGraph) -> BalanceSolution:
@@ -200,7 +241,9 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     Every edge is closed into a directed cycle through a return path
     (one exists by strong connectivity); summing the unit circulations
     of these n cycles gives positive integer flows f_i balanced at every
-    vertex, and A_i = f_i / w_i.
+    vertex, and A_i = f_i / w_i.  The return path of edge u -> v is the
+    shortest path v -> u in the breadth-first tree from v that scans
+    edges in input order; one tree serves every edge with head v.
     """
     if not feasible(g):
         raise InfeasibleGraphError(
@@ -208,32 +251,42 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
         )
     if g.n == 0:
         return BalanceSolution(())
-    flows = [0] * g.n
+    out = [[] for _ in range(g.q + 1)]
+    goals = {}
     for idx, e in enumerate(g.edges):
-        flows[idx] += 1
-        for j in _directed_path_edges(g, e.head, e.tail):
-            flows[j] += 1
+        out[e.tail].append((idx, e.head))
+        if e.head != e.tail:
+            goals.setdefault(e.head, set()).add(e.tail)
+    trees = {v: _bfs_tree(out, v, need) for v, need in goals.items()}
+    flows = [1] * g.n
+    for e in g.edges:
+        w = e.tail
+        while w != e.head:
+            w, idx = trees[e.head][w]
+            flows[idx] += 1
     lo = min(flows)
     areas = [Fraction(f, lo) / e.weight for f, e in zip(flows, g.edges)]
     sol = BalanceSolution(areas)
-    assert check_balance(g, sol)
+    if not check_balance(g, sol):
+        raise NumericError("computed areas do not balance the weighted flow")
     return sol
+
+
+def _net_flow(g: IntersectionGraph, A: Sequence) -> list:
+    """Weighted outflow minus inflow of areas ``A`` at components 1..q."""
+    net = [0] * (g.q + 1)
+    for e, a in zip(g.edges, A):
+        f = e.weight * a
+        net[e.tail] += f
+        net[e.head] -= f
+    return net[1:]
 
 
 def check_balance(g: IntersectionGraph, sol: BalanceSolution) -> bool:
     """Exact check of the weighted flow balance at every component."""
     if len(sol.A) != g.n:
         raise InputError(f"expected {g.n} areas, got {len(sol.A)}")
-    for k in range(1, g.q + 1):
-        net = Fraction(0)
-        for e, a in zip(g.edges, sol.A):
-            if e.tail == k:
-                net += e.weight * a
-            if e.head == k:
-                net -= e.weight * a
-        if net != 0:
-            return False
-    return True
+    return not any(_net_flow(g, sol.A))
 
 
 @dataclass(frozen=True)
@@ -392,16 +445,10 @@ def family_balance_region(
         if len(A.A) != g.n:
             raise InputError(f"expected {g.n} areas, got {len(A.A)}")
         scale = float(t) ** m_exp
-        for k in range(1, g.q + 1):
-            net = Fraction(0)
-            for e, a in zip(g.edges, A.A):
-                if e.tail == k:
-                    net += e.weight * a
-                if e.head == k:
-                    net -= e.weight * a
+        for p, net in zip(pairings, _net_flow(g, A.A)):
             target = scale * float(net)
-            bound = PAIRING_TOL * max(1.0, abs(target), abs(pairings[k - 1]))
-            if abs(pairings[k - 1] - target) > bound:
+            bound = PAIRING_TOL * max(1.0, abs(target), abs(p))
+            if abs(p - target) > bound:
                 return False
         return True
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 __all__ = [
     "T2Singularity",
@@ -270,7 +270,12 @@ def two_singularity_gluings(basis: T2PairBasis) -> list:
                 b1,
                 b2,
             ]
-            assert dim_y == 4 - _rank(stack)
+            expected = 4 - _rank(stack)
+            if dim_y != expected:
+                raise NumericError(
+                    f"dimY cross-check failed for ({j1}, {j2}): the kernel gives "
+                    f"{dim_y}, the intersection formula {expected}"
+                )
             solutions.append(GluingSolution(j1, j2, ratio, dim_y))
     return solutions
 

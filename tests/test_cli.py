@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import slcones
+from slcones import cli, consum, t2cone
 from slcones.planes import phi_frame
 
 # The child process imports the same package the tests do, also when it
@@ -33,6 +35,14 @@ def _run(args, stdin: str | None = None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "slcones.cli", *args]
     return subprocess.run(cmd, input=stdin, text=True, capture_output=True,
                           env=_ENV)
+
+
+def _main(args, stdin, monkeypatch, capsys):
+    """Run the CLI entry point in this process; (exit code, stdout, stderr)."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def _schema(name: str) -> dict:
@@ -163,8 +173,7 @@ class TestLawlor:
         r = _run(["lawlor", "--a", a])
         assert r.returncode == 3
         assert r.stdout == ""
-        # library warnings precede the error document on stderr
-        err = json.loads(r.stderr.splitlines()[-1])
+        err = json.loads(r.stderr)
         _validate(err, "error")
         assert err["error"]["type"] == "NumericError"
 
@@ -253,6 +262,53 @@ class TestConsum:
             {"q": 1, "edges": [{"tail": 1, "head": 1, "weight": "x/y"}]}
         )
         assert _run(["consum"], stdin=payload).returncode == 2
+
+    @pytest.mark.parametrize("payload", [
+        '{"q":"abc","edges":[]}',
+        '{"q":1e400,"edges":[]}',
+        '{"q":true,"edges":[]}',
+        '{"q":2,"edges":[{"tail":"1","head":2,"weight":1}]}',
+        '{"q":2,"edges":[{"tail":1.5,"head":2,"weight":1}]}',
+        '{"q":2,"edges":[{"tail":1,"head":[2],"weight":1}]}',
+    ])
+    def test_non_integer_field_exits_2(self, payload):
+        r = _run(["consum"], stdin=payload)
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ""
+        err = json.loads(r.stderr)
+        _validate(err, "error")
+        assert err["error"]["type"] == "InputError"
+        assert "must be an integer" in err["error"]["message"]
+
+
+class TestInternalGuards:
+    """A failed internal cross-check is a numeric failure (exit 3), also
+    under ``python -O``."""
+
+    def test_unbalanced_areas_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(consum, "check_balance", lambda g, sol: False)
+        payload = '{"q":2,"edges":[{"tail":1,"head":2,"weight":1},' \
+                  '{"tail":2,"head":1,"weight":8}]}'
+        code, out, err = _main(["consum"], payload, monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "NumericError"
+
+    def test_dim_y_mismatch_exits_3(self, monkeypatch, capsys):
+        rank = t2cone._rank
+        # miscount only the 4-row intersection stack of the cross-check
+        monkeypatch.setattr(
+            t2cone, "_rank", lambda rows: rank(rows) + (len(rows) == 4)
+        )
+        payload = '{"basis":{"B1":[[1,0],[0,0]],"B2":[[0,0],[1,0]]}}'
+        code, out, err = _main(["t2cone"], payload, monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "NumericError"
 
 
 class TestT2Cone:

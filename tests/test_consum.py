@@ -6,13 +6,18 @@ digraph and on randomized larger ones.
 """
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slcones
 from slcones.consum import (
     BalanceSolution,
     Edge,
@@ -102,6 +107,38 @@ class TestFeasible:
         with pytest.raises(InputError):
             Edge(1, 2, Fraction(-1, 2))
 
+    @pytest.mark.parametrize("bad", ["abc", "2", True, 1.5, float("inf"), float("nan"), None])
+    def test_integer_fields_are_strict(self, bad):
+        with pytest.raises(InputError):
+            IntersectionGraph(bad, [])
+        with pytest.raises(InputError):
+            Edge(bad, 1, 1)
+        with pytest.raises(InputError):
+            Edge(1, bad, 1)
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        g = IntersectionGraph(2.0, [(np.int64(1), 2.0, 1), (2, 1, 1)])
+        assert g.q == 2 and type(g.q) is int
+        assert (g.edges[0].tail, g.edges[0].head) == (1, 2)
+        assert type(g.edges[0].tail) is int and type(g.edges[0].head) is int
+
+    def test_disconnected_message_counts_pieces(self):
+        g = IntersectionGraph(5, [(1, 2, 1), (2, 1, 1), (4, 3, 1)])
+        with pytest.raises(PreconditionError, match="found 3 pieces"):
+            feasible(g)
+
+    def test_import_needs_no_scipy(self):
+        code = (
+            "import sys, slcones.consum; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(slcones.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, check=True)
+        assert r.stdout.strip() == "[]"
+
 
 class TestOracleAgreement:
     def test_exhaustive_two_vertices(self):
@@ -147,6 +184,21 @@ class TestSolveAreas:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleGraphError):
             solve_areas(IntersectionGraph(2, [(1, 2, 1), (1, 2, 1)]))
+
+    # Both graphs offer several shortest return paths for some edges; the
+    # areas pin the choice (first in edge order, breadth first).
+    def test_frozen_areas_four_components(self):
+        g = IntersectionGraph(4, [(1, 2, 1), (1, 3, 2), (2, 4, 3), (3, 4, 1),
+                                  (4, 1, 5), (2, 3, Fraction(1, 2)), (3, 1, 1)])
+        assert solve_areas(g).A == (4, Fraction(3, 2), 1, 1, Fraction(4, 5), 2, 3)
+
+    def test_frozen_areas_six_components(self):
+        g = IntersectionGraph(6, [(1, 2, 1), (2, 3, 2), (3, 4, Fraction(1, 3)),
+                                  (4, 5, 1), (5, 6, 4), (6, 1, 1), (1, 4, 3),
+                                  (4, 1, 2), (2, 5, 1), (6, 3, Fraction(5, 2)),
+                                  (5, 2, 1), (3, 3, 7)])
+        assert solve_areas(g).A == (3, 1, 12, 4, Fraction(5, 4), 3, 1, Fraction(3, 2), 4,
+                                    Fraction(4, 5), 3, Fraction(1, 7))
 
     @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
