@@ -11,8 +11,7 @@ Exit codes: 0 success, 2 invalid input, 3 numeric/verification failure,
 64 usage error (unknown subcommand or malformed flags).
 
 ``SLCONES_LOG`` (e.g. ``debug``) controls log verbosity on stderr; there
-is no other environment dependence besides the kernel-selection flag
-read by the spectrum backend.
+is no other environment dependence.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from . import __version__
 from .consum import IntersectionGraph, feasible, solve_areas
 from .dims import TopologyProfile, full_report
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, as_int
 from .lawlor import (
     DEFAULT_TOL as LAWLOR_TOL,
     NeckParams,
@@ -342,10 +341,7 @@ def _cmd_t2cone(args):
         }
         input_doc = {"generator": [int(gen[0]), int(gen[1])]}
         if "h1X" in doc:
-            try:
-                h1x = int(doc["h1X"])
-            except (TypeError, ValueError):
-                raise InputError(f"'h1X' must be an integer, got {doc['h1X']!r}") from None
+            h1x = as_int(doc["h1X"], "'h1X'")
             out["h1"] = [h1_order(s, h1x, j) for j in (1, 2, 3)]
             input_doc["h1X"] = h1x
         return input_doc, out, EXIT_OK

@@ -17,7 +17,6 @@ wall tolerance is :data:`WALL_TOL`.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .errors import (
     InputError,
     NumericError,
     PreconditionError,
+    as_int,
 )
 
 __all__ = [
@@ -66,19 +66,6 @@ def _as_fraction(x, what: str) -> Fraction:
     return f
 
 
-def _as_int(x, what: str) -> int:
-    """Exact integer from an int or an integral finite float; bools,
-    strings and every other type are rejected."""
-    if isinstance(x, float) and math.isfinite(x) and x.is_integer():
-        return int(x)
-    if not isinstance(x, (bool, float)):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise InputError(f"{what} must be an integer, got {x!r}")
-
-
 @dataclass(frozen=True)
 class Edge:
     """Directed weighted edge: tail = component of the positive sheet,
@@ -92,8 +79,8 @@ class Edge:
         w = _as_fraction(weight, "edge weight")
         if w <= 0:
             raise InputError(f"edge weight must be positive, got {w}")
-        object.__setattr__(self, "tail", _as_int(tail, "edge tail"))
-        object.__setattr__(self, "head", _as_int(head, "edge head"))
+        object.__setattr__(self, "tail", as_int(tail, "edge tail"))
+        object.__setattr__(self, "head", as_int(head, "edge head"))
         object.__setattr__(self, "weight", w)
 
 
@@ -105,7 +92,7 @@ class IntersectionGraph:
     edges: tuple
 
     def __init__(self, q: int, edges: Sequence):
-        q = _as_int(q, "number of components q")
+        q = as_int(q, "number of components q")
         if q < 1:
             raise InputError(f"need at least one component, got q = {q}")
         norm = []

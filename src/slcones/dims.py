@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InconsistentProfileError, InputError, WallError
+from .errors import InconsistentProfileError, InputError, WallError, as_int
 
 __all__ = [
     "ConeData",
@@ -39,7 +39,7 @@ __all__ = [
 
 
 def _nonneg(value: int, what: str) -> int:
-    value = int(value)
+    value = as_int(value, what)
     if value < 0:
         raise InputError(f"{what} must be nonnegative, got {value}")
     return value
@@ -88,7 +88,7 @@ class TopologyProfile:
     dimY: Optional[int] = None
 
     def __init__(self, m, q, b1csX, cones: Sequence, necks: Sequence, dimY=None):
-        m = int(m)
+        m = as_int(m, "ambient dimension m")
         if m < 3:
             raise InputError(f"ambient dimension must be >= 3, got {m}")
         q = _nonneg(q, "component count q")
@@ -253,7 +253,7 @@ def rate_lambda_dims(
     if regime == "positive":
         if n_sigma_lambda is None:
             raise InputError("positive regime needs N_Sigma(lambda)")
-        val = neck.b1L - neck.b0L + int(n_sigma_lambda)
+        val = neck.b1L - neck.b0L + as_int(n_sigma_lambda, "N_Sigma(lambda)")
         if val < 0:
             raise InconsistentProfileError(f"moduli dimension {val} < 0")
         return val
@@ -264,7 +264,7 @@ def moduli_jump(dim_m0: int, s_ind: int, m: int) -> int:
     """Moduli dimension just above rate 0 for a neck on a rigid cone:
     the translations and the cone's excess eigenfunctions enter, adding
     s-ind + 2m to the rate-0 dimension."""
-    return _nonneg(dim_m0, "dimM0") + _nonneg(s_ind, "s_ind") + 2 * int(m)
+    return _nonneg(dim_m0, "dimM0") + _nonneg(s_ind, "s_ind") + 2 * as_int(m, "m")
 
 
 def yz_vanishing_check(
@@ -275,7 +275,7 @@ def yz_vanishing_check(
     cone link is connected."""
     b0Sigma = _nonneg(b0Sigma, "b0(Sigma)")
     y_must = lam < 0 or neck.b1L == 0
-    z_must = lam < 2 - int(m) or b0Sigma == 1
+    z_must = lam < 2 - as_int(m, "m") or b0Sigma == 1
     return (y_must, z_must)
 
 

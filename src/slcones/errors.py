@@ -4,8 +4,15 @@ Two top-level families matter for callers (and fix the CLI exit codes):
 ``InputError`` for anything wrong with the data handed to us, and
 ``NumericError`` for computations that ran but could not certify their
 result.  Everything else subclasses one of those two.
+
+The module also holds :func:`as_int`, the one policy for reading an
+integer from caller data, so that every module rejects the same inputs
+without importing another solver (or numpy) to do it.
 """
 from __future__ import annotations
+
+import math
+import operator
 
 
 class SLConesError(Exception):
@@ -56,3 +63,16 @@ class DegeneratePhaseError(InputError):
 class WallError(InputError):
     """The requested rate lies in the exceptional exponent set where the
     moduli dimension is undefined."""
+
+
+def as_int(x, what: str) -> int:
+    """Exact integer from an int or an integral finite float; bools,
+    strings and every other type are rejected with :class:`InputError`."""
+    if isinstance(x, float) and math.isfinite(x) and x.is_integer():
+        return int(x)
+    if not isinstance(x, (bool, float)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {x!r}")

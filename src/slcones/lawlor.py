@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InputError, NumericError
 
@@ -57,6 +56,17 @@ _NEWTON_MAX_ITER = 60
 _POSITIVITY_EPS = 1e-12
 
 _QUAD_LIMIT = 200
+
+
+def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float):
+    """scipy's adaptive quadrature of f over [lo, hi], as (value, error).
+
+    scipy is imported here, at the first quadrature, so that importing
+    this module (and with it the CLI) loads no scipy module.
+    """
+    from scipy.integrate import quad
+
+    return quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT)
 
 
 def sphere_area(m: int) -> float:
@@ -170,13 +180,8 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     phi = []
     for ak in p.a:
         # phi_k = 2 a_k * int_0^inf by evenness
-        val, err = quad(
-            _integrand(coeffs, ak),
-            0.0,
-            np.inf,
-            epsabs=tol / (4.0 * ak),
-            epsrel=1e-13,
-            limit=_QUAD_LIMIT,
+        val, err = _quad(
+            _integrand(coeffs, ak), 0.0, np.inf, epsabs=tol / (4.0 * ak), epsrel=1e-13
         )
         achieved = 2.0 * ak * err
         if achieved > tol:
@@ -206,14 +211,7 @@ def _angles_only(coeffs, a, count: int) -> np.ndarray:
     inside the Newton loop."""
     out = np.empty(count)
     for k, ak in enumerate(a[:count]):
-        val, _ = quad(
-            _integrand(coeffs, ak),
-            0.0,
-            np.inf,
-            epsabs=1e-13,
-            epsrel=1e-13,
-            limit=_QUAD_LIMIT,
-        )
+        val, _ = _quad(_integrand(coeffs, ak), 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)
         out[k] = 2.0 * ak * val
     return out
 
@@ -292,19 +290,20 @@ def _half_phases(p: NeckParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.array(angles_from_a(p, tol).phi) / 2.0
 
 
-def _phases_at(p: NeckParams, y: float, half: np.ndarray) -> np.ndarray:
-    """psi_k(y) = phi_k/2 + a_k int_0^y (signed for negative y)."""
+def _integrands(p: NeckParams) -> list:
+    """The m angle integrands of the neck, built once per neck."""
     coeffs = _poly_coeffs(p.a)
+    return [_integrand(coeffs, ak) for ak in p.a]
+
+
+def _phases_at(
+    p: NeckParams, y: float, half: np.ndarray, integrands: list
+) -> np.ndarray:
+    """psi_k(y) = phi_k/2 + a_k int_0^y (signed for negative y), with the
+    integrands from :func:`_integrands`."""
     out = np.empty(p.m)
-    for k, ak in enumerate(p.a):
-        val, _ = quad(
-            _integrand(coeffs, ak),
-            0.0,
-            y,
-            epsabs=1e-13,
-            epsrel=1e-13,
-            limit=_QUAD_LIMIT,
-        )
+    for k, (ak, f) in enumerate(zip(p.a, integrands)):
+        val, _ = _quad(f, 0.0, y, epsabs=1e-13, epsrel=1e-13)
         out[k] = half[k] + ak * val
     return out
 
@@ -325,7 +324,7 @@ def neck_point(p: NeckParams, y: float, x) -> np.ndarray:
         raise InputError(f"direction must have shape ({p.m},), got {x.shape}")
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise InputError(f"direction must be a unit vector, |x| = {np.linalg.norm(x)}")
-    psi = _phases_at(p, y, _half_phases(p))
+    psi = _phases_at(p, y, _half_phases(p), _integrands(p))
     z = _radii_at(p, y) * np.exp(1j * psi)
     return z * x
 
@@ -377,7 +376,7 @@ def verify_sl_neck(
     if not (h > 0):
         raise InputError("finite-difference step must be positive")
     m = p.m
-    integrands = [_integrand(_poly_coeffs(p.a), ak) for ak in p.a]
+    integrands = _integrands(p)
     half = _half_phases(p)
     a_arr = np.array(p.a)
     rng = np.random.default_rng(20250821)
@@ -388,17 +387,15 @@ def verify_sl_neck(
         x = rng.normal(size=m)
         x /= np.linalg.norm(x)
 
-        psi = _phases_at(p, y, half)
+        psi = _phases_at(p, y, half, integrands)
         z = _radii_at(p, y) * np.exp(1j * psi)
         # phase increments over [y, y +- h] keep the 1/h amplification of
         # quadrature noise out of the derivative
         dplus = np.empty(m)
         dminus = np.empty(m)
         for k, (ak, f) in enumerate(zip(p.a, integrands)):
-            vp, _ = quad(f, y, y + h,
-                         epsabs=1e-14, epsrel=1e-13, limit=_QUAD_LIMIT)
-            vm, _ = quad(f, y, y - h,
-                         epsabs=1e-14, epsrel=1e-13, limit=_QUAD_LIMIT)
+            vp, _ = _quad(f, y, y + h, epsabs=1e-14, epsrel=1e-13)
+            vm, _ = _quad(f, y, y - h, epsabs=1e-14, epsrel=1e-13)
             dplus[k] = ak * vp
             dminus[k] = ak * vm
         zp = np.sqrt(1.0 / a_arr + (y + h) ** 2) * np.exp(1j * (psi + dplus))

@@ -8,6 +8,13 @@ From the eigenvalue table the module derives the exponent set (both
 roots of alpha*(alpha+m-2) = lambda), the counting function ``n_sigma``,
 and the stability/rigidity report for each dimension m.
 
+Multiplicities come from one exact int64 dynamic program over the joint
+distribution of (s, t) = (sum n_i, sum n_i^2): Q depends on n only
+through (s, t), and because (sum n_i)^2 <= (m-1)*sum(n_i^2)
+(Cauchy-Schwarz), Q(n) >= ||n||^2, so the ball ||n||^2 <= cutoff holds
+every vector that can matter.  The brute-force box scan in the tests is
+its independent oracle.
+
 Exponent comparisons against rational thresholds are carried out through
 the exact quadratic relation (integer/Fraction arithmetic only); floats
 appear purely as display approximations.
@@ -19,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from .errors import IncompleteSpectrumError, InputError
-from ._kernels import eigenvalue_counts
 
 __all__ = [
     "ConeSpectrum",
@@ -33,6 +41,10 @@ __all__ = [
     "n_sigma",
     "stability_index",
 ]
+
+#: largest DP work (m-1) * (2 s_max + 1) * (cutoff + 1) enumerate_spectrum
+#: accepts; the table alone holds (2 s_max + 1) * (cutoff + 1) int64 cells
+MAX_DP_CELLS = 2 * 10**7
 
 
 def _as_exact(x, what: str) -> Fraction:
@@ -110,18 +122,58 @@ class ConeSpectrum:
         return 0
 
 
+def _dp_cells(m: int, cutoff: int) -> int:
+    """Work of the DP: m-1 layers over a (2 s_max + 1) x (cutoff + 1)
+    table, s_max = (m-1) * floor(sqrt(cutoff))."""
+    d = m - 1
+    return d * (2 * d * math.isqrt(cutoff) + 1) * (cutoff + 1)
+
+
+def _counts_dp(m: int, cutoff: int) -> np.ndarray:
+    """``counts[q]`` = exact number of lattice vectors n with Q(n) = q."""
+    d = m - 1
+    r = math.isqrt(cutoff)
+    smax = d * r
+    # ways[s + smax, t] = number of prefixes with digit sum s, square sum t
+    ways = np.zeros((2 * smax + 1, cutoff + 1), dtype=np.int64)
+    ways[smax, 0] = 1
+    width = 2 * smax + 1
+    for _ in range(d):
+        new = np.zeros_like(ways)
+        for v in range(-r, r + 1):
+            v2 = v * v
+            lo, hi = max(v, 0), max(-v, 0)
+            new[lo:width - hi, v2:] += ways[hi:width - lo, : cutoff + 1 - v2]
+        ways = new
+    counts = np.zeros(cutoff + 1, dtype=np.int64)
+    s_idx, t_idx = np.nonzero(ways)
+    s = s_idx - smax
+    q = m * t_idx - s * s
+    keep = q <= cutoff
+    np.add.at(counts, q[keep], ways[s_idx[keep], t_idx[keep]])
+    return counts
+
+
 def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
     """Complete eigenvalue table of the torus link up to ``cutoff``.
 
     Enumerates the lattice ball ||n||^2 <= cutoff, which covers every
-    eigenvalue <= cutoff because Q(n) >= ||n||^2.
+    eigenvalue <= cutoff because Q(n) >= ||n||^2.  Raises
+    :class:`InputError`, before allocating anything, when the DP work
+    exceeds :data:`MAX_DP_CELLS`.
     """
     if m < 3:
         raise InputError(f"dimension m must be >= 3, got {m}")
     cutoff = int(cutoff)
     if cutoff < 0:
         raise InputError(f"cutoff must be >= 0, got {cutoff}")
-    counts = eigenvalue_counts(m, cutoff)
+    cells = _dp_cells(m, cutoff)
+    if cells > MAX_DP_CELLS:
+        raise InputError(
+            f"spectrum for m = {m}, cutoff = {cutoff} needs {cells} DP "
+            f"cells, more than the limit of {MAX_DP_CELLS}"
+        )
+    counts = _counts_dp(m, cutoff)
     entries = [(lam, int(c)) for lam, c in enumerate(counts) if c > 0]
     return ConeSpectrum(m, entries, cutoff)
 

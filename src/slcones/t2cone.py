@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Optional, Sequence
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, as_int
 
 __all__ = [
     "T2Singularity",
@@ -52,6 +53,19 @@ def _frac(x, what: str) -> Fraction:
         raise InputError(f"{what} must be rational, got {x!r}") from exc
 
 
+def _as_finite(x, what: str) -> float:
+    """Finite float from a real number; bools, strings, NaN and infinities
+    are rejected."""
+    if isinstance(x, Real) and not isinstance(x, bool):
+        try:
+            v = float(x)
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise InputError(f"{what} must be a finite real number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class T2Singularity:
     """k-invariant of one torus-cone point, sign-normalized so that the
@@ -60,7 +74,7 @@ class T2Singularity:
     k: tuple
 
     def __init__(self, k):
-        k = tuple(int(x) for x in k)
+        k = tuple(as_int(x, "k entry") for x in k)
         if len(k) != 3:
             raise InputError(f"need a triple, got {k}")
         if sum(k) != 0:
@@ -79,7 +93,7 @@ class T2Singularity:
 def k_from_generator(p: int, q: int) -> T2Singularity:
     """k-triple of the singular point whose restriction image is
     generated by (p, q): k = (-q, p, q - p)."""
-    p, q = int(p), int(q)
+    p, q = as_int(p, "generator entry p"), as_int(q, "generator entry q")
     if (p, q) == (0, 0):
         raise InputError("generator cannot be zero")
     if math.gcd(p, q) != 1:
@@ -97,7 +111,7 @@ def h1_order(s: T2Singularity, h1X: int, j: int) -> Optional[int]:
     """Order of the first integral homology after gluing neck j:
     |k_j| times the order for the singular 3-fold; None when k_j = 0
     (the homology need not stay finite)."""
-    h1X = int(h1X)
+    h1X = as_int(h1X, "group order h1X")
     if h1X < 1:
         raise InputError(f"group order must be positive, got {h1X}")
     if j not in (1, 2, 3):
@@ -297,8 +311,8 @@ def family_region(omega_pairing: float, kj: int) -> FamilyRegionResult:
     the signs of pairing and k_j agree; on the wall (zero pairing) the
     k_j = 0 neck admits every scale and any other neck admits none.
     """
-    pairing = float(omega_pairing)
-    kj = int(kj)
+    pairing = _as_finite(omega_pairing, "pairing")
+    kj = as_int(kj, "k_j")
     if pairing == 0.0:
         return FamilyRegionResult("wall", None, kj == 0)
     region = "positive" if pairing > 0 else "negative"

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -89,6 +90,24 @@ class TestDispatch:
         assert "1e-10" in r.stdout
 
 
+class TestImportGraph:
+    """scipy serves only the Lawlor quadrature and is imported at the first
+    one, so no module, the CLI included, loads it at import time."""
+
+    @pytest.mark.parametrize("module", [
+        "slcones.cli", "slcones.lawlor", "slcones.spectrum", "slcones.planes",
+        "slcones.consum", "slcones.dims", "slcones.t2cone",
+    ])
+    def test_import_loads_no_scipy(self, module):
+        code = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stdout.strip() == "[]"
+
+
 class TestStability:
     def test_m3_golden_document(self):
         r = _run(["stability", "--m", "3"])
@@ -139,6 +158,21 @@ class TestSpectrum:
         r = _run(["spectrum", "--m", "3", "--cutoff", "4", "--delta", "3"])
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"]["type"] == "IncompleteSpectrumError"
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--m", "3", "--cutoff", "100000000"],
+        ["stability", "--m", "100"],
+    ])
+    def test_oversized_dp_exits_2(self, args, monkeypatch, capsys):
+        start = time.perf_counter()
+        code, out, err = _main(args, "", monkeypatch, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "InputError"
+        assert "DP cells" in doc["error"]["message"]
 
 
 class TestLawlor:
@@ -350,6 +384,22 @@ class TestT2Cone:
         r = _run(["t2cone"], stdin=json.dumps({"generator": [2, 4]}))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("payload", [
+        '{"generator":["1",1]}',
+        '{"generator":[1.5,1]}',
+        '{"generator":[1,1],"h1X":"2"}',
+        '{"pairing":NaN,"kJ":1}',
+        '{"pairing":"1.0","kJ":1}',
+        '{"pairing":1.0,"kJ":1.5}',
+    ])
+    def test_bad_number_exits_2(self, payload):
+        r = _run(["t2cone"], stdin=payload)
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ""
+        err = json.loads(r.stderr)
+        _validate(err, "error")
+        assert err["error"]["type"] == "InputError"
+
 
 class TestDims:
     PROFILE = {
@@ -368,6 +418,21 @@ class TestDims:
         _validate(doc, "dims")
         assert doc["dimF"] == doc["b1N"] - doc["dimI"]
         assert doc["nonRigidWarning"] is False
+
+    @pytest.mark.parametrize("change", [
+        {"m": "3"},
+        {"q": 2.5},
+        {"dimY": True},
+        {"cones": [{"l": "2", "sInd": 0}]},
+    ])
+    def test_non_integer_field_exits_2(self, change):
+        r = _run(["dims"], stdin=json.dumps(dict(self.PROFILE, **change)))
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ""
+        err = json.loads(r.stderr)
+        _validate(err, "error")
+        assert err["error"]["type"] == "InputError"
+        assert "must be an integer" in err["error"]["message"]
 
     def test_inconsistent_profile_exits_2(self):
         bad = dict(self.PROFILE, b1csX=0, q=1)

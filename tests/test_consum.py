@@ -6,18 +6,13 @@ digraph and on randomized larger ones.
 """
 import itertools
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import slcones
 from slcones.consum import (
     BalanceSolution,
     Edge,
@@ -126,18 +121,6 @@ class TestFeasible:
         g = IntersectionGraph(5, [(1, 2, 1), (2, 1, 1), (4, 3, 1)])
         with pytest.raises(PreconditionError, match="found 3 pieces"):
             feasible(g)
-
-    def test_import_needs_no_scipy(self):
-        code = (
-            "import sys, slcones.consum; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        src = str(Path(slcones.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True, env=env, check=True)
-        assert r.stdout.strip() == "[]"
 
 
 class TestOracleAgreement:

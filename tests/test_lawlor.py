@@ -26,7 +26,7 @@ from slcones.lawlor import (
     verify_sl_neck,
     z_invariant,
 )
-from slcones.lawlor import _half_phases, _phases_at
+from slcones.lawlor import _half_phases, _integrands, _phases_at
 
 # ---------------------------------------------------------------------------
 # frozen oracle values (mpmath, dps=50)
@@ -277,12 +277,12 @@ class TestNeckPoint:
 
     def test_frozen_phases_positive_y(self):
         p = NeckParams((1, 2, 3))
-        psi = _phases_at(p, 1.0, _half_phases(p))
+        psi = _phases_at(p, 1.0, _half_phases(p), _integrands(p))
         assert psi == pytest.approx(ORACLE_PSI_123_AT_1, abs=1e-10)
 
     def test_frozen_phases_negative_y(self):
         p = NeckParams((1, 1, 1))
-        psi = _phases_at(p, -0.75, _half_phases(p))
+        psi = _phases_at(p, -0.75, _half_phases(p), _integrands(p))
         assert psi == pytest.approx([ORACLE_PSI_111_AT_M075] * 3, abs=1e-10)
 
     def test_moduli(self):
@@ -296,9 +296,9 @@ class TestNeckPoint:
         # psi_k(y) -> 0 as y -> -inf and -> phi_k as y -> +inf
         p = NeckParams((1, 2, 3))
         spec = angles_from_a(p)
-        half = _half_phases(p)
-        far = _phases_at(p, 60.0, half)
-        near = _phases_at(p, -60.0, half)
+        half, integrands = _half_phases(p), _integrands(p)
+        far = _phases_at(p, 60.0, half, integrands)
+        near = _phases_at(p, -60.0, half, integrands)
         assert far == pytest.approx(spec.phi, abs=1e-3)
         assert near == pytest.approx([0.0] * 3, abs=1e-3)
         assert np.all(near > 0)

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slcones import _kernels
+from slcones import spectrum
 from slcones.errors import IncompleteSpectrumError, InputError
 from slcones.spectrum import (
     ConeSpectrum,
@@ -113,19 +113,24 @@ class TestEnumerate:
             m, cutoff
         )
 
-    def test_backends_agree(self):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        for m, cutoff in [(3, 40), (5, 17), (7, 14), (12, 24)]:
-            enum = _kernels._counts_enum(m, cutoff)
-            dp = _kernels._counts_dp(m, cutoff)
-            assert np.array_equal(enum, dp)
+    @pytest.mark.parametrize("call", [
+        lambda: enumerate_spectrum(3, 10**8),
+        lambda: enumerate_spectrum(10**9, 0),
+        lambda: stability_index(100),
+    ], ids=["cutoff", "m", "stability"])
+    def test_oversized_dp_is_input_error(self, call):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="DP cells"):
+            call()
+        assert time.perf_counter() - start < 1.0
 
-    def test_env_flag_selects_numpy_path(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_NO_NUMBA, "1")
-        flagged = enumerate_spectrum(5, 12)
-        monkeypatch.delenv(_kernels.ENV_NO_NUMBA)
-        assert flagged.entries == enumerate_spectrum(5, 12).entries
+    def test_dp_size_limit_is_inclusive(self, monkeypatch):
+        # (m, cutoff) = (4, 9): 3 layers of a 19 x 10 table
+        monkeypatch.setattr(spectrum, "MAX_DP_CELLS", 3 * 19 * 10)
+        assert enumerate_spectrum(4, 9).entries[0] == (0, 1)
+        monkeypatch.setattr(spectrum, "MAX_DP_CELLS", 3 * 19 * 10 - 1)
+        with pytest.raises(InputError, match="DP cells"):
+            enumerate_spectrum(4, 9)
 
     def test_deterministic(self):
         a = enumerate_spectrum(6, 25)
