@@ -26,30 +26,9 @@ import sys
 import warnings
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .consum import IntersectionGraph, feasible, solve_areas
-from .dims import TopologyProfile, full_report
+from ._tolerances import LAWLOR_TOL, TRANSVERSE_TOL
 from .errors import InputError, NumericError, as_int
-from .lawlor import (
-    DEFAULT_TOL as LAWLOR_TOL,
-    NeckParams,
-    AngleSpec,
-    a_from_angles,
-    angles_from_a,
-    sphere_area,
-)
-from .planes import DEFAULT_TRANSVERSE_TOL, SLPlane, characteristic_angles
-from .spectrum import enumerate_spectrum, exponents, n_sigma, stability_index
-from .t2cone import (
-    T2PairBasis,
-    family_region,
-    gluing_candidates,
-    h1_order,
-    k_from_generator,
-    two_singularity_gluings,
-)
 
 _LOG = logging.getLogger("slcones.cli")
 
@@ -139,10 +118,14 @@ def _require(doc, key: str, what: str):
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns (input_doc, output_doc, exit_code);
-# input_doc is the resolved input used for the --record digest.
+# input_doc is the resolved input used for the --record digest.  Each
+# imports the solvers it calls, so a subcommand loads only what it needs
+# (dims and t2cone load no numpy).
 
 
 def _cmd_spectrum(args):
+    from .spectrum import enumerate_spectrum, exponents, n_sigma
+
     spec = enumerate_spectrum(args.m, args.cutoff)
     out = {
         "m": spec.m,
@@ -161,6 +144,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_stability(args):
+    from .spectrum import stability_index
+
     rep = stability_index(args.m)
     out = {
         "m": rep.m,
@@ -173,6 +158,8 @@ def _cmd_stability(args):
 
 
 def _cmd_lawlor(args):
+    from .lawlor import AngleSpec, NeckParams, a_from_angles, angles_from_a
+
     if args.a is not None:
         a = _float_list(args.a, "--a")
         spec = angles_from_a(NeckParams(a), tol=args.tol)
@@ -188,7 +175,11 @@ def _cmd_lawlor(args):
     return input_doc, out, EXIT_OK
 
 
-def _frame_from_json(rows, what: str) -> SLPlane:
+def _frame_from_json(rows, what: str):
+    import numpy as np
+
+    from .planes import SLPlane
+
     try:
         arr = np.asarray(
             [[complex(re, im) for re, im in row] for row in rows], dtype=complex
@@ -201,6 +192,8 @@ def _frame_from_json(rows, what: str) -> SLPlane:
 
 
 def _cmd_planes(args):
+    from .planes import characteristic_angles
+
     doc = _read_json(args.input)
     p1 = _frame_from_json(_require(doc, "p1", "planes input"), "p1")
     p2 = _frame_from_json(_require(doc, "p2", "planes input"), "p2")
@@ -215,7 +208,9 @@ def _cmd_planes(args):
     return {"p1": doc["p1"], "p2": doc["p2"], "tol": args.tol}, out, EXIT_OK
 
 
-def _graph_from_json(doc) -> IntersectionGraph:
+def _graph_from_json(doc):
+    from .consum import IntersectionGraph
+
     q = _require(doc, "q", "graph input")
     edges = _require(doc, "edges", "graph input")
     if not isinstance(edges, list):
@@ -230,6 +225,8 @@ def _graph_from_json(doc) -> IntersectionGraph:
 
 
 def _cmd_consum(args):
+    from .consum import feasible, solve_areas
+
     doc = _read_json(args.input)
     g = _graph_from_json(doc)
     ok = feasible(g)
@@ -246,7 +243,9 @@ def _cmd_consum(args):
     return input_doc, out, EXIT_OK
 
 
-def _profile_from_json(doc) -> TopologyProfile:
+def _profile_from_json(doc):
+    from .dims import TopologyProfile
+
     cones = _require(doc, "cones", "profile input")
     necks = _require(doc, "necks", "profile input")
     if not isinstance(cones, list) or not isinstance(necks, list):
@@ -272,6 +271,8 @@ def _profile_from_json(doc) -> TopologyProfile:
 
 
 def _cmd_dims(args):
+    from .dims import full_report
+
     doc = _read_json(args.input)
     p = _profile_from_json(doc)
     rep = full_report(p)
@@ -299,7 +300,9 @@ def _cmd_dims(args):
     return input_doc, out, EXIT_OK
 
 
-def _basis_from_json(doc) -> T2PairBasis:
+def _basis_from_json(doc):
+    from .t2cone import T2PairBasis
+
     def pair(b, name):
         if (
             not isinstance(b, list)
@@ -319,6 +322,14 @@ def _basis_from_json(doc) -> T2PairBasis:
 
 
 def _cmd_t2cone(args):
+    from .t2cone import (
+        family_region,
+        gluing_candidates,
+        h1_order,
+        k_from_generator,
+        two_singularity_gluings,
+    )
+
     doc = _read_json(args.input)
     if not isinstance(doc, dict):
         raise InputError("t2cone input must be a JSON object")
@@ -393,6 +404,8 @@ _STABILITY_TABLE = {
 
 
 def _suite_table1() -> list:
+    from .spectrum import stability_index
+
     failures = []
     for m, (n2, m2, s_ind) in _STABILITY_TABLE.items():
         rep = stability_index(m)
@@ -409,7 +422,7 @@ def _suite_table1() -> list:
 
 
 def _suite_gluings() -> list:
-    from .t2cone import GluingSolution
+    from .t2cone import GluingSolution, T2PairBasis, two_singularity_gluings
 
     one = Fraction(1)
     r23 = Fraction(2, 3)
@@ -447,6 +460,10 @@ def _suite_gluings() -> list:
 
 
 def _suite_lawlor() -> list:
+    import numpy as np
+
+    from .lawlor import NeckParams, a_from_angles, angles_from_a, sphere_area
+
     failures = []
     rng = np.random.default_rng(1540)
     for m in (3, 4, 5):
@@ -570,7 +587,7 @@ def build_parser() -> _Parser:
         help="JSON file with unitary frames p1, p2 as [re, im] matrices ('-' = stdin)",
     )
     p.add_argument(
-        "--tol", type=float, default=DEFAULT_TRANSVERSE_TOL, help="transversality tolerance"
+        "--tol", type=float, default=TRANSVERSE_TOL, help="transversality tolerance"
     )
     p.set_defaults(func=_cmd_planes)
 

@@ -17,13 +17,13 @@ wall tolerance is :data:`WALL_TOL`.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._exact import rref
 from .errors import (
     DegeneratePhaseError,
     InfeasibleGraphError,
@@ -202,25 +202,6 @@ def bipartition_oracle(g: IntersectionGraph) -> bool:
     return True
 
 
-def _bfs_tree(out: list, start: int, goals: set) -> dict:
-    """Breadth-first tree from ``start`` as {vertex: (parent, edge index)},
-    grown only until it holds every vertex of ``goals``."""
-    prev = {start: None}
-    left = len(goals)
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for idx, w in out[v]:
-            if w not in prev:
-                prev[w] = (v, idx)
-                if w in goals:
-                    left -= 1
-                    if not left:
-                        return prev
-                queue.append(w)
-    return prev
-
-
 def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     """Exact positive areas balancing the weighted flow at every
     component, normalized so that min_i A_i w_i = 1.
@@ -230,7 +211,12 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     of these n cycles gives positive integer flows f_i balanced at every
     vertex, and A_i = f_i / w_i.  The return path of edge u -> v is the
     shortest path v -> u in the breadth-first tree from v that scans
-    edges in input order; one tree serves every edge with head v.
+    out-edges in input order.  One search per distinct head v serves
+    every edge into v: it records each vertex's parent vertex and parent
+    edge in two index arrays, stops once every tail of an edge into v is
+    reached, and the return paths of those edges are walked at once, so
+    no tree outlives its search.  The arrays are shared by all searches
+    and a per-search stamp tells which entries are current.
     """
     if not feasible(g):
         raise InfeasibleGraphError(
@@ -238,21 +224,52 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
         )
     if g.n == 0:
         return BalanceSolution(())
-    out = [[] for _ in range(g.q + 1)]
-    goals = {}
+    q = g.q
+    out = [[] for _ in range(q + 1)]
+    tails = []
+    into = {}
     for idx, e in enumerate(g.edges):
         out[e.tail].append((idx, e.head))
+        tails.append(e.tail)
         if e.head != e.tail:
-            goals.setdefault(e.head, set()).add(e.tail)
-    trees = {v: _bfs_tree(out, v, need) for v, need in goals.items()}
+            into.setdefault(e.head, []).append(idx)
     flows = [1] * g.n
-    for e in g.edges:
-        w = e.tail
-        while w != e.head:
-            w, idx = trees[e.head][w]
-            flows[idx] += 1
+    seen = [0] * (q + 1)  # stamp of the search that reached the vertex
+    goal = [0] * (q + 1)  # stamp of the search that looks for the vertex
+    parent = [0] * (q + 1)
+    via = [0] * (q + 1)
+    for stamp, (head, idxs) in enumerate(into.items(), 1):
+        left = 0
+        for idx in idxs:
+            if goal[tails[idx]] != stamp:
+                goal[tails[idx]] = stamp
+                left += 1
+        seen[head] = stamp
+        queue = [head]
+        pos = 0
+        while left:
+            v = queue[pos]
+            pos += 1
+            for idx, w in out[v]:
+                if seen[w] != stamp:
+                    seen[w] = stamp
+                    parent[w] = v
+                    via[w] = idx
+                    if goal[w] == stamp:
+                        left -= 1
+                        if not left:
+                            break
+                    queue.append(w)
+        for idx in idxs:
+            w = tails[idx]
+            while w != head:
+                flows[via[w]] += 1
+                w = parent[w]
     lo = min(flows)
-    areas = [Fraction(f, lo) / e.weight for f, e in zip(flows, g.edges)]
+    areas = [
+        Fraction(f * e.weight.denominator, lo * e.weight.numerator)
+        for f, e in zip(flows, g.edges)
+    ]
     sol = BalanceSolution(areas)
     if not check_balance(g, sol):
         raise NumericError("computed areas do not balance the weighted flow")
@@ -291,7 +308,7 @@ def moduli_dim_relation(n: int, q: int, b1X: int) -> ModuliDim:
     handle (raising b1 by one); n = q marks the index-one boundary case
     where the glued moduli space has exactly one extra dimension.
     """
-    n, q, b1X = int(n), int(q), int(b1X)
+    n, q, b1X = as_int(n, "n"), as_int(q, "q"), as_int(b1X, "b1X")
     if q < 1:
         raise InputError(f"need q >= 1 components, got {q}")
     if n < q - 1:
@@ -320,7 +337,7 @@ class PhaseFamilyQuery:
             raise InputError(f"component magnitudes must be positive, got {R1}, {R2}")
         if psi <= 0:
             raise InputError(f"angle invariant must be positive, got {psi}")
-        m = int(m)
+        m = as_int(m, "dimension m")
         if m < 1:
             raise InputError(f"dimension must be >= 1, got {m}")
         object.__setattr__(self, "R1", R1)
@@ -363,29 +380,6 @@ def phase_region(qr: PhaseFamilyQuery) -> PhaseRegionResult:
     return PhaseRegionResult("negative", None)
 
 
-def _rref(matrix: list, ncols: int):
-    """In-place reduced row echelon form over Fraction; returns the list
-    of pivot columns."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c] != 0), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = matrix[r][c]
-        matrix[r] = [x / inv for x in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    return pivots
-
-
 def _strictly_feasible(ineqs: list, nvars: int) -> bool:
     """Fourier-Motzkin elimination for a system of strict inequalities
     a·x + b > 0 over the rationals."""
@@ -425,7 +419,7 @@ def family_balance_region(
     t = float(t)
     if not t > 0:
         raise InputError(f"scale t must be positive, got {t}")
-    m_exp = int(m)
+    m_exp = as_int(m, "dimension m")
     if m_exp < 1:
         raise InputError(f"dimension must be >= 1, got {m_exp}")
     if A is not None:
@@ -453,7 +447,7 @@ def family_balance_region(
                 row[idx] -= e.weight
         row[g.n] = rhs[k - 1]
         rows.append(row)
-    pivots = _rref(rows, g.n)
+    pivots = rref(rows, g.n)
     for row in rows:
         if all(x == 0 for x in row[: g.n]) and row[g.n] != 0:
             return False

@@ -55,9 +55,11 @@ class ConeData:
     rigid: bool = True
 
     def __init__(self, l: int, s_ind: int, rigid: bool = True):
+        if not isinstance(rigid, bool):
+            raise InputError(f"rigid must be true or false, got {rigid!r}")
         object.__setattr__(self, "l", _nonneg(l, "link component count"))
         object.__setattr__(self, "s_ind", _nonneg(s_ind, "stability index"))
-        object.__setattr__(self, "rigid", bool(rigid))
+        object.__setattr__(self, "rigid", rigid)
         if self.l < 1:
             raise InputError("every cone has at least one link component")
 

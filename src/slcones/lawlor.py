@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tolerances import LAWLOR_TOL as DEFAULT_TOL
 from .errors import InputError, NumericError
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "z_invariant",
 ]
 
-#: default certified quadrature error per angle
-DEFAULT_TOL = 1e-10
 #: tolerance on sum(phi) - pi accepted when constructing an AngleSpec
 ANGLE_SUM_TOL = 1e-6
 #: finite-difference step used by verify_sl_neck

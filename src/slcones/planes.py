@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tolerances import TRANSVERSE_TOL as DEFAULT_TRANSVERSE_TOL
 from .errors import InputError, NumericError
 
 __all__ = [
@@ -28,8 +29,6 @@ __all__ = [
     "canonical_transform",
 ]
 
-#: default tolerance for the transversality decision (eigenvalue near 1)
-DEFAULT_TRANSVERSE_TOL = 1e-9
 _FRAME_TOL = 1e-12
 _CLUSTER_GAP = 1e-8
 

@@ -12,8 +12,11 @@ Multiplicities come from one exact int64 dynamic program over the joint
 distribution of (s, t) = (sum n_i, sum n_i^2): Q depends on n only
 through (s, t), and because (sum n_i)^2 <= (m-1)*sum(n_i^2)
 (Cauchy-Schwarz), Q(n) >= ||n||^2, so the ball ||n||^2 <= cutoff holds
-every vector that can matter.  The brute-force box scan in the tests is
-its independent oracle.
+every vector that can matter.  The digit-sum axis is banded to
+|s| <= min((m-1)*isqrt(cutoff), cutoff): every kept state has
+|s| <= sum |n_i| <= sum n_i^2 = t <= cutoff, so a step that leaves the
+band has already left the ball.  The brute-force box scan and the ball
+enumeration in the tests are its independent oracles.
 
 Exponent comparisons against rational thresholds are carried out through
 the exact quadratic relation (integer/Fraction arithmetic only); floats
@@ -28,7 +31,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import IncompleteSpectrumError, InputError
+from .errors import IncompleteSpectrumError, InputError, as_int
 
 __all__ = [
     "ConeSpectrum",
@@ -64,9 +67,10 @@ def hl_eigenvalue(m: int, n) -> int:
     n must have exactly m-1 integer entries.  Q(n) >= ||n||^2 always
     (Cauchy-Schwarz), which is what makes ball enumeration complete.
     """
+    m = as_int(m, "dimension m")
     if m < 3:
         raise InputError(f"dimension m must be >= 3, got {m}")
-    entries = [int(v) for v in n]
+    entries = [as_int(v, "lattice point entry") for v in n]
     if len(entries) != m - 1:
         raise InputError(
             f"lattice point needs m-1 = {m - 1} entries, got {len(entries)}"
@@ -92,13 +96,14 @@ class ConeSpectrum:
     cutoff: Fraction
 
     def __init__(self, m: int, entries, cutoff):
+        m = as_int(m, "dimension m")
         if m < 3:
             raise InputError(f"dimension m must be >= 3, got {m}")
         cut = _as_exact(cutoff, "cutoff")
         merged: dict[Fraction, int] = {}
         for lam, mult in entries:
             lam_e = _as_exact(lam, "eigenvalue")
-            mult = int(mult)
+            mult = as_int(mult, "multiplicity")
             if lam_e < 0:
                 raise InputError(f"eigenvalues must be nonnegative, got {lam}")
             if mult <= 0:
@@ -110,7 +115,7 @@ class ConeSpectrum:
                 raise InputError(
                     f"eigenvalue {lam_e} exceeds the declared cutoff {cut}"
                 )
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "cutoff", cut)
 
@@ -123,17 +128,23 @@ class ConeSpectrum:
 
 
 def _dp_cells(m: int, cutoff: int) -> int:
-    """Work of the DP: m-1 layers over a (2 s_max + 1) x (cutoff + 1)
-    table, s_max = (m-1) * floor(sqrt(cutoff))."""
+    """Admission bound of the DP: m-1 layers over the unbanded
+    (2 s_max + 1) x (cutoff + 1) table, s_max = (m-1) * floor(sqrt(cutoff)).
+    The banded table :func:`_counts_dp` allocates is never larger."""
     d = m - 1
     return d * (2 * d * math.isqrt(cutoff) + 1) * (cutoff + 1)
 
 
 def _counts_dp(m: int, cutoff: int) -> np.ndarray:
-    """``counts[q]`` = exact number of lattice vectors n with Q(n) = q."""
+    """``counts[q]`` = exact number of lattice vectors n with Q(n) = q.
+
+    The digit-sum axis stops at |s| <= min(d * r, cutoff): a prefix with
+    square sum t <= cutoff has |s| <= sum |n_i| <= t, so any step that
+    lands outside the band had t > cutoff and is dropped either way.
+    """
     d = m - 1
     r = math.isqrt(cutoff)
-    smax = d * r
+    smax = min(d * r, cutoff)
     # ways[s + smax, t] = number of prefixes with digit sum s, square sum t
     ways = np.zeros((2 * smax + 1, cutoff + 1), dtype=np.int64)
     ways[smax, 0] = 1
@@ -162,9 +173,10 @@ def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
     :class:`InputError`, before allocating anything, when the DP work
     exceeds :data:`MAX_DP_CELLS`.
     """
+    m = as_int(m, "dimension m")
     if m < 3:
         raise InputError(f"dimension m must be >= 3, got {m}")
-    cutoff = int(cutoff)
+    cutoff = as_int(cutoff, "cutoff")
     if cutoff < 0:
         raise InputError(f"cutoff must be >= 0, got {cutoff}")
     cells = _dp_cells(m, cutoff)
@@ -281,6 +293,7 @@ def stability_index(m: int) -> StabilityReport:
     dim G = m-1 here; stable means s-ind = 0, rigid means the exponent-2
     multiplicity equals m^2 - 1 - dim G.  Stability implies rigidity.
     """
+    m = as_int(m, "dimension m")
     if m < 3:
         raise InputError(f"dimension m must be >= 3, got {m}")
     spec = enumerate_spectrum(m, 2 * m)

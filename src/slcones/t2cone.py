@@ -20,6 +20,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import Optional, Sequence
 
+from ._exact import kernel, rank as _rank
 from .errors import InputError, NumericError, as_int
 
 __all__ = [
@@ -186,59 +187,6 @@ class GluingSolution:
     dimY: int
 
 
-def _kernel_basis_2x4(rows) -> list:
-    """Exact basis of the kernel of a 2x4 rational matrix (as row
-    vectors c with c . row_i = 0)."""
-    a = [list(r) for r in rows]
-    ncols = 4
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for ri, c in enumerate(pivots):
-            vec[c] = -a[ri][free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _rank(rows) -> int:
-    a = [list(r) for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][c]
-        a[rank] = [x / inv for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
 def two_singularity_gluings(basis: T2PairBasis) -> list:
     """All families of neck pairs (j1, j2) whose joint asymptotic
     classes (a1 w_{j1}, a2 w_{j2}), a1, a2 > 0, fit in span(B1, B2).
@@ -249,7 +197,7 @@ def two_singularity_gluings(basis: T2PairBasis) -> list:
     gives a locked-ratio family (dimY = 1), anything else is empty.
     """
     b1, b2 = basis.flat()
-    annihilator = _kernel_basis_2x4([b1, b2])
+    annihilator = kernel([b1, b2], 4)
     solutions = []
     for j1 in (1, 2, 3):
         for j2 in (1, 2, 3):

@@ -107,6 +107,37 @@ class TestImportGraph:
                            text=True, env=_ENV, check=True)
         assert r.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_numpy(self):
+        code = (
+            "import sys, slcones.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stdout.strip() == "[]"
+
+    # the README examples of the two pure-Fraction subcommands
+    @pytest.mark.parametrize("sub, stdin", [
+        ("dims", '{"m":3,"q":2,"b1csX":0,"cones":[{"l":2,"sInd":0}],'
+                 '"necks":[{"b0L":1,"b1L":1,"b1csL":0}],"dimY":1}'),
+        ("t2cone", '{"generator":[1,1],"h1X":2}'),
+        ("t2cone", '{"basis":{"B1":[[1,0],[0,1]],"B2":[[0,1],[1,0]]}}'),
+        ("t2cone", '{"pairing":1.5,"kJ":1}'),
+    ])
+    def test_pure_fraction_subcommands_load_no_numpy(self, sub, stdin):
+        code = (
+            "import io, sys\n"
+            "from slcones import cli\n"
+            f"sys.stdin = io.StringIO({stdin!r})\n"
+            f"code = cli.main([{sub!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),"
+            " file=sys.stderr)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stderr.strip() == "0 []"
+        _validate(json.loads(r.stdout), sub)
+
 
 class TestStability:
     def test_m3_golden_document(self):
@@ -433,6 +464,17 @@ class TestDims:
         _validate(err, "error")
         assert err["error"]["type"] == "InputError"
         assert "must be an integer" in err["error"]["message"]
+
+    @pytest.mark.parametrize("rigid", ["no", 0, 1, None])
+    def test_non_bool_rigid_exits_2(self, rigid):
+        profile = dict(self.PROFILE, cones=[{"l": 2, "sInd": 0, "rigid": rigid}])
+        r = _run(["dims"], stdin=json.dumps(profile))
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ""
+        err = json.loads(r.stderr)
+        _validate(err, "error")
+        assert err["error"]["type"] == "InputError"
+        assert "rigid must be true or false" in err["error"]["message"]
 
     def test_inconsistent_profile_exits_2(self):
         bad = dict(self.PROFILE, b1csX=0, q=1)

@@ -4,8 +4,10 @@ The exhaustive bipartition oracle is the reference implementation for
 the strong-connectivity criterion; the two are compared on every small
 digraph and on randomized larger ones.
 """
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +50,21 @@ def random_connected_graph(seed, q, extra):
         v = int(rng.integers(1, q + 1))
         edges.append((u, v, Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 6)))))
     return IntersectionGraph(q, edges)
+
+
+def chorded_cycle(seed, q):
+    """Strongly connected digraph: a shuffled Hamiltonian cycle plus q
+    random chords (self-loops and parallel edges allowed), in shuffled
+    edge order, with random rational weights."""
+    rng = random.Random(seed)
+    order = list(range(1, q + 1))
+    rng.shuffle(order)
+    pairs = [(order[i], order[(i + 1) % q]) for i in range(q)]
+    pairs += [(rng.randint(1, q), rng.randint(1, q)) for _ in range(q)]
+    rng.shuffle(pairs)
+    return IntersectionGraph(
+        q, [(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 12))) for u, v in pairs]
+    )
 
 
 def undirected_connected(q, pairs):
@@ -183,6 +200,18 @@ class TestSolveAreas:
         assert solve_areas(g).A == (3, 1, 12, 4, Fraction(5, 4), 3, 1, Fraction(3, 2), 4,
                                     Fraction(4, 5), 3, Fraction(1, 7))
 
+    # The chords give many edges several shortest return paths; these
+    # digests of "p/q" areas pin which one the search takes.
+    @pytest.mark.parametrize("q, digest", [
+        (50, "4a8a291594b221df1e2b41c9df0be9f5ec2c18b201a64480c24853dbcf908d46"),
+        (100, "be37aa89aea4481f585fc6b2d321908e125b9084966f8702174255ef48b4bead"),
+        (200, "268bf404160f5030cbcfc2f45913fcd1e7526e664b03252f7bd155acb25a80a3"),
+    ])
+    def test_frozen_areas_chorded_cycles(self, q, digest):
+        areas = solve_areas(chorded_cycle(q, q)).A
+        text = ",".join(f"{a.numerator}/{a.denominator}" for a in areas)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_solutions_positive_balanced_normalized(self, seed, q, extra):
@@ -240,6 +269,15 @@ class TestModuliDim:
         with pytest.raises(InputError):
             moduli_dim_relation(2, 2, -1)
 
+    @pytest.mark.parametrize("bad", [2.7, "3", True])
+    def test_strict_integers(self, bad):
+        for args in ((bad, 2, 0), (3, bad, 0), (3, 2, bad)):
+            with pytest.raises(InputError, match="must be an integer"):
+                moduli_dim_relation(*args)
+
+    def test_integral_floats_accepted(self):
+        assert moduli_dim_relation(3.0, 2.0, 1.0) == moduli_dim_relation(3, 2, 1)
+
 
 class TestPhaseRegion:
     def test_equal_phases_wall(self):
@@ -280,6 +318,12 @@ class TestPhaseRegion:
             PhaseFamilyQuery(0.0, 1.0, 0.0, 0.0, 1.0, 3)
         with pytest.raises(InputError):
             PhaseFamilyQuery(1.0, 1.0, 0.0, 0.0, -1.0, 3)
+
+    @pytest.mark.parametrize("bad", [2.7, "3", True])
+    def test_dimension_is_a_strict_integer(self, bad):
+        with pytest.raises(InputError, match="must be an integer"):
+            PhaseFamilyQuery(1.0, 1.0, 0.5, -0.5, 1.0, bad)
+        assert PhaseFamilyQuery(1.0, 1.0, 0.5, -0.5, 1.0, 3.0).m == 3
 
 
 class TestFamilyBalanceRegion:
@@ -345,3 +389,10 @@ class TestFamilyBalanceRegion:
             family_balance_region(g, [0.0, 0.0], 0.0)
         with pytest.raises(InputError):
             family_balance_region(g, [0.0, 0.0], 1.0, BalanceSolution([1, 2]))
+
+    @pytest.mark.parametrize("bad", [2.7, "3", True])
+    def test_dimension_is_a_strict_integer(self, bad):
+        g = IntersectionGraph(2, [(1, 2, 1), (2, 1, 1)])
+        with pytest.raises(InputError, match="must be an integer"):
+            family_balance_region(g, [0.0, 0.0], 1.0, m=bad)
+        assert family_balance_region(g, [0.0, 0.0], 1.0, m=3.0)

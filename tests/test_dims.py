@@ -245,3 +245,9 @@ class TestValidation:
                             [{"b0L": 1, "b1L": 1, "b1csL": 0}], dimY=1)
         assert p.n == 1
         assert full_report(p).indX == 1
+
+    @pytest.mark.parametrize("rigid", ["no", "", 0, 1, None])
+    def test_rigid_must_be_a_bool(self, rigid):
+        with pytest.raises(InputError, match="rigid must be true or false"):
+            ConeData(2, 0, rigid=rigid)
+        assert ConeData(2, 0, rigid=False).rigid is False

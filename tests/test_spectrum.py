@@ -1,8 +1,10 @@
 """Spectrum module tests.
 
-The enumeration oracle here deliberately ignores the package's ball
-bound: it scans the full cube [-R-1, R+1]^(m-1), one step larger than
-any vector that could matter, and tallies Q(n) directly.
+Two enumeration oracles tally Q(n) vector by vector.  The box oracle
+deliberately ignores the package's ball bound: it scans the full cube
+[-R-1, R+1]^(m-1), one step larger than any vector that could matter.
+The ball oracle walks the ball sum n_i^2 <= cutoff depth first; it
+reaches the larger m where the DP's band on the digit sum binds.
 """
 from __future__ import annotations
 
@@ -51,6 +53,30 @@ def box_oracle(m: int, cutoff: int) -> dict[int, int]:
     return counts
 
 
+def ball_oracle(m: int, cutoff: int) -> dict[int, int]:
+    """Count Q(n) <= cutoff over the ball sum n_i^2 <= cutoff by a
+    depth-first search over the coordinates, each one bounded by the
+    square sum the earlier ones left."""
+    d = m - 1
+    counts: dict[int, int] = {}
+
+    def visit(i: int, s: int, t: int) -> None:
+        if i == d or t == cutoff:  # the remaining coordinates are 0
+            q = m * t - s * s
+            if q <= cutoff:
+                counts[q] = counts.get(q, 0) + 1
+            return
+        r = math.isqrt(cutoff - t)
+        for v in range(-r, r + 1):
+            visit(i + 1, s + v, t + v * v)
+
+    visit(0, 0, 0)
+    return counts
+
+
+NOT_INTEGERS = [2.7, "3", True]
+
+
 class TestEigenvalue:
     def test_zero_vector(self):
         assert hl_eigenvalue(3, (0, 0)) == 0
@@ -60,6 +86,16 @@ class TestEigenvalue:
 
     def test_m4_vector(self):
         assert hl_eigenvalue(4, (2, 1, 1)) == 8
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_strict_integers(self, bad):
+        with pytest.raises(InputError, match="must be an integer"):
+            hl_eigenvalue(bad, (1, 0))
+        with pytest.raises(InputError, match="must be an integer"):
+            hl_eigenvalue(3, (bad, 0))
+
+    def test_integral_floats_accepted(self):
+        assert hl_eigenvalue(3.0, (1.0, 0)) == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -113,6 +149,33 @@ class TestEnumerate:
             m, cutoff
         )
 
+    # (m - 1) * isqrt(cutoff) > cutoff at each point, so the DP's band
+    # |s| <= cutoff is narrower than the digit-sum range of the ball.  At
+    # cutoff = m - 1 the all-ones vector sits on the band's edge:
+    # s = t = m - 1 and Q = m - 1.
+    @pytest.mark.parametrize("m, cutoff", [
+        (8, 10), (10, 8), (16, 4), (30, 3), (7, 20), (8, 16), (10, 14),
+        (8, 7), (10, 9),
+    ])
+    def test_against_ball_oracle_where_the_band_binds(self, m, cutoff):
+        assert (m - 1) * math.isqrt(cutoff) > cutoff
+        spec = enumerate_spectrum(m, cutoff)
+        assert {int(lam): mult for lam, mult in spec.entries} == ball_oracle(
+            m, cutoff
+        )
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_strict_integers(self, bad):
+        with pytest.raises(InputError, match="must be an integer"):
+            enumerate_spectrum(bad, 6)
+        with pytest.raises(InputError, match="must be an integer"):
+            enumerate_spectrum(3, bad)
+
+    def test_integral_floats_accepted(self):
+        spec = enumerate_spectrum(3.0, 6.0)
+        assert spec.entries == enumerate_spectrum(3, 6).entries
+        assert spec.m == 3 and type(spec.m) is int
+
     @pytest.mark.parametrize("call", [
         lambda: enumerate_spectrum(3, 10**8),
         lambda: enumerate_spectrum(10**9, 0),
@@ -146,6 +209,13 @@ class TestGenericTable:
     def test_rational_eigenvalues(self):
         spec = ConeSpectrum(3, [(0, 1), (Fraction(5, 2), 3)], 4)
         assert spec.multiplicity(Fraction(5, 2)) == 3
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_strict_integers(self, bad):
+        with pytest.raises(InputError, match="must be an integer"):
+            ConeSpectrum(bad, [(0, 1)], 6)
+        with pytest.raises(InputError, match="must be an integer"):
+            ConeSpectrum(3, [(0, bad)], 6)
 
     def test_rejects_bad_rows(self):
         with pytest.raises(InputError):
@@ -274,3 +344,11 @@ class TestStability:
     def test_rejects_small_m(self):
         with pytest.raises(InputError):
             stability_index(2)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_strict_integers(self, bad):
+        with pytest.raises(InputError, match="must be an integer"):
+            stability_index(bad)
+
+    def test_integral_floats_accepted(self):
+        assert stability_index(3.0) == stability_index(3)
