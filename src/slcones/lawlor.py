@@ -18,10 +18,13 @@ the torus cone it desingularizes.
 P(x) is always evaluated through its polynomial coefficients in x^2
 (the elementary symmetric polynomials of the a_k), never as the raw
 product quotient: the series form is exact at x = 0 where the quotient
-is 0/0, with P(0) = a_1 + ... + a_m.
+is 0/0, with P(0) = a_1 + ... + a_m.  The integrand Horner-evaluates P
+in straight-line code that is compiled once per m and then reused for
+every neck of that dimension.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,39 +133,68 @@ class SLResidual:
     max_phase_residual: float
 
 
-def _poly_coeffs(a) -> np.ndarray:
-    """Coefficients c_0..c_{m-1} of P(x) = sum_j c_j x^(2j).
+def _poly_coeffs(a) -> list:
+    """Coefficients c_0..c_{m-1} of P(x) = sum_j c_j x^(2j), as floats.
 
     c_j is the (j+1)-st elementary symmetric polynomial of the a_k, so
-    every coefficient is positive and P > 0 on all of R.
+    every coefficient is positive and P > 0 on all of R.  The product
+    prod_k (1 + a_k x^2) is expanded one factor at a time, each new
+    coefficient as ``c[i] + c[i-1] * a_k``.
     """
-    c = np.array([1.0])
+    c = [1.0]
     for ak in a:
-        c = np.convolve(c, [1.0, ak])
+        ak = float(ak)
+        c = [1.0, *(c[i] + c[i - 1] * ak for i in range(1, len(c))), c[-1] * ak]
     return c[1:]  # drop the constant 1 of the product; c[0] = sum(a)
+
+
+@functools.lru_cache(maxsize=None)
+def _integrand_maker(n: int):
+    """Compile the maker of the integrand for n >= 2 coefficients.
+
+    The generated ``make(c0, ..., c{n-1}, ak, sqrt)`` returns the
+    closure of :func:`_integrand`, with c0 the top coefficient of P.
+    Only names enter the source; the values arrive as arguments.
+    """
+    body = [
+        "u = x * x",
+        "v = c0 * u + c1",
+        *(f"v = v * u + c{j}" for j in range(2, n)),
+        "return 1.0 / ((1.0 + ak * x * x) * sqrt(v))",
+    ]
+    src = (
+        f"def make({', '.join(f'c{j}' for j in range(n))}, ak, sqrt):\n"
+        "    def f(x):\n"
+        + "".join(f"        {line}\n" for line in body)
+        + "    return f\n"
+    )
+    namespace = {}
+    exec(compile(src, f"<lawlor integrand, {n} coefficients>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _integrand(coeffs, ak):
     """The angle integrand 1 / ((1 + a_k x^2) sqrt(P(x))) as a closure.
 
     quad calls it tens of thousands of times per inverse map, so it works
-    on Python floats only: numpy-scalar arithmetic costs about four times
-    as much.  P is evaluated by Horner in x^2 from the top coefficient
-    down, and ``ak * x * x`` is kept as ``(ak * x) * x``; reusing ``u``
-    there would round differently.
+    on Python floats only, and its body is straight-line code compiled
+    once per coefficient count by :func:`_integrand_maker`: Horner in
+    x^2 from the top coefficient down, one statement per step, with
+    ``ak * x * x`` kept as ``(ak * x) * x`` (reusing ``u`` there would
+    round differently).
+
+    This is bit-identical to the loop ``v = 0.0; for c in reversed
+    coeffs: v = v * u + c``: the statements are the loop's IEEE
+    operations in the loop's order, except that the loop's first step
+    ``0.0 * u + c_top`` becomes ``c_top``, which is equal whenever u is
+    finite: on [0, inf) with the subdivision limit of 200, quad's nodes
+    stay below about 1e60, and u overflows only past |x| ~ 1.3e154,
+    where the loop gave NaN and this form gives the limit 0.  The steps
+    are statements rather than one nested expression because the parser
+    rejects more than 200 nested parentheses, and m is unbounded.
     """
-    rev = tuple(float(c) for c in coeffs[::-1])
-    ak = float(ak)
-    sqrt = math.sqrt
-
-    def f(x: float) -> float:
-        u = x * x
-        v = 0.0
-        for cj in rev:
-            v = v * u + cj
-        return 1.0 / ((1.0 + ak * x * x) * sqrt(v))
-
-    return f
+    make = _integrand_maker(len(coeffs))
+    return make(*map(float, reversed(coeffs)), float(ak), math.sqrt)
 
 
 def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
@@ -207,11 +239,22 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
 
 def _angles_only(coeffs, a, count: int) -> np.ndarray:
     """Uncertified fast evaluation of the first ``count`` angles, used
-    inside the Newton loop."""
+    inside the Newton loop.
+
+    Parameters with equal a_k share one integrand, and quad is
+    deterministic, so each distinct a_k is integrated once and its angle
+    reused.  Every inverse starts from the symmetric point, where all
+    the a_k are equal.
+    """
     out = np.empty(count)
+    angle_of = {}
     for k, ak in enumerate(a[:count]):
-        val, _ = _quad(_integrand(coeffs, ak), 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)
-        out[k] = 2.0 * ak * val
+        if ak not in angle_of:
+            val, _ = _quad(
+                _integrand(coeffs, ak), 0.0, np.inf, epsabs=1e-13, epsrel=1e-13
+            )
+            angle_of[ak] = 2.0 * ak * val
+        out[k] = angle_of[ak]
     return out
 
 

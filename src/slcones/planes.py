@@ -47,12 +47,13 @@ class SLPlane:
         if m < 1:
             raise InputError("frame must be nonempty")
         unitary_defect = np.max(np.abs(frame.conj().T @ frame - np.eye(m)))
-        if unitary_defect > _FRAME_TOL:
+        # written as not (x <= tol) so that a NaN or inf entry fails too
+        if not (unitary_defect <= _FRAME_TOL):
             raise InputError(
                 f"frame is not unitary: max |frame^* frame - I| = {unitary_defect:.3e}"
             )
         det = np.linalg.det(frame)
-        if abs(det - 1.0) > _FRAME_TOL * max(1.0, m):
+        if not (abs(det - 1.0) <= _FRAME_TOL * max(1.0, m)):
             raise InputError(f"frame must have unit determinant, got det = {det}")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)

@@ -128,11 +128,12 @@ class ConeSpectrum:
 
 
 def _dp_cells(m: int, cutoff: int) -> int:
-    """Admission bound of the DP: m-1 layers over the unbanded
-    (2 s_max + 1) x (cutoff + 1) table, s_max = (m-1) * floor(sqrt(cutoff)).
-    The banded table :func:`_counts_dp` allocates is never larger."""
+    """DP work of :func:`_counts_dp`: m-1 layers over its banded
+    (2 s_max + 1) x (cutoff + 1) table, s_max = min((m-1) * floor(sqrt(cutoff)),
+    cutoff)."""
     d = m - 1
-    return d * (2 * d * math.isqrt(cutoff) + 1) * (cutoff + 1)
+    smax = min(d * math.isqrt(cutoff), cutoff)
+    return d * (2 * smax + 1) * (cutoff + 1)
 
 
 def _counts_dp(m: int, cutoff: int) -> np.ndarray:

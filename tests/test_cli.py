@@ -192,7 +192,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--m", "3", "--cutoff", "100000000"],
-        ["stability", "--m", "100"],
+        ["stability", "--m", "136"],
     ])
     def test_oversized_dp_exits_2(self, args, monkeypatch, capsys):
         start = time.perf_counter()
@@ -278,6 +278,20 @@ class TestPlanes:
     def test_missing_key_exits_2(self):
         r = _run(["planes"], stdin=json.dumps({"p1": []}))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_frame_exits_2(self, bad, monkeypatch, capsys):
+        # json.dumps writes these as the NaN / Infinity tokens, which the
+        # CLI's JSON reader accepts
+        p1 = _encode_frame(np.eye(3, dtype=complex))
+        p1[0][0] = [bad, 0.0]
+        payload = json.dumps({"p1": p1, "p2": _encode_frame(np.eye(3, dtype=complex))})
+        code, out, err = _main(["planes"], payload, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "InputError"
 
 
 class TestConsum:

@@ -26,7 +26,13 @@ from slcones.lawlor import (
     verify_sl_neck,
     z_invariant,
 )
-from slcones.lawlor import _half_phases, _integrands, _phases_at
+from slcones.lawlor import (
+    _half_phases,
+    _integrand,
+    _integrands,
+    _phases_at,
+    _poly_coeffs,
+)
 
 # ---------------------------------------------------------------------------
 # frozen oracle values (mpmath, dps=50)
@@ -259,6 +265,77 @@ class TestBitIdentity:
         assert a_from_angles(spec).a == (
             4.000000000000113, 1.0000000000000064, 1.0000000000000067
         )
+
+    def test_repeated_parameters_inverse_exact(self):
+        # equal a_k share one integral in the Newton residual
+        spec = angles_from_a(NeckParams((2.0, 2.0, 2.0, 5.0)))
+        assert spec.phi == (0.6308276085858945,) * 3 + (1.24910982783211,)
+        assert spec.A == 3.121042951226439
+        assert a_from_angles(spec).a == (
+            2.0000000000000124, 2.0000000000000124, 2.0000000000000124,
+            5.000000000000528,
+        )
+
+    def test_neck_residuals_exact(self):
+        res = verify_sl_neck(NeckParams((0.7, 1.9, 3.1, 0.4, 2.2)), sample_count=8)
+        assert res.max_omega_residual == 1.2005044564597338e-11
+        assert res.max_phase_residual == 1.9933110717573754e-11
+
+
+# ---------------------------------------------------------------------------
+# the compiled integrand against the loop it replaces
+
+
+def loop_integrand(coeffs, ak):
+    """The reference: Horner in x^2 as a loop from the top coefficient."""
+    rev = [float(c) for c in coeffs[::-1]]
+
+    def f(x):
+        u = x * x
+        v = 0.0
+        for cj in rev:
+            v = v * u + cj
+        return 1.0 / ((1.0 + ak * x * x) * math.sqrt(v))
+
+    return f
+
+
+def convolve_coeffs(a):
+    """The reference: the product expanded by np.convolve."""
+    c = np.array([1.0])
+    for ak in a:
+        c = np.convolve(c, [1.0, ak])
+    return c[1:]
+
+
+class TestCompiledIntegrand:
+    NODES = (0.0, 1e-300, 0.3, 1.0, 7.5, 1e10, 1e60)
+
+    @pytest.mark.parametrize("m", [*range(3, 13), 250])
+    def test_equals_loop_horner(self, m):
+        rng = np.random.default_rng(m)
+        cases = [rng.uniform(0.2, 5.0, size=m)]
+        if m == 4:
+            cases.append(np.array([1e-3, 1e3, 1.0, 50.0]))  # wide ratio
+        for a in cases:
+            coeffs = _poly_coeffs(a)
+            for ak in a:
+                ref, f = loop_integrand(coeffs, float(ak)), _integrand(coeffs, ak)
+                for x in self.NODES:
+                    assert f(x) == ref(x), (m, ak, x)
+                    assert f(-x) == ref(-x), (m, ak, -x)
+
+    def test_compiled_once_per_coefficient_count(self):
+        a, b = _poly_coeffs((1.0, 2.0, 3.0)), _poly_coeffs((4.0, 0.5, 7.0))
+        assert _integrand(a, 1.0).__code__ is _integrand(b, 7.0).__code__
+        assert _integrand(a, 1.0).__code__ is not _integrand(a + [1.0], 1.0).__code__
+
+    def test_poly_coeffs_equal_convolve(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(500):
+            m = int(rng.integers(3, 13))
+            a = 10.0 ** rng.uniform(-3, 3, size=m)
+            assert _poly_coeffs(a) == convolve_coeffs(a).tolist()
 
 
 # ---------------------------------------------------------------------------

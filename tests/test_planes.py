@@ -133,6 +133,16 @@ class TestCharacteristicAngles:
         with pytest.raises(InputError):
             characteristic_angles(identity_plane(3), identity_plane(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_non_finite_frame_rejected(self, bad, where):
+        # NaN compares False with any tolerance, so it must not slip
+        # through a `defect > tol` check into the eigen-solver
+        frame = np.eye(3, dtype=complex)
+        frame[where] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(InputError, match="not unitary"):
+            SLPlane(frame)
+
 
 class TestLawlorExistence:
     @given(st.integers(0, 10**6))

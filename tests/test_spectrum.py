@@ -179,13 +179,20 @@ class TestEnumerate:
     @pytest.mark.parametrize("call", [
         lambda: enumerate_spectrum(3, 10**8),
         lambda: enumerate_spectrum(10**9, 0),
-        lambda: stability_index(100),
+        lambda: stability_index(136),
     ], ids=["cutoff", "m", "stability"])
     def test_oversized_dp_is_input_error(self, call):
         start = time.perf_counter()
         with pytest.raises(InputError, match="DP cells"):
             call()
         assert time.perf_counter() - start < 1.0
+
+    def test_guard_admits_what_the_banded_dp_serves(self):
+        # m = 76..135 fit the banded table, though not the unbanded one
+        # the guard once counted; values from the DP with the guard lifted
+        assert spectrum._dp_cells(135, 270) <= spectrum.MAX_DP_CELLS
+        assert stability_index(76).s_ind == 5700
+        assert stability_index(100).s_ind == 9900
 
     def test_dp_size_limit_is_inclusive(self, monkeypatch):
         # (m, cutoff) = (4, 9): 3 layers of a 19 x 10 table
