@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import __version__
 from ._tolerances import LAWLOR_TOL, TRANSVERSE_TOL
-from .errors import InputError, NumericError, as_int
+from .errors import InputError, NumericError, as_int, as_rational
 
 _LOG = logging.getLogger("slcones.cli")
 
@@ -72,15 +72,15 @@ def _rat(x):
 
 
 def _parse_rat(x, what: str) -> Fraction:
-    """Read an exact rational from JSON: int, "p/q" string, or float."""
-    if isinstance(x, bool):
-        raise InputError(f"{what} must be a rational, got {x!r}")
-    try:
-        if isinstance(x, float):
-            return Fraction(x).limit_denominator(10**12)
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"{what} is not a valid rational: {x!r} ({exc})") from None
+    """Read an exact rational from JSON: a "p/q" string, or a number read
+    by :func:`errors.as_rational` (a float becomes the nearest fraction
+    with denominator at most 10^12)."""
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{what} is not a valid rational: {x!r} ({exc})") from None
+    return as_rational(x, what)
 
 
 def _float_list(text: str, what: str) -> tuple:

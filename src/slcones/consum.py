@@ -16,12 +16,11 @@ wall tolerance is :data:`WALL_TOL`.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ._exact import rref
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     NumericError,
     PreconditionError,
     as_int,
+    as_rational,
 )
 
 __all__ = [
@@ -57,6 +57,8 @@ _MAX_ORACLE_Q = 20
 
 
 def _as_fraction(x, what: str) -> Fraction:
+    if isinstance(x, Fraction):
+        return x  # immutable, so it is returned as it is
     if isinstance(x, bool):
         raise InputError(f"{what} must be a rational number, got {x!r}")
     try:
@@ -77,7 +79,7 @@ class Edge:
 
     def __init__(self, tail: int, head: int, weight):
         w = _as_fraction(weight, "edge weight")
-        if w <= 0:
+        if w.numerator <= 0:
             raise InputError(f"edge weight must be positive, got {w}")
         object.__setattr__(self, "tail", as_int(tail, "edge tail"))
         object.__setattr__(self, "head", as_int(head, "edge head"))
@@ -120,7 +122,7 @@ class BalanceSolution:
 
     def __init__(self, A):
         vals = tuple(_as_fraction(x, "area") for x in A)
-        if any(v <= 0 for v in vals):
+        if any(v.numerator <= 0 for v in vals):
             raise InputError(f"areas must be positive, got {vals}")
         object.__setattr__(self, "A", vals)
 
@@ -276,21 +278,37 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     return sol
 
 
-def _net_flow(g: IntersectionGraph, A: Sequence) -> list:
-    """Weighted outflow minus inflow of areas ``A`` at components 1..q."""
+def _scaled_net(g: IntersectionGraph, A: Sequence) -> tuple:
+    """Weighted outflow minus inflow of areas ``A`` at components 1..q,
+    as integers over one common denominator: returns ``(net, d)`` with
+    ``net[k - 1] / d`` the net flow at component k."""
+    terms = [(e.weight.numerator * a.numerator, e.weight.denominator * a.denominator)
+             for e, a in zip(g.edges, A)]
+    d = math.lcm(*(den for _, den in terms))
     net = [0] * (g.q + 1)
-    for e, a in zip(g.edges, A):
-        f = e.weight * a
+    for e, (num, den) in zip(g.edges, terms):
+        f = num * (d // den)
         net[e.tail] += f
         net[e.head] -= f
-    return net[1:]
+    return net[1:], d
+
+
+def _net_flow(g: IntersectionGraph, A: Sequence) -> list:
+    """Weighted outflow minus inflow of areas ``A`` at components 1..q."""
+    net, d = _scaled_net(g, A)
+    return [Fraction(x, d) for x in net]
 
 
 def check_balance(g: IntersectionGraph, sol: BalanceSolution) -> bool:
-    """Exact check of the weighted flow balance at every component."""
+    """Exact check of the weighted flow balance at every component.
+
+    The terms w_e * A_e are summed at each component as integers over the
+    lcm of their denominators, so the check builds no Fraction; the flow
+    balances iff every such integer sum is zero.
+    """
     if len(sol.A) != g.n:
         raise InputError(f"expected {g.n} areas, got {len(sol.A)}")
-    return not any(_net_flow(g, sol.A))
+    return not any(_scaled_net(g, sol.A)[0])
 
 
 @dataclass(frozen=True)
@@ -365,12 +383,12 @@ def phase_region(qr: PhaseFamilyQuery) -> PhaseRegionResult:
     there the unique neck scale is t = (R1 sin(theta1 - theta))^(1/m) / psi.
     Angle differences within :data:`WALL_TOL` count as the wall.
     """
-    z = qr.R1 * np.exp(1j * qr.theta1) + qr.R2 * np.exp(1j * qr.theta2)
+    z = qr.R1 * cmath.exp(1j * qr.theta1) + qr.R2 * cmath.exp(1j * qr.theta2)
     if abs(z) <= WALL_TOL * (qr.R1 + qr.R2):
         raise DegeneratePhaseError(
             "total phase class vanishes (antipodal components)"
         )
-    theta = float(np.angle(z))
+    theta = cmath.phase(z)
     s1 = math.sin(qr.theta1 - theta)
     if abs(s1) <= WALL_TOL:
         return PhaseRegionResult("wall", None)
@@ -408,14 +426,18 @@ def family_balance_region(
     imbalance t^m * (outflow_k - inflow_k) of some (or the given)
     positive area vector.
 
-    With ``A`` supplied the q equations are checked directly to relative
-    tolerance :data:`PAIRING_TOL`.  Without it, the pairings are
-    rationalized exactly and the existence of a strictly positive exact
-    solution is decided by elimination — a decision independent of both
-    ``t`` and ``m``, which only rescale the solution.
+    Every pairing must be a finite real number.  With ``A`` supplied the
+    q equations are checked directly to relative tolerance
+    :data:`PAIRING_TOL`.  Without it, the pairings are read as exact
+    rationals by :func:`~slcones.errors.as_rational` (a float becomes the
+    nearest fraction with denominator at most 10^12, so 0.1 reads as 1/10)
+    and the existence of a strictly positive exact solution is decided by
+    elimination — a decision independent of both ``t`` and ``m``, which
+    only rescale the solution.
     """
     if len(pairings) != g.q:
         raise InputError(f"expected {g.q} pairing values, got {len(pairings)}")
+    exact = [as_rational(p, f"pairing {k}") for k, p in enumerate(pairings, 1)]
     t = float(t)
     if not t > 0:
         raise InputError(f"scale t must be positive, got {t}")
@@ -426,6 +448,7 @@ def family_balance_region(
         if len(A.A) != g.n:
             raise InputError(f"expected {g.n} areas, got {len(A.A)}")
         scale = float(t) ** m_exp
+        # a tolerance check: the validated pairings are compared as given
         for p, net in zip(pairings, _net_flow(g, A.A)):
             target = scale * float(net)
             bound = PAIRING_TOL * max(1.0, abs(target), abs(p))
@@ -434,7 +457,7 @@ def family_balance_region(
         return True
 
     tm = Fraction(t) ** m_exp
-    rhs = [Fraction(float(p)) / tm for p in pairings]
+    rhs = [p / tm for p in exact]
     if sum(rhs) != 0:
         return False
     rows = []

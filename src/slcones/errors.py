@@ -5,14 +5,20 @@ Two top-level families matter for callers (and fix the CLI exit codes):
 ``NumericError`` for computations that ran but could not certify their
 result.  Everything else subclasses one of those two.
 
-The module also holds :func:`as_int`, the one policy for reading an
-integer from caller data, so that every module rejects the same inputs
-without importing another solver (or numpy) to do it.
+The module also holds :func:`as_int` and :func:`as_rational`, the one
+policy each for reading an integer and an exact rational from caller
+data, so that every module rejects the same inputs without importing
+another solver (or numpy) to do it.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+from fractions import Fraction
+
+#: a float is read as the nearest fraction with at most this denominator
+RATIONAL_MAX_DENOMINATOR = 10**12
 
 
 class SLConesError(Exception):
@@ -76,3 +82,25 @@ def as_int(x, what: str) -> int:
         except TypeError:
             pass
     raise InputError(f"{what} must be an integer, got {x!r}")
+
+
+def as_rational(x, what: str) -> Fraction:
+    """Exact rational from a real number.
+
+    Ints and Fractions (any :class:`numbers.Rational`) stay exact.  A
+    finite float becomes the nearest fraction whose denominator is at most
+    :data:`RATIONAL_MAX_DENOMINATOR`, so 0.1 reads as 1/10 rather than as
+    the float's binary value; an integral float reads as that integer.
+    Bools, NaN, infinities, strings and every other type are rejected
+    with :class:`InputError`.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, bool):
+        if isinstance(x, numbers.Rational):
+            return Fraction(x)
+        if isinstance(x, numbers.Real):
+            v = float(x)
+            if math.isfinite(v):
+                return Fraction(v).limit_denominator(RATIONAL_MAX_DENOMINATOR)
+    raise InputError(f"{what} must be a finite rational or real number, got {x!r}")

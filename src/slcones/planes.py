@@ -46,8 +46,12 @@ class SLPlane:
         m = frame.shape[0]
         if m < 1:
             raise InputError("frame must be nonempty")
+        # checked before any arithmetic, which would warn on a NaN or inf
+        if not np.isfinite(frame).all():
+            raise InputError("frame is not unitary: it has a non-finite entry")
         unitary_defect = np.max(np.abs(frame.conj().T @ frame - np.eye(m)))
-        # written as not (x <= tol) so that a NaN or inf entry fails too
+        # written as not (x <= tol) so that a Gram product overflowing to
+        # NaN fails too
         if not (unitary_defect <= _FRAME_TOL):
             raise InputError(
                 f"frame is not unitary: max |frame^* frame - I| = {unitary_defect:.3e}"

@@ -139,6 +139,31 @@ class TestImportGraph:
         _validate(json.loads(r.stdout), sub)
 
 
+    def test_consum_import_loads_no_numpy(self):
+        code = (
+            "import sys, slcones.consum; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stdout.strip() == "[]"
+
+    def test_consum_readme_example_loads_no_numpy(self):
+        stdin = ('{"q":2,"edges":[{"tail":1,"head":2,"weight":1},'
+                 '{"tail":2,"head":1,"weight":8}]}')
+        code = (
+            "import io, sys\n"
+            "from slcones import cli\n"
+            f"sys.stdin = io.StringIO({stdin!r})\n"
+            "code = cli.main(['consum'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),"
+            " file=sys.stderr)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stderr.strip() == "0 []"
+        assert json.loads(r.stdout) == {"areas": [1, "1/8"], "feasible": True, "n": 2, "q": 2}
+
 class TestStability:
     def test_m3_golden_document(self):
         r = _run(["stability", "--m", "3"])
@@ -359,6 +384,26 @@ class TestConsum:
         assert err["error"]["type"] == "InputError"
         assert "must be an integer" in err["error"]["message"]
 
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "true", "[1]"])
+    def test_non_finite_weight_exits_2(self, weight, monkeypatch, capsys):
+        # the CLI's JSON reader accepts the NaN / Infinity tokens
+        payload = ('{"q":2,"edges":[{"tail":1,"head":2,"weight":%s},'
+                   '{"tail":2,"head":1,"weight":1}]}' % weight)
+        code, out, err = _main(["consum"], payload, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "InputError"
+        assert "edge 0 weight" in doc["error"]["message"]
+
+    def test_float_weight_is_read_by_the_denominator_limit(self):
+        payload = ('{"q":2,"edges":[{"tail":1,"head":2,"weight":0.1},'
+                   '{"tail":2,"head":1,"weight":"1/3"}]}')
+        r = _run(["consum"], stdin=payload)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["areas"] == [10, 3]
 
 class TestInternalGuards:
     """A failed internal cross-check is a numeric failure (exit 3), also

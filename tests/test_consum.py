@@ -33,6 +33,7 @@ from slcones.errors import (
     InfeasibleGraphError,
     InputError,
     PreconditionError,
+    as_rational,
 )
 
 
@@ -396,3 +397,45 @@ class TestFamilyBalanceRegion:
         with pytest.raises(InputError, match="must be an integer"):
             family_balance_region(g, [0.0, 0.0], 1.0, m=bad)
         assert family_balance_region(g, [0.0, 0.0], 1.0, m=3.0)
+
+    def test_float_pairings_read_as_rationals(self):
+        # 0.1 + 0.2 - 0.3 is not 0 in binary floating point; the pairings
+        # are read as the nearest fractions with denominator <= 10^12, the
+        # CLI's rule, so the decimal vector answers as its scaled integers do
+        g = IntersectionGraph(3, [(1, 2, 1), (2, 3, 2), (3, 1, 4)])
+        assert family_balance_region(g, [1, 2, -3], 1.0)
+        assert family_balance_region(g, [0.1, 0.2, -0.3], 1.0)
+        assert family_balance_region(g, [Fraction(1, 10), 0.2, -0.3], 1.0)
+        assert not family_balance_region(g, [0.1, 0.2, -0.2], 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", True, None])
+    def test_non_finite_or_non_numeric_pairing_rejected(self, bad):
+        g = IntersectionGraph(2, [(1, 2, 1), (2, 1, 1)])
+        sol = solve_areas(g)
+        for areas in (None, sol):
+            with pytest.raises(InputError, match="pairing 2"):
+                family_balance_region(g, [0.0, bad], 1.0, areas)
+
+
+class TestAsRational:
+    def test_exact_inputs_stay_exact(self):
+        third = Fraction(1, 3)
+        assert as_rational(third, "x") is third
+        assert as_rational(7, "x") == 7
+        assert as_rational(10**40 + 1, "x") == 10**40 + 1
+        assert as_rational(np.int64(-5), "x") == -5
+
+    def test_floats_use_the_denominator_limit(self):
+        assert as_rational(0.1, "x") == Fraction(1, 10)
+        assert as_rational(-2.5, "x") == Fraction(-5, 2)
+        assert as_rational(1e300, "x") == int(1e300)
+        assert as_rational(np.float64(0.75), "x") == Fraction(3, 4)
+        # a denominator above 10^12 is rounded to the nearest allowed one
+        assert as_rational(1 / 3, "x") == Fraction(1, 3)
+        assert as_rational(1e-13, "x") == 0
+
+    @pytest.mark.parametrize("bad", [True, False, math.nan, math.inf, -math.inf,
+                                     "1/2", None, [1], 1j])
+    def test_rejected(self, bad):
+        with pytest.raises(InputError, match="must be a finite rational"):
+            as_rational(bad, "x")

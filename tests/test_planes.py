@@ -1,5 +1,6 @@
 """Tests for characteristic angles, types, and plane-pair reconstruction."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ class TestCharacteristicAngles:
         with np.errstate(invalid="ignore"), pytest.raises(InputError, match="not unitary"):
             SLPlane(frame)
 
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, 1.0)])
+    def test_non_finite_frame_rejected_without_a_warning(self, bad):
+        # the finite check runs before the Gram product, which would warn
+        frame = np.eye(3, dtype=complex)
+        frame[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="non-finite entry"):
+                SLPlane(frame)
 
 class TestLawlorExistence:
     @given(st.integers(0, 10**6))
