@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import __version__
 from ._tolerances import LAWLOR_TOL, TRANSVERSE_TOL
-from .errors import InputError, NumericError, as_int, as_rational
+from .errors import InputError, NumericError, as_int, read_rational
 
 _LOG = logging.getLogger("slcones.cli")
 
@@ -71,18 +71,6 @@ def _rat(x):
     return x
 
 
-def _parse_rat(x, what: str) -> Fraction:
-    """Read an exact rational from JSON: a "p/q" string, or a number read
-    by :func:`errors.as_rational` (a float becomes the nearest fraction
-    with denominator at most 10^12)."""
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what} is not a valid rational: {x!r} ({exc})") from None
-    return as_rational(x, what)
-
-
 def _float_list(text: str, what: str) -> tuple:
     try:
         vals = tuple(float(part) for part in text.split(",") if part.strip())
@@ -120,7 +108,7 @@ def _require(doc, key: str, what: str):
 # Subcommand handlers.  Each returns (input_doc, output_doc, exit_code);
 # input_doc is the resolved input used for the --record digest.  Each
 # imports the solvers it calls, so a subcommand loads only what it needs
-# (dims and t2cone load no numpy).
+# (only planes, lawlor and verify load numpy).
 
 
 def _cmd_spectrum(args):
@@ -136,7 +124,7 @@ def _cmd_spectrum(args):
     }
     input_doc = {"m": args.m, "cutoff": args.cutoff}
     if args.delta is not None:
-        delta = _parse_rat(args.delta, "--delta")
+        delta = read_rational(args.delta, "--delta")
         out["delta"] = _rat(delta)
         out["nSigma"] = n_sigma(exponents(spec), delta)
         input_doc["delta"] = _rat(delta)
@@ -219,7 +207,7 @@ def _graph_from_json(doc):
     for i, e in enumerate(edges):
         tail = _require(e, "tail", f"edge {i}")
         head = _require(e, "head", f"edge {i}")
-        weight = _parse_rat(_require(e, "weight", f"edge {i}"), f"edge {i} weight")
+        weight = read_rational(_require(e, "weight", f"edge {i}"), f"edge {i} weight")
         parsed.append((tail, head, weight))
     return IntersectionGraph(q, parsed)
 
@@ -311,8 +299,8 @@ def _basis_from_json(doc):
         ):
             raise InputError(f"{name} must be [[u, v], [y, z]]")
         return (
-            (_parse_rat(b[0][0], f"{name}[0][0]"), _parse_rat(b[0][1], f"{name}[0][1]")),
-            (_parse_rat(b[1][0], f"{name}[1][0]"), _parse_rat(b[1][1], f"{name}[1][1]")),
+            (read_rational(b[0][0], f"{name}[0][0]"), read_rational(b[0][1], f"{name}[0][1]")),
+            (read_rational(b[1][0], f"{name}[1][0]"), read_rational(b[1][1], f"{name}[1][1]")),
         )
 
     return T2PairBasis(

@@ -29,8 +29,10 @@ from .errors import (
     InputError,
     NumericError,
     PreconditionError,
+    as_finite,
     as_int,
     as_rational,
+    read_rational,
 )
 
 __all__ = [
@@ -56,18 +58,6 @@ PAIRING_TOL = 1e-9
 _MAX_ORACLE_Q = 20
 
 
-def _as_fraction(x, what: str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x  # immutable, so it is returned as it is
-    if isinstance(x, bool):
-        raise InputError(f"{what} must be a rational number, got {x!r}")
-    try:
-        f = Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"{what} must be a rational number, got {x!r}") from exc
-    return f
-
-
 @dataclass(frozen=True)
 class Edge:
     """Directed weighted edge: tail = component of the positive sheet,
@@ -78,7 +68,7 @@ class Edge:
     weight: Fraction
 
     def __init__(self, tail: int, head: int, weight):
-        w = _as_fraction(weight, "edge weight")
+        w = read_rational(weight, "edge weight")
         if w.numerator <= 0:
             raise InputError(f"edge weight must be positive, got {w}")
         object.__setattr__(self, "tail", as_int(tail, "edge tail"))
@@ -121,7 +111,7 @@ class BalanceSolution:
     A: tuple
 
     def __init__(self, A):
-        vals = tuple(_as_fraction(x, "area") for x in A)
+        vals = tuple(read_rational(x, "area") for x in A)
         if any(v.numerator <= 0 for v in vals):
             raise InputError(f"areas must be positive, got {vals}")
         object.__setattr__(self, "A", vals)
@@ -426,19 +416,22 @@ def family_balance_region(
     imbalance t^m * (outflow_k - inflow_k) of some (or the given)
     positive area vector.
 
-    Every pairing must be a finite real number.  With ``A`` supplied the
-    q equations are checked directly to relative tolerance
-    :data:`PAIRING_TOL`.  Without it, the pairings are read as exact
-    rationals by :func:`~slcones.errors.as_rational` (a float becomes the
-    nearest fraction with denominator at most 10^12, so 0.1 reads as 1/10)
-    and the existence of a strictly positive exact solution is decided by
+    Every pairing and ``t`` must be a finite real number.  With ``A``
+    supplied the pairings are read as floats by
+    :func:`~slcones.errors.as_finite` and the q equations are checked
+    directly to relative tolerance :data:`PAIRING_TOL`.  Without it, the
+    pairings are read as exact rationals by
+    :func:`~slcones.errors.as_rational` (a float becomes the nearest
+    fraction with denominator at most 10^12, so 0.1 reads as 1/10) and
+    the existence of a strictly positive exact solution is decided by
     elimination — a decision independent of both ``t`` and ``m``, which
     only rescale the solution.
     """
     if len(pairings) != g.q:
         raise InputError(f"expected {g.q} pairing values, got {len(pairings)}")
-    exact = [as_rational(p, f"pairing {k}") for k, p in enumerate(pairings, 1)]
-    t = float(t)
+    read = as_rational if A is None else as_finite
+    vals = [read(p, f"pairing {k}") for k, p in enumerate(pairings, 1)]
+    t = as_finite(t, "scale t")
     if not t > 0:
         raise InputError(f"scale t must be positive, got {t}")
     m_exp = as_int(m, "dimension m")
@@ -447,9 +440,9 @@ def family_balance_region(
     if A is not None:
         if len(A.A) != g.n:
             raise InputError(f"expected {g.n} areas, got {len(A.A)}")
-        scale = float(t) ** m_exp
-        # a tolerance check: the validated pairings are compared as given
-        for p, net in zip(pairings, _net_flow(g, A.A)):
+        scale = t ** m_exp
+        # a tolerance check on the pairings as floats
+        for p, net in zip(vals, _net_flow(g, A.A)):
             target = scale * float(net)
             bound = PAIRING_TOL * max(1.0, abs(target), abs(p))
             if abs(p - target) > bound:
@@ -457,7 +450,7 @@ def family_balance_region(
         return True
 
     tm = Fraction(t) ** m_exp
-    rhs = [p / tm for p in exact]
+    rhs = [p / tm for p in vals]
     if sum(rhs) != 0:
         return False
     rows = []

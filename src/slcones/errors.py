@@ -5,10 +5,13 @@ Two top-level families matter for callers (and fix the CLI exit codes):
 ``NumericError`` for computations that ran but could not certify their
 result.  Everything else subclasses one of those two.
 
-The module also holds :func:`as_int` and :func:`as_rational`, the one
-policy each for reading an integer and an exact rational from caller
-data, so that every module rejects the same inputs without importing
-another solver (or numpy) to do it.
+The module also holds :func:`as_int`, :func:`as_rational` and
+:func:`as_finite`, the one policy each for reading an integer, an exact
+rational and a finite float from caller data, so that every module
+rejects the same inputs without importing another solver (or numpy) to
+do it.  :func:`read_rational` adds ``"p/q"`` strings to
+:func:`as_rational`; the CLI and the library's exact fields (consum's
+weights and areas, t2cone's basis entries) read through it.
 """
 from __future__ import annotations
 
@@ -104,3 +107,33 @@ def as_rational(x, what: str) -> Fraction:
             if math.isfinite(v):
                 return Fraction(v).limit_denominator(RATIONAL_MAX_DENOMINATOR)
     raise InputError(f"{what} must be a finite rational or real number, got {x!r}")
+
+
+def read_rational(x, what: str) -> Fraction:
+    """Exact rational from a ``"p/q"`` (or decimal) string, read by
+    :class:`~fractions.Fraction`, or from a number read by
+    :func:`as_rational`."""
+    if isinstance(x, Fraction):  # the common case, kept cheap
+        return x
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{what} is not a valid rational: {x!r} ({exc})") from None
+    return as_rational(x, what)
+
+
+def as_finite(x, what: str) -> float:
+    """Finite float from a real number.
+
+    Bools, strings, NaN, infinities, ints and rationals beyond the float
+    range, and every other type are rejected with :class:`InputError`.
+    """
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            v = float(x)
+        except OverflowError:  # an int or a rational beyond the float range
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise InputError(f"{what} must be a finite real number, got {x!r}")

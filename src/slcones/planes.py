@@ -49,6 +49,11 @@ class SLPlane:
         # checked before any arithmetic, which would warn on a NaN or inf
         if not np.isfinite(frame).all():
             raise InputError("frame is not unitary: it has a non-finite entry")
+        # a unitary frame has every |entry| <= 1; a huge finite entry would
+        # overflow the Gram product below, with numpy's warning
+        big = np.max(np.abs(frame))
+        if big > 1.0 + _FRAME_TOL:
+            raise InputError(f"frame is not unitary: it has an entry of modulus {big:.3e}")
         unitary_defect = np.max(np.abs(frame.conj().T @ frame - np.eye(m)))
         # written as not (x <= tol) so that a Gram product overflowing to
         # NaN fails too

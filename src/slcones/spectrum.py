@@ -8,15 +8,30 @@ From the eigenvalue table the module derives the exponent set (both
 roots of alpha*(alpha+m-2) = lambda), the counting function ``n_sigma``,
 and the stability/rigidity report for each dimension m.
 
-Multiplicities come from one exact int64 dynamic program over the joint
-distribution of (s, t) = (sum n_i, sum n_i^2): Q depends on n only
-through (s, t), and because (sum n_i)^2 <= (m-1)*sum(n_i^2)
-(Cauchy-Schwarz), Q(n) >= ||n||^2, so the ball ||n||^2 <= cutoff holds
-every vector that can matter.  The digit-sum axis is banded to
-|s| <= min((m-1)*isqrt(cutoff), cutoff): every kept state has
-|s| <= sum |n_i| <= sum n_i^2 = t <= cutoff, so a step that leaves the
-band has already left the ball.  The brute-force box scan and the ball
-enumeration in the tests are its independent oracles.
+Multiplicities are counted exactly, in Python ints, over multisets of
+coordinate values.  Append a 0 to n to get x in Z^m; by Lagrange's
+identity Q(n) = sum_{i<j} (x_i - x_j)^2, which is unchanged when the
+same constant is added to every x_i, and n -> x mod (1, ..., 1) is a
+bijection onto Z^m / Z(1, ..., 1) (the lattice A_{m-1}^*; Conway and
+Sloane, SPLAG, ch. 4 sec. 6.6).  Each class has one representative
+whose most frequent value is 0, taking the smallest of tied values;
+write k_v for the count of the value v in it.  Q depends only on the
+multiset {v: k_v}, and the multiset stands for m!/prod(k_v!) classes,
+so ``counts[Q]`` is a sum of multinomials over the multisets with
+Q <= cutoff.  The walk places the j = m - k_0 coordinates off the mode
+at ascending values; each placement only adds pairs to the pair sum
+n*S2 - S1^2 of the coordinates placed so far, so a partial multiset
+whose sum has passed the cutoff is dropped with all its completions.
+At least m*j/2 pairs of coordinates differ (the mode's count k_0 bounds
+every k_v), so Q >= m*j/2 and j <= 2*cutoff/m: the walk's work does not
+grow with m.  The brute-force box scan, the ball enumeration and the
+(sum n_i, sum n_i^2) dynamic program that counted before the walk are
+its independent oracles in the tests.
+
+Requests are admitted by the work of that dynamic program,
+(m-1)*(2*s_max+1)*(cutoff+1) with s_max = min((m-1)*isqrt(cutoff),
+cutoff), against :data:`MAX_DP_CELLS`, so the same requests are served
+and refused as when it did the counting.
 
 Exponent comparisons against rational thresholds are carried out through
 the exact quadratic relation (integer/Fraction arithmetic only); floats
@@ -28,8 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-
-import numpy as np
 
 from .errors import IncompleteSpectrumError, InputError, as_int
 
@@ -45,8 +58,8 @@ __all__ = [
     "stability_index",
 ]
 
-#: largest DP work (m-1) * (2 s_max + 1) * (cutoff + 1) enumerate_spectrum
-#: accepts; the table alone holds (2 s_max + 1) * (cutoff + 1) int64 cells
+#: admission bound of enumerate_spectrum: the largest work
+#: (m-1) * (2 s_max + 1) * (cutoff + 1) of the (s, t) dynamic program it accepts
 MAX_DP_CELLS = 2 * 10**7
 
 
@@ -128,51 +141,125 @@ class ConeSpectrum:
 
 
 def _dp_cells(m: int, cutoff: int) -> int:
-    """DP work of :func:`_counts_dp`: m-1 layers over its banded
-    (2 s_max + 1) x (cutoff + 1) table, s_max = min((m-1) * floor(sqrt(cutoff)),
-    cutoff)."""
+    """Admission bound of :func:`enumerate_spectrum`: the work of the
+    (sum n_i, sum n_i^2) dynamic program that once counted the spectrum,
+    m-1 layers over a banded (2 s_max + 1) x (cutoff + 1) table with
+    s_max = min((m-1) * floor(sqrt(cutoff)), cutoff)."""
     d = m - 1
     smax = min(d * math.isqrt(cutoff), cutoff)
     return d * (2 * smax + 1) * (cutoff + 1)
 
 
-def _counts_dp(m: int, cutoff: int) -> np.ndarray:
+def _counts(m: int, cutoff: int) -> list:
     """``counts[q]`` = exact number of lattice vectors n with Q(n) = q.
 
-    The digit-sum axis stops at |s| <= min(d * r, cutoff): a prefix with
-    square sum t <= cutoff has |s| <= sum |n_i| <= t, so any step that
-    lands outside the band had t > cutoff and is dropped either way.
+    Sums m!/prod(k_v!) over the multisets {0: k0, v: k_v} with the mode 0
+    (see the module docstring).  For each j = m - k0 the walk places the
+    j coordinates off the mode at ascending nonzero values; a value below
+    0 may occur at most k0 - 1 times (0 is the smallest of tied modes),
+    one above 0 at most k0 times.  With n coordinates placed, s1 and s2
+    their sum and square sum and p = n*s2 - s1^2 their pair sum, k more
+    at v add k*f(v) to p, where f(v) = n*v^2 - 2*s1*v + s2 and
+    n*f(v) = (n*v - s1)^2 + p.  Two cuts keep the walk on live multisets:
+    each later coordinate adds at least p/n (the minimum of f, and p/n
+    never falls), and if the smallest of the rem coordinates left sits at
+    v above the mean s1/n, each of them adds at least f(v).
     """
-    d = m - 1
-    r = math.isqrt(cutoff)
-    smax = min(d * r, cutoff)
-    # ways[s + smax, t] = number of prefixes with digit sum s, square sum t
-    ways = np.zeros((2 * smax + 1, cutoff + 1), dtype=np.int64)
-    ways[smax, 0] = 1
-    width = 2 * smax + 1
-    for _ in range(d):
-        new = np.zeros_like(ways)
-        for v in range(-r, r + 1):
-            v2 = v * v
-            lo, hi = max(v, 0), max(-v, 0)
-            new[lo:width - hi, v2:] += ways[hi:width - lo, : cutoff + 1 - v2]
-        ways = new
-    counts = np.zeros(cutoff + 1, dtype=np.int64)
-    s_idx, t_idx = np.nonzero(ways)
-    s = s_idx - smax
-    q = m * t_idx - s * s
-    keep = q <= cutoff
-    np.add.at(counts, q[keep], ways[s_idx[keep], t_idx[keep]])
+    counts = [0] * (cutoff + 1)
+    counts[0] = 1  # the mode alone, j = 0
+    isqrt = math.isqrt
+    jmax = min(m - 1, 2 * cutoff // m)
+    fact = [1] * (jmax + 1)
+    for i in range(1, jmax + 1):
+        fact[i] = fact[i - 1] * i
+
+    def walk(n, s1, s2, p, rem, lo, coef):
+        # place rem >= 1 more coordinates at nonzero values >= lo; coef is
+        # m! / (k0! * prod k_v!) over the values placed so far, and k0 is
+        # the enclosing loop's mode count
+        d = n * (cutoff - p) // rem - p
+        if d < 0:  # even rem coordinates at the mean overshoot
+            return
+        r = isqrt(d)
+        vhi = (s1 + r) // n  # p + rem * f(v) <= cutoff for v above the mean
+        s1d = 2 * s1
+        if rem <= k0:  # the rem coordinates at one value v
+            vlo = -((r - s1) // n)
+            if vlo < lo:
+                vlo = lo
+            c = coef // fact[rem]
+            if vlo <= 0:
+                if rem < k0:
+                    for v in range(vlo, min(vhi, -1) + 1):
+                        counts[p + rem * ((n * v - s1d) * v + s2)] += c
+                vlo = 1
+            for v in range(vlo, vhi + 1):
+                counts[p + rem * ((n * v - s1d) * v + s2)] += c
+        if rem == 1:
+            return
+        # k < rem at v and the rest above v: one at v must leave
+        # p + f(v) <= cutoff * (n + 1) / (n + rem) for the rest at p/n each
+        d1 = n * (cutoff * (n + 1) // (n + rem) - p) - p
+        if d1 < 0:
+            return
+        vlo = -((isqrt(d1) - s1) // n)
+        if vlo < lo:
+            vlo = lo
+        for v in range(vlo, vhi + 1):
+            if not v:
+                continue
+            kmax = rem - 1
+            if v < 0:
+                if kmax >= k0:
+                    kmax = k0 - 1
+            elif kmax > k0:
+                kmax = k0
+            fv = (n * v - s1d) * v + s2
+            pk = p
+            for k in range(1, kmax + 1):
+                pk += fv
+                if pk > cutoff:
+                    break
+                n2 = n + k
+                t1 = s1 + k * v
+                t2 = s2 + k * v * v
+                if rem - k > 1:
+                    walk(n2, t1, t2, pk, rem - k, v + 1, coef // fact[k])
+                    continue
+                # the last coordinate, at w > v, inline: this is the hot loop
+                dd = n2 * (cutoff - pk) - pk
+                if dd < 0:
+                    continue
+                rr = isqrt(dd)
+                wlo = -((rr - t1) // n2)
+                if wlo <= v:
+                    wlo = v + 1
+                whi = (t1 + rr) // n2
+                c = coef // fact[k]
+                t1d = 2 * t1
+                q0 = pk + t2
+                if wlo <= 0:  # then v < 0, so k0 > 1 and w < 0 may occur once
+                    for w in range(wlo, min(whi, -1) + 1):
+                        counts[q0 + (n2 * w - t1d) * w] += c
+                    wlo = 1
+                for w in range(wlo, whi + 1):
+                    counts[q0 + (n2 * w - t1d) * w] += c
+
+    coef = 1  # m! / k0!
+    for j in range(1, jmax + 1):
+        k0 = m - j
+        coef *= k0 + 1
+        if k0 * j <= cutoff:  # each of the j differs from all k0 mode coordinates
+            walk(k0, 0, 0, 0, j, -isqrt(cutoff // k0), coef)
     return counts
 
 
 def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
     """Complete eigenvalue table of the torus link up to ``cutoff``.
 
-    Enumerates the lattice ball ||n||^2 <= cutoff, which covers every
-    eigenvalue <= cutoff because Q(n) >= ||n||^2.  Raises
-    :class:`InputError`, before allocating anything, when the DP work
-    exceeds :data:`MAX_DP_CELLS`.
+    Counts the multisets of coordinate values with Q <= cutoff (see the
+    module docstring).  Raises :class:`InputError`, before counting, when
+    the admission bound :func:`_dp_cells` exceeds :data:`MAX_DP_CELLS`.
     """
     m = as_int(m, "dimension m")
     if m < 3:
@@ -186,8 +273,8 @@ def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
             f"spectrum for m = {m}, cutoff = {cutoff} needs {cells} DP "
             f"cells, more than the limit of {MAX_DP_CELLS}"
         )
-    counts = _counts_dp(m, cutoff)
-    entries = [(lam, int(c)) for lam, c in enumerate(counts) if c > 0]
+    counts = _counts(m, cutoff)
+    entries = [(lam, c) for lam, c in enumerate(counts) if c]
     return ConeSpectrum(m, entries, cutoff)
 
 

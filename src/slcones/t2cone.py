@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
 from typing import Optional, Sequence
 
 from ._exact import kernel, rank as _rank
-from .errors import InputError, NumericError, as_int
+from .errors import InputError, NumericError, as_finite, as_int, read_rational
 
 __all__ = [
     "T2Singularity",
@@ -43,28 +42,6 @@ W_VECTORS = {
     2: (Fraction(0), Fraction(1)),
     3: (Fraction(-1), Fraction(-1)),
 }
-
-
-def _frac(x, what: str) -> Fraction:
-    if isinstance(x, bool):
-        raise InputError(f"{what} must be rational, got {x!r}")
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{what} must be rational, got {x!r}") from exc
-
-
-def _as_finite(x, what: str) -> float:
-    """Finite float from a real number; bools, strings, NaN and infinities
-    are rejected."""
-    if isinstance(x, Real) and not isinstance(x, bool):
-        try:
-            v = float(x)
-        except OverflowError:  # an int beyond the float range
-            v = math.inf
-        if math.isfinite(v):
-            return v
-    raise InputError(f"{what} must be a finite real number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +116,10 @@ class T2PairBasis:
         def vec4(b, name):
             (u, v), (y, z) = b
             return (
-                _frac(u, f"{name}[0][0]"),
-                _frac(v, f"{name}[0][1]"),
-                _frac(y, f"{name}[1][0]"),
-                _frac(z, f"{name}[1][1]"),
+                read_rational(u, f"{name}[0][0]"),
+                read_rational(v, f"{name}[0][1]"),
+                read_rational(y, f"{name}[1][0]"),
+                read_rational(z, f"{name}[1][1]"),
             )
 
         b1 = vec4(B1, "B1")
@@ -259,7 +236,7 @@ def family_region(omega_pairing: float, kj: int) -> FamilyRegionResult:
     the signs of pairing and k_j agree; on the wall (zero pairing) the
     k_j = 0 neck admits every scale and any other neck admits none.
     """
-    pairing = _as_finite(omega_pairing, "pairing")
+    pairing = as_finite(omega_pairing, "pairing")
     kj = as_int(kj, "k_j")
     if pairing == 0.0:
         return FamilyRegionResult("wall", None, kj == 0)

@@ -164,6 +164,34 @@ class TestImportGraph:
         assert r.stderr.strip() == "0 []"
         assert json.loads(r.stdout) == {"areas": [1, "1/8"], "feasible": True, "n": 2, "q": 2}
 
+    def test_spectrum_import_loads_no_numpy(self):
+        code = (
+            "import sys, slcones.spectrum; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stdout.strip() == "[]"
+
+    # the README examples of the spectrum subcommands
+    @pytest.mark.parametrize("args", [
+        ["stability", "--m", "3"],
+        ["spectrum", "--m", "3", "--cutoff", "8", "--delta", "2"],
+    ], ids=["stability", "spectrum"])
+    def test_spectrum_readme_examples_load_no_numpy(self, args):
+        code = (
+            "import sys\n"
+            "from slcones import cli\n"
+            f"code = cli.main({args!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),"
+            " file=sys.stderr)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stderr.strip() == "0 []"
+        _validate(json.loads(r.stdout), args[0])
+
+
 class TestStability:
     def test_m3_golden_document(self):
         r = _run(["stability", "--m", "3"])

@@ -33,6 +33,7 @@ from slcones.errors import (
     InfeasibleGraphError,
     InputError,
     PreconditionError,
+    as_finite,
     as_rational,
 )
 
@@ -415,6 +416,75 @@ class TestFamilyBalanceRegion:
         for areas in (None, sol):
             with pytest.raises(InputError, match="pairing 2"):
                 family_balance_region(g, [0.0, bad], 1.0, areas)
+
+
+    def test_huge_pairing_with_explicit_areas_is_input_error(self):
+        # the tolerance check compares floats, and 10**400 has none
+        g = IntersectionGraph(2, [(1, 2, 1), (2, 1, 1)])
+        sol = solve_areas(g)
+        for huge in (10**400, Fraction(10**400, 3)):
+            with pytest.raises(InputError, match="pairing 1 must be a finite real"):
+                family_balance_region(g, [huge, -huge], 1.0, sol)
+        # without areas the pairings stay exact, so the same input is answered
+        assert family_balance_region(g, [10**400, -10**400], 1.0)
+        assert not family_balance_region(g, [10**400, 0], 1.0)
+
+    @pytest.mark.parametrize("bad", [10**400, math.nan, math.inf, "1", True])
+    def test_bad_scale_is_input_error(self, bad):
+        g = IntersectionGraph(2, [(1, 2, 1), (2, 1, 1)])
+        with pytest.raises(InputError, match="scale t"):
+            family_balance_region(g, [0.0, 0.0], bad)
+
+
+class TestLibraryRationals:
+    """Edge weights and areas are read by ``errors.as_rational``, the CLI's
+    rule, so a float means the same in the library as on the command line."""
+
+    def test_float_weight_reads_as_the_cli_does(self):
+        assert Edge(1, 2, 0.1).weight == Fraction(1, 10)
+        assert Edge(1, 2, 1 / 3).weight == Fraction(1, 3)
+        assert Edge(1, 2, 2.0).weight == 2
+
+    def test_fraction_weight_is_kept_as_it_is(self):
+        w = Fraction(3, 7)
+        assert Edge(1, 2, w).weight is w
+
+    def test_float_weights_balance_as_their_decimals(self):
+        floats = IntersectionGraph(2, [(1, 2, 0.1), (2, 1, 0.3)])
+        exact = IntersectionGraph(2, [(1, 2, Fraction(1, 10)), (2, 1, Fraction(3, 10))])
+        assert floats == exact
+        assert solve_areas(floats) == solve_areas(exact)
+
+    def test_float_areas(self):
+        assert BalanceSolution([0.5, 0.1, 3]).A == (Fraction(1, 2), Fraction(1, 10), 3)
+
+    def test_rational_strings_read_as_the_cli_does(self):
+        assert Edge(1, 2, "1/3").weight == Fraction(1, 3)
+        assert BalanceSolution(["2/4", "0.1"]).A == (Fraction(1, 2), Fraction(1, 10))
+        for bad in ("x", "1/0"):
+            with pytest.raises(InputError, match="edge weight is not a valid rational"):
+                Edge(1, 2, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, None, [1]])
+    def test_bad_weight_or_area_is_input_error(self, bad):
+        with pytest.raises(InputError, match="edge weight must be a finite rational"):
+            Edge(1, 2, bad)
+        with pytest.raises(InputError, match="area must be a finite rational"):
+            BalanceSolution([1, bad])
+
+
+class TestAsFinite:
+    def test_reals_become_floats(self):
+        assert as_finite(2, "x") == 2.0 and type(as_finite(2, "x")) is float
+        assert as_finite(Fraction(1, 4), "x") == 0.25
+        assert as_finite(np.float64(-1.5), "x") == -1.5
+        assert as_finite(10**300, "x") == 1e300
+
+    @pytest.mark.parametrize("bad", [True, False, math.nan, math.inf, -math.inf, 10**400,
+                                     Fraction(10**400, 3), "1", None, [1], 1j])
+    def test_rejected(self, bad):
+        with pytest.raises(InputError, match="must be a finite real number"):
+            as_finite(bad, "x")
 
 
 class TestAsRational:

@@ -155,6 +155,18 @@ class TestCharacteristicAngles:
             with pytest.raises(InputError, match="non-finite entry"):
                 SLPlane(frame)
 
+    @pytest.mark.parametrize("big", [1e200, -1e200, 1e200j, 1e155 + 1e155j, 1.5])
+    def test_oversized_frame_entry_rejected_without_a_warning(self, big):
+        # a unitary frame has every |entry| <= 1; the modulus check runs
+        # before the Gram product, which would overflow on 1e200
+        frame = np.eye(3, dtype=complex)
+        frame[0, 1] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="entry of modulus"):
+                SLPlane(frame)
+
+
 class TestLawlorExistence:
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)

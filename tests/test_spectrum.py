@@ -4,7 +4,9 @@ Two enumeration oracles tally Q(n) vector by vector.  The box oracle
 deliberately ignores the package's ball bound: it scans the full cube
 [-R-1, R+1]^(m-1), one step larger than any vector that could matter.
 The ball oracle walks the ball sum n_i^2 <= cutoff depth first; it
-reaches the larger m where the DP's band on the digit sum binds.
+reaches the larger m where the DP's band on the digit sum binds.  The
+DP oracle is the (sum n_i, sum n_i^2) dynamic program the package counted
+with before its multiset walk; it reaches the admission frontier.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,6 +76,45 @@ def ball_oracle(m: int, cutoff: int) -> dict[int, int]:
     visit(0, 0, 0)
     return counts
 
+
+def dp_oracle(m: int, cutoff: int) -> np.ndarray:
+    """``counts[q]`` = number of lattice vectors n with Q(n) = q, from an
+    int64 DP over the joint distribution of (s, t) = (sum n_i, sum n_i^2).
+
+    Q depends on n only through (s, t), and Q(n) >= ||n||^2, so the ball
+    t <= cutoff holds every vector that matters.  The digit-sum axis stops
+    at |s| <= min(d * r, cutoff): a prefix with square sum t <= cutoff has
+    |s| <= sum |n_i| <= t, so any step that lands outside the band had
+    t > cutoff and is dropped either way.
+    """
+    d = m - 1
+    r = math.isqrt(cutoff)
+    smax = min(d * r, cutoff)
+    # ways[s + smax, t] = number of prefixes with digit sum s, square sum t
+    ways = np.zeros((2 * smax + 1, cutoff + 1), dtype=np.int64)
+    ways[smax, 0] = 1
+    width = 2 * smax + 1
+    for _ in range(d):
+        new = np.zeros_like(ways)
+        for v in range(-r, r + 1):
+            v2 = v * v
+            lo, hi = max(v, 0), max(-v, 0)
+            new[lo:width - hi, v2:] += ways[hi:width - lo, : cutoff + 1 - v2]
+        ways = new
+    counts = np.zeros(cutoff + 1, dtype=np.int64)
+    s_idx, t_idx = np.nonzero(ways)
+    s = s_idx - smax
+    q = m * t_idx - s * s
+    keep = q <= cutoff
+    np.add.at(counts, q[keep], ways[s_idx[keep], t_idx[keep]])
+    return counts
+
+
+#: the exact-sweep benchmark grid of (m, cutoff)
+GRID = [
+    (3, 50), (3, 200), (4, 100), (5, 100), (7, 60),
+    (9, 40), (12, 30), (16, 30), (20, 30), (30, 30),
+]
 
 NOT_INTEGERS = [2.7, "3", True]
 
@@ -201,6 +243,34 @@ class TestEnumerate:
         monkeypatch.setattr(spectrum, "MAX_DP_CELLS", 3 * 19 * 10 - 1)
         with pytest.raises(InputError, match="DP cells"):
             enumerate_spectrum(4, 9)
+
+    @pytest.mark.parametrize("m, cutoff", GRID + [
+        (m, 2 * m) for m in range(3, 41)
+    ] + [
+        (8, 7), (10, 9), (40, 100), (100, 200), (3, 2000), (12, 400),
+    ])
+    def test_against_dp_oracle(self, m, cutoff):
+        assert spectrum._counts(m, cutoff) == dp_oracle(m, cutoff).tolist()
+
+    # the largest cutoff the admission bound lets through at these m; the
+    # walk is fastest here, and the DP oracle takes about a second each
+    @pytest.mark.parametrize("m, cutoff", [(60, 410), (135, 272)])
+    def test_against_dp_oracle_on_the_admission_frontier(self, m, cutoff):
+        assert spectrum._dp_cells(m, cutoff) <= spectrum.MAX_DP_CELLS
+        assert spectrum._dp_cells(m, cutoff + 1) > spectrum.MAX_DP_CELLS
+        assert spectrum._counts(m, cutoff) == dp_oracle(m, cutoff).tolist()
+
+    def test_counts_are_python_ints(self):
+        assert all(type(c) is int for c in spectrum._counts(7, 60))
+
+    # admitted requests at huge m: the walk's work depends on cutoff / m,
+    # not on m, where the DP's time grew linearly in m
+    @pytest.mark.parametrize("m, cutoff", [(2 * 10**7 + 1, 0), (3_300_000, 1)])
+    def test_huge_m_is_fast(self, m, cutoff):
+        start = time.perf_counter()
+        spec = enumerate_spectrum(m, cutoff)
+        assert time.perf_counter() - start < 1.0
+        assert dict(spec.entries) == {0: 1}
 
     def test_deterministic(self):
         a = enumerate_spectrum(6, 25)

@@ -245,3 +245,23 @@ class TestTwoSingularityGluings:
             T2PairBasis(((1, 0), (0, 0)), ((2, 0), (0, 0)))  # dependent
         with pytest.raises(InputError):
             T2PairBasis(((1, 0), (0, 1)), ((0, 1), (2, 0)))  # pairing = -1
+
+    def test_float_basis_entries_read_as_rationals(self):
+        # pairing = 0.3 - 0.1 - 0.2: zero for the decimals, not for the
+        # binary values of the floats; entries follow errors.as_rational
+        basis = T2PairBasis(((1, 1), (0, 1)), ((0.1, 0.3), (0.2, 0)))
+        assert basis.B2 == ((Fraction(1, 10), Fraction(3, 10)), (Fraction(1, 5), 0))
+        exact = T2PairBasis(((1, 1), (0, 1)),
+                            ((Fraction(1, 10), Fraction(3, 10)), (Fraction(1, 5), 0)))
+        assert basis == exact
+
+    def test_rational_string_basis_entries(self):
+        basis = T2PairBasis(((1, 0), (0, "3/2")), ((0, "3/2"), (1, 0)))
+        assert basis.B1 == ((1, 0), (0, Fraction(3, 2)))
+        with pytest.raises(InputError, match=r"B1\[0\]\[1\] is not a valid rational"):
+            T2PairBasis(((1, "x"), (0, 1)), ((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, None])
+    def test_bad_basis_entry_is_input_error(self, bad):
+        with pytest.raises(InputError, match=r"B1\[0\]\[1\] must be a finite rational"):
+            T2PairBasis(((1, bad), (0, 1)), ((0, 1), (1, 0)))
