@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._exact import rref
 from .errors import (
     DegeneratePhaseError,
     InfeasibleGraphError,
@@ -388,21 +387,55 @@ def phase_region(qr: PhaseFamilyQuery) -> PhaseRegionResult:
     return PhaseRegionResult("negative", None)
 
 
-def _strictly_feasible(ineqs: list, nvars: int) -> bool:
-    """Fourier-Motzkin elimination for a system of strict inequalities
-    a·x + b > 0 over the rationals."""
-    for v in range(nvars - 1, -1, -1):
-        pos = [q for q in ineqs if q[v] > 0]
-        neg = [q for q in ineqs if q[v] < 0]
-        rest = [q for q in ineqs if q[v] == 0]
-        combined = []
-        for p in pos:
-            for ng in neg:
-                # scale to cancel variable v; strictness is preserved
-                row = [p[i] / p[v] - ng[i] / ng[v] for i in range(nvars + 1)]
-                combined.append(row)
-        ineqs = rest + combined
-    return all(q[nvars] > 0 for q in ineqs)
+def _saturates(q: int, arcs: Sequence, supply: Sequence) -> bool:
+    """Whether some flow on the uncapacitated ``arcs`` between vertices
+    1..q has net outflow ``supply[k - 1]`` at every vertex k, for integer
+    supplies that sum to zero.
+
+    One max-flow by breadth-first augmenting paths (Edmonds-Karp) on
+    Python ints: source -> positive supplies -> arcs -> negative supplies
+    -> sink, each arc with the total supply as its capacity, which no
+    flow can exceed.  The supplies are met iff the flow saturates the
+    source.  ``res[u][v]`` is the residual capacity from u to v.
+    """
+    src, sink = 0, q + 1
+    res = [{} for _ in range(q + 2)]
+
+    def link(u, v, cap):
+        res[u][v] = res[u].get(v, 0) + cap
+        res[v].setdefault(u, 0)
+
+    for k, s in enumerate(supply, 1):
+        if s > 0:
+            link(src, k, s)
+        elif s < 0:
+            link(k, sink, -s)
+    left = sum(res[src].values())
+    for u, v in arcs:
+        link(u, v, left)
+    while left:
+        parent = {src: src}
+        queue = [src]
+        for u in queue:
+            for v, cap in res[u].items():
+                if cap and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if sink in parent:
+                break
+        else:
+            return False
+        path = []
+        v = sink
+        while v != src:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(res[u][v] for u, v in path)
+        for u, v in path:
+            res[u][v] -= push
+            res[v][u] += push
+        left -= push
+    return True
 
 
 def family_balance_region(
@@ -418,14 +451,24 @@ def family_balance_region(
 
     Every pairing and ``t`` must be a finite real number.  With ``A``
     supplied the pairings are read as floats by
-    :func:`~slcones.errors.as_finite` and the q equations are checked
-    directly to relative tolerance :data:`PAIRING_TOL`.  Without it, the
-    pairings are read as exact rationals by
+    :func:`~slcones.errors.as_finite` and compared exactly, as
+    Fractions, with t^m times the exact imbalance of ``A``, to relative
+    tolerance :data:`PAIRING_TOL`.
+
+    Without ``A`` the pairings b_k are read as exact rationals by
     :func:`~slcones.errors.as_rational` (a float becomes the nearest
-    fraction with denominator at most 10^12, so 0.1 reads as 1/10) and
-    the existence of a strictly positive exact solution is decided by
-    elimination — a decision independent of both ``t`` and ``m``, which
-    only rescale the solution.
+    fraction with denominator at most 10^12, so 0.1 reads as 1/10).  The
+    question is then whether some x > 0 has outflow minus inflow b_k at
+    every component, for x_e = w_e * A_e * t^m: the weights, ``t`` and
+    ``m`` are positive scalings, so they drop out, as do self-loops,
+    which enter no balance.  By the cut condition of Gale (1957) and
+    Hoffman (1960), x >= c exists iff sum(b) = 0 and b(S) >= c times the
+    number of edges leaving S, for every vertex set S that no edge
+    enters.  With D the lcm of the denominators of b and n the number
+    of edges left, a positive b(S) is at least 1/D, so scaling b by D(n + 1)
+    turns "some x > 0" into "some x >= 1" exactly.  Then x = 1 + y with
+    y >= 0 moves one unit of supply from each edge's tail to its head,
+    and one integer max-flow decides whether some y meets the rest.
     """
     if len(pairings) != g.q:
         raise InputError(f"expected {g.q} pairing values, got {len(pairings)}")
@@ -440,46 +483,20 @@ def family_balance_region(
     if A is not None:
         if len(A.A) != g.n:
             raise InputError(f"expected {g.n} areas, got {len(A.A)}")
-        scale = t ** m_exp
-        # a tolerance check on the pairings as floats
+        tm = Fraction(t) ** m_exp
+        tol = Fraction(PAIRING_TOL)
         for p, net in zip(vals, _net_flow(g, A.A)):
-            target = scale * float(net)
-            bound = PAIRING_TOL * max(1.0, abs(target), abs(p))
-            if abs(p - target) > bound:
+            p, target = Fraction(p), tm * net
+            if abs(p - target) > tol * max(1, abs(target), abs(p)):
                 return False
         return True
 
-    tm = Fraction(t) ** m_exp
-    rhs = [p / tm for p in vals]
-    if sum(rhs) != 0:
+    if sum(vals) != 0:
         return False
-    rows = []
-    for k in range(1, g.q + 1):
-        row = [Fraction(0)] * (g.n + 1)
-        for idx, e in enumerate(g.edges):
-            if e.tail == k:
-                row[idx] += e.weight
-            if e.head == k:
-                row[idx] -= e.weight
-        row[g.n] = rhs[k - 1]
-        rows.append(row)
-    pivots = rref(rows, g.n)
-    for row in rows:
-        if all(x == 0 for x in row[: g.n]) and row[g.n] != 0:
-            return False
-    # express pivot variables affinely in the free ones, then demand
-    # strict positivity of every variable
-    free = [c for c in range(g.n) if c not in pivots]
-    ineqs = []
-    for r, c in enumerate(pivots):
-        # A_c = rows[r][n] - sum_{f} rows[r][f] A_f > 0
-        q = [Fraction(0)] * (len(free) + 1)
-        for fi, f in enumerate(free):
-            q[fi] = -rows[r][f]
-        q[len(free)] = rows[r][g.n]
-        ineqs.append(q)
-    for fi in range(len(free)):
-        q = [Fraction(0)] * (len(free) + 1)
-        q[fi] = Fraction(1)
-        ineqs.append(q)
-    return _strictly_feasible(ineqs, len(free))
+    arcs = [(e.tail, e.head) for e in g.edges if e.tail != e.head]
+    scale = math.lcm(*(p.denominator for p in vals)) * (len(arcs) + 1)
+    supply = [p.numerator * (scale // p.denominator) for p in vals]
+    for u, v in arcs:
+        supply[u - 1] -= 1
+        supply[v - 1] += 1
+    return _saturates(g.q, arcs, supply)

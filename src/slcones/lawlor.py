@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tolerances import LAWLOR_TOL as DEFAULT_TOL
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, as_finite
 
 __all__ = [
     "NeckParams",
@@ -202,10 +202,12 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
 
     Each angle is computed by adaptive quadrature with certified
     absolute error at most ``tol``, so the angle sum is within m*tol of
-    pi.  Raises :class:`NumericError` with the achieved bound if the
-    quadrature cannot certify ``tol``.
+    pi.  ``tol`` must be a finite positive number.  Raises
+    :class:`NumericError` with the achieved bound if the quadrature cannot
+    certify ``tol``.
     """
-    if not (tol > 0):
+    tol = as_finite(tol, "tol")
+    if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
     coeffs = _poly_coeffs(p.a)
     phi = []
@@ -266,9 +268,10 @@ def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:
     equation.  Iteration starts from the symmetric point scaled so the
     area equation holds exactly, takes damped Newton steps with the
     positivity projection a_k <- max(a_k, eps), and stops when the
-    residual drops below ``tol``.
+    residual drops below ``tol``, which must be a finite positive number.
     """
-    if not (tol > 0):
+    tol = as_finite(tol, "tol")
+    if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
     m = spec.m
     phi_target = np.array(spec.phi[: m - 1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tolerances import TRANSVERSE_TOL as DEFAULT_TRANSVERSE_TOL
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, as_finite
 
 __all__ = [
     "SLPlane",
@@ -150,10 +150,13 @@ def characteristic_angles(
     """Angles, type, and transversality of the pair (p1·R^m, p2·R^m).
 
     Eigenvalue phases of S = M M^T are taken in (0, 2*pi) and halved.
-    An eigenvalue within ``tol`` of 1 marks the pair non-transverse (an
-    angle at the boundary 0 or pi), and boundary values are reported
-    as computed.
+    An eigenvalue within ``tol`` (a finite positive number) of 1 marks
+    the pair non-transverse (an angle at the boundary 0 or pi), and
+    boundary values are reported as computed.
     """
+    tol = as_finite(tol, "tol")
+    if not tol > 0:
+        raise InputError(f"tol must be positive, got {tol}")
     if p1.m != p2.m:
         raise InputError(f"dimension mismatch: {p1.m} vs {p2.m}")
     m = p1.m

@@ -42,9 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
-from .errors import IncompleteSpectrumError, InputError, as_int
+from .errors import IncompleteSpectrumError, InputError, as_int, as_rational
 
 __all__ = [
     "ConeSpectrum",
@@ -61,17 +60,6 @@ __all__ = [
 #: admission bound of enumerate_spectrum: the largest work
 #: (m-1) * (2 s_max + 1) * (cutoff + 1) of the (s, t) dynamic program it accepts
 MAX_DP_CELLS = 2 * 10**7
-
-
-def _as_exact(x, what: str) -> Fraction:
-    """Coerce x to Fraction; floats convert via their exact binary value."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise InputError(f"{what} must be finite, got {x!r}")
-        return Fraction(x)
-    if isinstance(x, Rational):
-        return Fraction(x)
-    raise InputError(f"{what} must be a real number, got {type(x).__name__}")
 
 
 def hl_eigenvalue(m: int, n) -> int:
@@ -112,10 +100,10 @@ class ConeSpectrum:
         m = as_int(m, "dimension m")
         if m < 3:
             raise InputError(f"dimension m must be >= 3, got {m}")
-        cut = _as_exact(cutoff, "cutoff")
+        cut = as_rational(cutoff, "cutoff")
         merged: dict[Fraction, int] = {}
         for lam, mult in entries:
-            lam_e = _as_exact(lam, "eigenvalue")
+            lam_e = as_rational(lam, "eigenvalue")
             mult = as_int(mult, "multiplicity")
             if lam_e < 0:
                 raise InputError(f"eigenvalues must be nonnegative, got {lam}")
@@ -133,7 +121,7 @@ class ConeSpectrum:
         object.__setattr__(self, "cutoff", cut)
 
     def multiplicity(self, lam) -> int:
-        lam = _as_exact(lam, "eigenvalue")
+        lam = as_rational(lam, "eigenvalue")
         for ev, mult in self.entries:
             if ev == lam:
                 return mult
@@ -311,7 +299,7 @@ class ExponentData:
         ``alpha`` is interpreted as a rational and matched through the
         quadratic relation, not by float comparison.
         """
-        a = _as_exact(alpha, "alpha")
+        a = as_rational(alpha, "alpha")
         lam = a * (a + self.m - 2)
         branch = 1 if 2 * a + (self.m - 2) >= 0 else -1
         return sum(
@@ -344,7 +332,7 @@ def n_sigma(data: ExponentData, delta) -> int:
     iff lam < delta*(delta+m-2).  Raises when the cutoff cannot certify
     that every contributing eigenvalue is in the table.
     """
-    d = _as_exact(delta, "delta")
+    d = as_rational(delta, "delta")
     m = data.m
     lam_needed = d * (d + m - 2)
     if lam_needed > data.cutoff:

@@ -140,9 +140,11 @@ class TestImportGraph:
 
 
     def test_consum_import_loads_no_numpy(self):
+        # nor the exact row reduction, which only t2cone uses
         code = (
             "import sys, slcones.consum; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'"
+            " or m == 'slcones._exact'))"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=_ENV, check=True)
@@ -303,6 +305,22 @@ class TestLawlor:
         r = _run(["lawlor", "--a", "1,1,1", "--phi", "1,1,1"])
         assert r.returncode == 64
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("args", [
+        ["--a", "4,1,1"],
+        ["--phi", "1,1,1.1415926535897931", "--area", "1"],
+    ])
+    def test_bad_tolerance_exits_2(self, args, tol, monkeypatch, capsys):
+        # --tol inf once answered the Newton start as the inverse
+        code, out, err = _main(["lawlor", *args, f"--tol={tol}"], "",
+                               monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "InputError"
+        assert "tol" in doc["error"]["message"]
+
 
 class TestPlanes:
     def test_model_pair_classification(self):
@@ -331,6 +349,21 @@ class TestPlanes:
     def test_missing_key_exits_2(self):
         r = _run(["planes"], stdin=json.dumps({"p1": []}))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tolerance_exits_2(self, tol, monkeypatch, capsys):
+        payload = json.dumps({
+            "p1": _encode_frame(np.eye(3, dtype=complex)),
+            "p2": _encode_frame(phi_frame((1.0, 1.0, math.pi - 2.0)).frame),
+        })
+        code, out, err = _main(["planes", f"--tol={tol}"], payload,
+                               monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "InputError"
+        assert "tol" in doc["error"]["message"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_frame_exits_2(self, bad, monkeypatch, capsys):

@@ -2,12 +2,15 @@
 
 The exhaustive bipartition oracle is the reference implementation for
 the strong-connectivity criterion; the two are compared on every small
-digraph and on randomized larger ones.
+digraph and on randomized larger ones.  The max-flow verdict of
+family_balance_region is compared with Fourier-Motzkin elimination on
+small graphs and with the exhaustive cut condition on larger ones.
 """
 import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +87,111 @@ def undirected_connected(q, pairs):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == q
+
+
+def fm_oracle(g, pairings) -> bool:
+    """Reference for family_balance_region without areas (t = 1): exact
+    strict feasibility of the weighted balance rows with x > 0, by
+    Fraction Gauss-Jordan elimination and then Fourier-Motzkin
+    elimination of the free variables (no redundancy removal, so for
+    small graphs only)."""
+    b = [as_rational(p, "pairing") for p in pairings]
+    if sum(b) != 0:
+        return False
+    n = g.n
+    rows = []
+    for k in range(1, g.q + 1):
+        row = [Fraction(0)] * (n + 1)
+        for idx, e in enumerate(g.edges):
+            if e.tail == k:
+                row[idx] += e.weight
+            if e.head == k:
+                row[idx] -= e.weight
+        row[n] = b[k - 1]
+        rows.append(row)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        row = [x / rows[p][c] for x in rows[p]]
+        rows[p], rows[r] = rows[r], row
+        for i, other in enumerate(rows):
+            f = other[c]
+            if i != r and f != 0:
+                rows[i] = [x - f * y for x, y in zip(other, row)]
+        pivots.append(c)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return False
+    # each pivot variable is affine in the free ones and must be > 0, as
+    # must every free one: rows (a, c) stand for a . free + c > 0
+    free = [c for c in range(n) if c not in pivots]
+    ineqs = [[-rows[r][f] for f in free] + [rows[r][n]] for r in range(len(pivots))]
+    ineqs += [[Fraction(int(i == j)) for j in range(len(free))] + [Fraction(0)]
+              for i in range(len(free))]
+    for v in range(len(free) - 1, -1, -1):
+        pos = [q for q in ineqs if q[v] > 0]
+        neg = [q for q in ineqs if q[v] < 0]
+        ineqs = [q for q in ineqs if q[v] == 0] + [
+            [a / p[v] - c / ng[v] for a, c in zip(p, ng)] for p in pos for ng in neg
+        ]
+    return all(q[-1] > 0 for q in ineqs)
+
+
+def cut_oracle(g, pairings) -> bool:
+    """Literal exhaustive evaluation of the cut condition of Gale and
+    Hoffman (2^q subsets): some x > 0 balances to the pairings b iff
+    sum(b) = 0 and every vertex set S that no edge enters has b(S) > 0,
+    or b(S) >= 0 when no edge leaves it either."""
+    b = [as_rational(p, "pairing") for p in pairings]
+    if sum(b) != 0:
+        return False
+    preds = [0] * g.q  # bit masks of the tails of edges into each vertex
+    succs = [0] * g.q  # and of the heads of edges out of it
+    for e in g.edges:
+        preds[e.head - 1] |= 1 << (e.tail - 1)
+        succs[e.tail - 1] |= 1 << (e.head - 1)
+    for mask in range(1, 2**g.q):
+        members = [k for k in range(g.q) if mask >> k & 1]
+        if any(preds[k] & ~mask for k in members):
+            continue
+        bs = sum(b[k] for k in members)
+        leaves = any(succs[k] & ~mask for k in members)
+        if bs < 0 or (leaves and bs == 0):
+            return False
+    return True
+
+
+def random_flow_case(rng, q: int, n: int) -> tuple:
+    """A digraph on q vertices with n edges (self-loops and parallel edges
+    allowed, not necessarily connected) and integer pairings: half of
+    them the balance of planted positive flows, some of those perturbed
+    by one unit between two components, the rest random with sum 0."""
+    edges = [(rng.randint(1, q), rng.randint(1, q),
+              Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in range(n)]
+    g = IntersectionGraph(q, edges)
+    b = [0] * q
+    if rng.random() < 0.5:
+        for u, v, _ in edges:
+            x = rng.randint(1, 4)
+            b[u - 1] += x
+            b[v - 1] -= x
+        if rng.random() < 0.4:
+            i, j = rng.randrange(q), rng.randrange(q)
+            b[i] += 1
+            b[j] -= 1
+    else:
+        b = [rng.randint(-3, 3) for _ in range(q - 1)]
+        b.append(-sum(b))
+    if rng.random() < 0.1:
+        b[rng.randrange(q)] += rng.choice((-1, 1))  # a sum that is not zero
+    return g, b
+
+
+def acyclic_tournament(q: int) -> IntersectionGraph:
+    return IntersectionGraph(q, [(a, b, 1) for a in range(1, q + 1)
+                                 for b in range(a + 1, q + 1)])
 
 
 class TestFeasible:
@@ -434,6 +542,56 @@ class TestFamilyBalanceRegion:
         g = IntersectionGraph(2, [(1, 2, 1), (2, 1, 1)])
         with pytest.raises(InputError, match="scale t"):
             family_balance_region(g, [0.0, 0.0], bad)
+
+    def test_huge_scale_with_explicit_areas(self):
+        # t^m is taken exactly, so it cannot overflow
+        g = IntersectionGraph(2, [(1, 2, 1), (2, 1, 1)])
+        sol = solve_areas(g)
+        assert family_balance_region(g, [0.0, 0.0], 1e200, sol)
+        assert not family_balance_region(g, [1.0, -1.0], 1e200, sol)
+        # an imbalance of 2 * 1e600 has no float pairing to match it
+        one_way = IntersectionGraph(2, [(1, 2, 1)])
+        two = BalanceSolution([2])
+        assert not family_balance_region(one_way, [1e300, -1e300], 1e200, two)
+        assert family_balance_region(one_way, [2e300, -2e300], 1e100, two)
+
+    def test_equals_fm_oracle_on_small_graphs(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            g, b = random_flow_case(rng, rng.randint(1, 6), rng.randint(0, 10))
+            assert family_balance_region(g, b, 1.0) == fm_oracle(g, b), (g, b)
+
+    def test_equals_cut_oracle_on_larger_graphs(self):
+        rng = random.Random(7)
+        for q in range(7, 14):
+            for _ in range(30):
+                g, b = random_flow_case(rng, q, rng.randint(q - 1, 3 * q))
+                assert family_balance_region(g, b, 1.0) == cut_oracle(g, b), (g, b)
+
+    def test_cut_oracle_equals_fm_oracle(self):
+        # the cut oracle, the reference for larger graphs, against FM
+        rng = random.Random(8)
+        for _ in range(300):
+            g, b = random_flow_case(rng, rng.randint(1, 5), rng.randint(0, 8))
+            assert cut_oracle(g, b) == fm_oracle(g, b), (g, b)
+
+    @pytest.mark.parametrize("q", [8, 30])
+    def test_acyclic_tournament_is_fast(self, q):
+        # Fourier-Motzkin ran past 30 s at q = 8; the flow takes about
+        # 1.5 ms at q = 30, and the bound leaves room for slow hosts
+        g = acyclic_tournament(q)
+        rng = random.Random(q)
+        planted = [0] * q
+        for e in g.edges:
+            x = rng.randint(1, 9)
+            planted[e.tail - 1] += x
+            planted[e.head - 1] -= x
+        # the top vertex only receives, so no flow can leave it
+        hostile = [-1] * (q - 1) + [q - 1]
+        start = time.perf_counter()
+        assert family_balance_region(g, planted, 0.5, m=7)
+        assert not family_balance_region(g, hostile, 0.5, m=7)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestLibraryRationals:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from slcones._exact import kernel, rank, rref
+from slcones._exact import _reduce, kernel, rank
 from slcones.consum import (
     BalanceSolution,
     IntersectionGraph,
@@ -87,6 +87,15 @@ def random_matrix(rng, width_extra: int = 1) -> tuple:
     return rows, ncols
 
 
+def reduced_form(rows, ncols: int) -> tuple:
+    """``_reduce``'s pivots and its pivot rows divided by their pivot
+    entries, the rows of the reduced form that ``kernel`` reads."""
+    a, pivots = _reduce(rows, ncols)
+    for row in a[len(pivots):]:
+        assert not any(row[:ncols])
+    return pivots, [[Fraction(x, a[i][c]) for x in a[i]] for i, c in enumerate(pivots)]
+
+
 class TestRref:
     def test_equals_fraction_elimination_on_every_row(self):
         rng = random.Random(20261018)
@@ -94,11 +103,10 @@ class TestRref:
             rows, ncols = random_matrix(rng)
             want = [[Fraction(x) for x in r] for r in rows]
             want_pivots = fraction_rref(want, ncols)
-            got = [list(r) for r in rows]
-            assert rref(got, ncols) == want_pivots, rows
-            # every row, the augmented entries of rows past the rank included
-            assert got == want, rows
-            assert all(type(x) is Fraction for r in got for x in r)
+            pivots, got = reduced_form(rows, ncols)
+            assert pivots == want_pivots, rows
+            # every pivot row, its augmented entry included
+            assert got == want[: len(pivots)], rows
 
     def test_wide_augmentation(self):
         rng = random.Random(7)
@@ -106,28 +114,12 @@ class TestRref:
             rows, ncols = random_matrix(rng, width_extra=3)
             want = [[Fraction(x) for x in r] for r in rows]
             want_pivots = fraction_rref(want, ncols)
-            got = [list(r) for r in rows]
-            assert rref(got, ncols) == want_pivots
-            assert got == want
-
-    def test_rows_past_the_rank_keep_their_scale(self):
-        # rows 2 and 3 depend on row 1 in the pivot columns, so only their
-        # augmented entries remain, and those carry the elimination's scale
-        rows = [
-            [Fraction(2, 3), 4, Fraction(1, 5)],
-            [Fraction(-1, 3), -2, 7],
-            [6, 36, Fraction(-9, 2)],
-        ]
-        want = [[Fraction(x) for x in r] for r in rows]
-        assert rref(rows, 2) == fraction_rref(want, 2) == [0]
-        assert rows == want
-        assert rows[1] == [0, 0, Fraction(71, 10)]
-        assert rows[2] == [0, 0, Fraction(-63, 10)]
+            pivots, got = reduced_form(rows, ncols)
+            assert pivots == want_pivots
+            assert got == want[: len(pivots)]
 
     def test_all_zero_matrix(self):
-        rows = [[0, 0, 0], [Fraction(0), 0, 0]]
-        assert rref(rows, 2) == []
-        assert rows == [[0, 0, 0], [0, 0, 0]]
+        assert reduced_form([[0, 0, 0], [Fraction(0), 0, 0]], 2) == ([], [])
 
 
 def _sympy(rows):

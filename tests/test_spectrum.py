@@ -302,6 +302,26 @@ class TestGenericTable:
         with pytest.raises(InputError):
             ConeSpectrum(3, [(7, 1)], 6)  # exceeds cutoff
 
+    @pytest.mark.parametrize("bad", [True, False, math.nan, math.inf, "2", None])
+    def test_real_inputs_read_by_the_rational_policy(self, bad):
+        # errors.as_rational: a bool is not a number here, although it is
+        # a numbers.Rational
+        data = exponents(enumerate_spectrum(3, 6))
+        calls = [
+            lambda: n_sigma(data, bad),
+            lambda: data.multiplicity_at(bad),
+            lambda: ConeSpectrum(3, [(bad, 1)], 6),
+            lambda: ConeSpectrum(3, [(0, 1)], bad),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="must be a finite rational"):
+                call()
+
+    def test_float_inputs_read_as_their_decimals(self):
+        spec = ConeSpectrum(3, [(0.1, 1), (Fraction(1, 10), 2)], 0.3)
+        assert spec.entries == ((Fraction(1, 10), 3),)
+        assert spec.cutoff == Fraction(3, 10)
+
 
 class TestExponents:
     def test_m3_lambda2(self):
