@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import __version__
 from ._tolerances import LAWLOR_TOL, TRANSVERSE_TOL
-from .errors import InputError, NumericError, as_int, read_rational
+from .errors import InputError, NumericError, as_finite, as_int, read_rational
 
 _LOG = logging.getLogger("slcones.cli")
 
@@ -170,8 +170,18 @@ def _frame_from_json(rows, what: str):
 
     try:
         arr = np.asarray(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+            [
+                [
+                    complex(as_finite(re, f"{what}[{i}][{k}] re"),
+                            as_finite(im, f"{what}[{i}][{k}] im"))
+                    for k, (re, im) in enumerate(row)
+                ]
+                for i, row in enumerate(rows)
+            ],
+            dtype=complex,
         )
+    except InputError:
+        raise
     except (TypeError, ValueError) as exc:
         raise InputError(
             f"{what} must be a square matrix of [re, im] pairs: {exc}"
@@ -291,21 +301,8 @@ def _cmd_dims(args):
 def _basis_from_json(doc):
     from .t2cone import T2PairBasis
 
-    def pair(b, name):
-        if (
-            not isinstance(b, list)
-            or len(b) != 2
-            or any(not isinstance(half, list) or len(half) != 2 for half in b)
-        ):
-            raise InputError(f"{name} must be [[u, v], [y, z]]")
-        return (
-            (read_rational(b[0][0], f"{name}[0][0]"), read_rational(b[0][1], f"{name}[0][1]")),
-            (read_rational(b[1][0], f"{name}[1][0]"), read_rational(b[1][1], f"{name}[1][1]")),
-        )
-
     return T2PairBasis(
-        pair(_require(doc, "B1", "basis input"), "B1"),
-        pair(_require(doc, "B2", "basis input"), "B2"),
+        _require(doc, "B1", "basis input"), _require(doc, "B2", "basis input")
     )
 
 

@@ -483,9 +483,11 @@ def family_balance_region(
     if A is not None:
         if len(A.A) != g.n:
             raise InputError(f"expected {g.n} areas, got {len(A.A)}")
-        tm = Fraction(t) ** m_exp
+        nets = _net_flow(g, A.A)
+        # t^m only scales a nonzero imbalance, and grows with m
+        tm = Fraction(t) ** m_exp if any(nets) else 0
         tol = Fraction(PAIRING_TOL)
-        for p, net in zip(vals, _net_flow(g, A.A)):
+        for p, net in zip(vals, nets):
             p, target = Fraction(p), tm * net
             if abs(p - target) > tol * max(1, abs(target), abs(p)):
                 return False

@@ -10,7 +10,8 @@ condition, which this module solves in closed form.
 
 The asymptotic classes of the three necks are positive multiples of
 w1 = (1, 0), w2 = (0, 1), w3 = (-1, -1) times pi; the factor pi is a
-common positive scale, so all span arithmetic stays in exact rationals.
+common positive scale, so the span arithmetic is exact: on integers once
+the basis rows are scaled by the lcm of their denominators.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._exact import kernel, rank as _rank
 from .errors import InputError, NumericError, as_finite, as_int, read_rational
 
 __all__ = [
@@ -35,13 +35,9 @@ __all__ = [
     "family_region",
 ]
 
-#: asymptotic-class directions of the three neck types (rational part;
+#: asymptotic-class directions of the three neck types (integer part;
 #: the true class is pi * a * w_j)
-W_VECTORS = {
-    1: (Fraction(1), Fraction(0)),
-    2: (Fraction(0), Fraction(1)),
-    3: (Fraction(-1), Fraction(-1)),
-}
+W_VECTORS = {1: (1, 0), 2: (0, 1), 3: (-1, -1)}
 
 
 @dataclass(frozen=True)
@@ -103,10 +99,15 @@ def h1_order(s: T2Singularity, h1X: int, j: int) -> Optional[int]:
 @dataclass(frozen=True)
 class T2PairBasis:
     """Exact basis (B1, B2) of the span of restriction images for two
-    torus-cone points, as vectors in R^2 + R^2.
+    torus-cone points, as vectors in R^2 + R^2, each given as
+    [[u, v], [y, z]] with entries read by
+    :func:`~slcones.errors.read_rational`.
 
-    The symplectic pairing of the two classes must cancel between the
-    two points: u1 v2 - u2 v1 + y1 z2 - y2 z1 = 0.
+    B1 and B2 must be independent, that is some Pluecker coordinate
+    p_ij = b1_i b2_j - b1_j b2_i of the flattened rows is nonzero (the
+    gluing solver builds the annihilator of the span from the first
+    one), and the symplectic pairing of the two classes must cancel
+    between the two points: u1 v2 - u2 v1 + y1 z2 - y2 z1 = 0.
     """
 
     B1: tuple
@@ -114,6 +115,12 @@ class T2PairBasis:
 
     def __init__(self, B1, B2):
         def vec4(b, name):
+            if not (
+                isinstance(b, (list, tuple))
+                and len(b) == 2
+                and all(isinstance(h, (list, tuple)) and len(h) == 2 for h in b)
+            ):
+                raise InputError(f"{name} must be [[u, v], [y, z]]")
             (u, v), (y, z) = b
             return (
                 read_rational(u, f"{name}[0][0]"),
@@ -124,7 +131,7 @@ class T2PairBasis:
 
         b1 = vec4(B1, "B1")
         b2 = vec4(B2, "B2")
-        # rank check: all six 2x2 minors vanish iff dependent
+        # all six Pluecker coordinates vanish iff B1 and B2 are dependent
         if all(
             b1[i] * b2[j] - b1[j] * b2[i] == 0
             for i in range(4)
@@ -164,52 +171,86 @@ class GluingSolution:
     dimY: int
 
 
+def _integer_row(b) -> list:
+    """The positive integer multiple of the rational row ``b`` by the lcm
+    of its denominators."""
+    lcm = math.lcm(*(x.denominator for x in b))
+    return [x.numerator * (lcm // x.denominator) for x in b]
+
+
+def _annihilator(b1, b2) -> list:
+    """Integer basis of {c in Q^4 : c . b1 = c . b2 = 0} for independent
+    integer rows b1, b2, from their Pluecker coordinates
+    p_ij = b1_i b2_j - b1_j b2_i.
+
+    With (i, j) the first pair with p_ij != 0, the vector
+    c^(f) = p_ij e_f - p_fj e_i - p_if e_j is the cofactor expansion of
+    det(x_(i, j, f); b1_(i, j, f); b2_(i, j, f)) in x, so it annihilates
+    b1 and b2; the two free indices f give two independent vectors.
+    """
+    def p(i, j):
+        return b1[i] * b2[j] - b1[j] * b2[i]
+
+    i, j = next((i, j) for i in range(4) for j in range(i + 1, 4) if p(i, j))
+    basis = []
+    for f in range(4):
+        if f not in (i, j):
+            c = [0] * 4
+            c[f], c[i], c[j] = p(i, j), -p(f, j), -p(i, f)
+            basis.append(c)
+    return basis
+
+
+def _rank(rows) -> int:
+    """Rank of an exact (int or Fraction) matrix by fraction-free
+    elimination: each remaining row r becomes piv * r - r[c] * row, which
+    clears the pivot column c of ``row``."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    while rows:
+        row = rows.pop()
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            rank += 1
+            rows = [[row[c] * x - r[c] * y for x, y in zip(r, row)] for r in rows]
+    return rank
+
+
 def two_singularity_gluings(basis: T2PairBasis) -> list:
     """All families of neck pairs (j1, j2) whose joint asymptotic
     classes (a1 w_{j1}, a2 w_{j2}), a1, a2 > 0, fit in span(B1, B2).
 
     For each of the nine type pairs the span condition is a homogeneous
-    2x2 rational system in (a1, a2): full kernel gives the independent
-    quadrant family (dimY = 2), a kernel line meeting the open quadrant
-    gives a locked-ratio family (dimY = 1), anything else is empty.
+    2x2 integer system in (a1, a2), one row per annihilator vector of
+    span(B1, B2): a zero system gives the independent quadrant family
+    (dimY = 2), a singular nonzero one a kernel line, which is a
+    locked-ratio family (dimY = 1) when it meets the open quadrant, and
+    a regular one nothing.  dimY is cross-checked against
+    4 - rank(w_{j1} + 0, 0 + w_{j2}, B1, B2).
     """
-    b1, b2 = basis.flat()
-    annihilator = kernel([b1, b2], 4)
+    b1, b2 = (_integer_row(b) for b in basis.flat())
+    c1, c2 = _annihilator(b1, b2)
     solutions = []
     for j1 in (1, 2, 3):
         for j2 in (1, 2, 3):
-            w1 = W_VECTORS[j1]
-            w2 = W_VECTORS[j2]
-            # rows of the 2x2 system M (a1, a2)^T = 0
-            m = [
-                (
-                    c[0] * w1[0] + c[1] * w1[1],
-                    c[2] * w2[0] + c[3] * w2[1],
-                )
-                for c in annihilator
-            ]
-            rank = _rank(m)
-            if rank == 0:
+            (u1, v1), (u2, v2) = W_VECTORS[j1], W_VECTORS[j2]
+            # rows (p, q) of the system p a1 + q a2 = 0
+            p1, q1 = c1[0] * u1 + c1[1] * v1, c1[2] * u2 + c1[3] * v2
+            p2, q2 = c2[0] * u1 + c2[1] * v1, c2[2] * u2 + c2[3] * v2
+            if not (p1 or q1 or p2 or q2):
                 ratio = None
                 dim_y = 2
-            elif rank == 1:
-                row = next(r for r in m if r != (0, 0))
-                # kernel direction (-Q, P); strictly positive iff P*Q < 0
-                p_, q_ = row
-                if p_ * q_ >= 0:
+            elif p1 * q2 == p2 * q1:
+                # kernel direction (-q, p); strictly positive iff p q < 0
+                p, q = (p1, q1) if p1 or q1 else (p2, q2)
+                if p * q >= 0:
                     continue
-                ratio = -p_ / q_
+                ratio = Fraction(-p, q)
                 dim_y = 1
             else:
                 continue
             # cross-check dimY against the intersection-dimension formula
-            stack = [
-                (w1[0], w1[1], Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(0), w2[0], w2[1]),
-                b1,
-                b2,
-            ]
-            expected = 4 - _rank(stack)
+            expected = 4 - _rank([(u1, v1, 0, 0), (0, 0, u2, v2), b1, b2])
             if dim_y != expected:
                 raise NumericError(
                     f"dimY cross-check failed for ({j1}, {j2}): the kernel gives "

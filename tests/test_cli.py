@@ -140,15 +140,16 @@ class TestImportGraph:
 
 
     def test_consum_import_loads_no_numpy(self):
-        # nor the exact row reduction, which only t2cone uses
+        # and the general row reduction is gone: t2cone's exact kernels
+        # are its own
         code = (
-            "import sys, slcones.consum; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'"
-            " or m == 'slcones._exact'))"
+            "import importlib.util, sys, slcones.consum; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),"
+            " importlib.util.find_spec('slcones._exact'))"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=_ENV, check=True)
-        assert r.stdout.strip() == "[]"
+        assert r.stdout.strip() == "[] None"
 
     def test_consum_readme_example_loads_no_numpy(self):
         stdin = ('{"q":2,"edges":[{"tail":1,"head":2,"weight":1},'
@@ -379,6 +380,24 @@ class TestPlanes:
         _validate(doc, "error")
         assert doc["error"]["type"] == "InputError"
 
+    @pytest.mark.parametrize("col, pair", [
+        (0, [True, 0.0]), (1, [0.0, False]), (0, [10**400, 0.0]),
+    ])
+    def test_bool_or_huge_frame_entry_exits_2(self, col, pair, monkeypatch, capsys):
+        # JSON true and false must not read as 1.0 and 0.0, which would
+        # leave the identity frame as it is, and an integer beyond the
+        # float range must not escape as OverflowError
+        p1 = _encode_frame(np.eye(3, dtype=complex))
+        p1[0][col] = pair
+        payload = json.dumps({"p1": p1, "p2": _encode_frame(np.eye(3, dtype=complex))})
+        code, out, err = _main(["planes"], payload, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "InputError"
+        assert f"p1[0][{col}]" in doc["error"]["message"]
+
 
 class TestConsum:
     def test_feasible_two_cycle(self):
@@ -534,6 +553,16 @@ class TestT2Cone:
     def test_imprimitive_generator_exits_2(self):
         r = _run(["t2cone"], stdin=json.dumps({"generator": [2, 4]}))
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("b1", [[[1, 0, 0], [0, 0]], [1, 0], [[1, 0], "10"], {"u": 1}])
+    def test_malformed_basis_shape_exits_2(self, b1, monkeypatch, capsys):
+        payload = json.dumps({"basis": {"B1": b1, "B2": [[0, 0], [1, 0]]}})
+        code, out, err = _main(["t2cone"], payload, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["message"] == "B1 must be [[u, v], [y, z]]"
 
     @pytest.mark.parametrize("payload", [
         '{"generator":["1",1]}',

@@ -4,7 +4,8 @@ The exhaustive bipartition oracle is the reference implementation for
 the strong-connectivity criterion; the two are compared on every small
 digraph and on randomized larger ones.  The max-flow verdict of
 family_balance_region is compared with Fourier-Motzkin elimination on
-small graphs and with the exhaustive cut condition on larger ones.
+small graphs and with the exhaustive cut condition on larger ones, and
+check_balance with plain Fraction sums.
 """
 import hashlib
 import itertools
@@ -192,6 +193,26 @@ def random_flow_case(rng, q: int, n: int) -> tuple:
 def acyclic_tournament(q: int) -> IntersectionGraph:
     return IntersectionGraph(q, [(a, b, 1) for a in range(1, q + 1)
                                  for b in range(a + 1, q + 1)])
+
+
+def fraction_check_balance(g: IntersectionGraph, sol: BalanceSolution) -> bool:
+    """Reference: sum the Fraction products w_e * A_e at every component."""
+    net = [Fraction(0)] * (g.q + 1)
+    for e, a in zip(g.edges, sol.A):
+        f = e.weight * a
+        net[e.tail] += f
+        net[e.head] -= f
+    return not any(net[1:])
+
+
+def _random_strong_graph(rng, q: int) -> IntersectionGraph:
+    order = list(range(1, q + 1))
+    rng.shuffle(order)
+    pairs = [(order[i], order[(i + 1) % q]) for i in range(q)]
+    pairs += [(rng.randint(1, q), rng.randint(1, q)) for _ in range(rng.randint(0, q))]
+    return IntersectionGraph(
+        q, [(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 12))) for u, v in pairs]
+    )
 
 
 class TestFeasible:
@@ -555,6 +576,16 @@ class TestFamilyBalanceRegion:
         assert not family_balance_region(one_way, [1e300, -1e300], 1e200, two)
         assert family_balance_region(one_way, [2e300, -2e300], 1e100, two)
 
+    def test_huge_dimension_on_balanced_areas_is_fast(self):
+        # with every imbalance zero t^m is never formed, so m = 10^6 costs
+        # no more than m = 3
+        g = IntersectionGraph(2, [(1, 2, 1), (2, 1, 8)])
+        sol = solve_areas(g)
+        start = time.perf_counter()
+        assert family_balance_region(g, [0.0, 0.0], 3.7, sol, m=10**6)
+        assert not family_balance_region(g, [1e-3, -1e-3], 3.7, sol, m=10**6)
+        assert time.perf_counter() - start < 0.05
+
     def test_equals_fm_oracle_on_small_graphs(self):
         rng = random.Random(20261018)
         for _ in range(3000):
@@ -592,6 +623,37 @@ class TestFamilyBalanceRegion:
         assert family_balance_region(g, planted, 0.5, m=7)
         assert not family_balance_region(g, hostile, 0.5, m=7)
         assert time.perf_counter() - start < 0.5
+
+
+class TestCheckBalance:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_true_on_solved_areas_false_after_a_perturbation(self, seed):
+        rng = random.Random(seed)
+        for q in (1, 2, 3, 5, 8, 20, 60):
+            g = _random_strong_graph(rng, q)
+            sol = solve_areas(g)
+            assert check_balance(g, sol) is True
+            assert fraction_check_balance(g, sol)
+            bumped = list(sol.A)
+            k = rng.randrange(len(bumped))
+            bumped[k] += Fraction(1, rng.randint(1, 10**6))
+            bad = BalanceSolution(bumped)
+            if g.edges[k].tail == g.edges[k].head:
+                # a self-loop's area never enters the balance
+                assert check_balance(g, bad) is True
+            else:
+                assert check_balance(g, bad) is False
+            assert check_balance(g, bad) == fraction_check_balance(g, bad)
+
+    def test_equals_fraction_sum_on_random_areas(self):
+        rng = random.Random(99)
+        for _ in range(500):
+            q = rng.randint(1, 5)
+            g = _random_strong_graph(rng, q)
+            # areas on a coarse grid, so that some of them balance
+            A = BalanceSolution([Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                                 for _ in g.edges])
+            assert check_balance(g, A) == fraction_check_balance(g, A)
 
 
 class TestLibraryRationals:

@@ -1,10 +1,15 @@
 """Tests for the torus-cone k-calculus and two-point gluing solver.
 
-Span membership in the gluing tests is cross-checked with sympy's exact
-rational rank computation, which shares no code with the module's own
-annihilator/elimination path.
+The solver builds the annihilator of span(B1, B2) in closed form from
+the Pluecker coordinates of the integer-scaled rows and ranks one 4-row
+stack per type pair by integer elimination.  Span membership in the
+gluing tests is cross-checked with sympy's exact rational rank, the
+annihilator with sympy's nullspace, and the whole solver is compared
+with ``elimination_oracle``, the Fraction Gauss-Jordan solver it
+replaced, kept here frozen.
 """
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +24,9 @@ from slcones.t2cone import (
     T2PairBasis,
     T2Singularity,
     W_VECTORS,
+    _annihilator,
+    _integer_row,
+    _rank,
     family_region,
     gluing_candidates,
     h1_order,
@@ -63,6 +71,127 @@ def random_consistent_basis(seed):
         except InputError:
             continue
     raise RuntimeError("could not build a basis")
+
+
+def _fraction_rref(rows, ncols: int) -> tuple:
+    """Fraction Gauss-Jordan; the pivot of column c is the first row at
+    or below the current rank that is nonzero there.  Returns the reduced
+    rows and the pivot columns."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((p for p in range(r, len(rows)) if rows[p][c] != 0), None)
+        if p is None:
+            continue
+        row = [x / rows[p][c] for x in rows[p]]
+        rows[p] = rows[r]
+        rows[r] = row
+        for i, other in enumerate(rows):
+            f = other[c]
+            if i != r and f != 0:
+                rows[i] = [a - f * b for a, b in zip(other, row)]
+        pivots.append(c)
+    return rows, pivots
+
+
+def elimination_oracle(basis: T2PairBasis) -> list:
+    """The gluing solver as it was before the Pluecker construction: the
+    annihilator is the kernel of the reduced form of (B1; B2), one vector
+    per free column, and each 2x2 system and each dimY stack is ranked
+    by the same Fraction elimination."""
+    b1, b2 = basis.flat()
+    red, pivots = _fraction_rref([b1, b2], 4)
+    annihilator = []
+    for free in range(4):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * 4
+        vec[free] = Fraction(1)
+        for ri, c in enumerate(pivots):
+            vec[c] = -red[ri][free]
+        annihilator.append(vec)
+
+    def rank(rows):
+        return len(_fraction_rref(rows, len(rows[0]))[1])
+
+    solutions = []
+    for j1 in (1, 2, 3):
+        for j2 in (1, 2, 3):
+            w1, w2 = W_VECTORS[j1], W_VECTORS[j2]
+            m = [(c[0] * w1[0] + c[1] * w1[1], c[2] * w2[0] + c[3] * w2[1])
+                 for c in annihilator]
+            r = rank(m)
+            if r == 0:
+                ratio, dim_y = None, 2
+            elif r == 1:
+                p, q = next(row for row in m if row != (0, 0))
+                if p * q >= 0:
+                    continue
+                ratio, dim_y = -p / q, 1
+            else:
+                continue
+            assert dim_y == 4 - rank([(*w1, 0, 0), (0, 0, *w2), b1, b2])
+            solutions.append(GluingSolution(j1, j2, ratio, dim_y))
+    return solutions
+
+
+def _pairing(b1, b2):
+    return b1[0] * b2[1] - b2[0] * b1[1] + b1[2] * b2[3] - b2[2] * b1[3]
+
+
+def _rat(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def mixed_basis(rng, v):
+    """(B1, B2) = an invertible integer mix of v and a random vector r
+    with pairing(v, r) = 0, so the pairing identity holds; None when the
+    mix is degenerate or v pairs with nothing."""
+    grads = (-v[1], v[0], -v[3], v[2])
+    slots = [i for i, g in enumerate(grads) if g != 0]
+    if not slots:
+        return None
+    r = [_rat(rng) for _ in range(4)]
+    s = rng.choice(slots)
+    r[s] = 0
+    r[s] = -sum(g * x for g, x in zip(grads, r)) / grads[s]
+    if rng.random() < 0.3:
+        al, be, ga, de = 1, 0, 0, 1
+    else:
+        al, be, ga, de = (rng.randint(-3, 3) for _ in range(4))
+    b1 = [al * x + be * y for x, y in zip(v, r)]
+    b2 = [ga * x + de * y for x, y in zip(v, r)]
+    assert _pairing(b1, b2) == 0
+    try:
+        return T2PairBasis((b1[:2], b1[2:]), (b2[:2], b2[2:]))
+    except InputError:  # dependent
+        return None
+
+
+def planted_basis(rng):
+    """A basis whose span holds the family vector of a random type pair
+    at random positive scales; returns (basis, (j1, j2, a1, a2))."""
+    while True:
+        j1, j2 = rng.randint(1, 3), rng.randint(1, 3)
+        a1 = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        a2 = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        basis = mixed_basis(rng, family_vector(j1, j2, a1, a2))
+        if basis is not None:
+            return basis, (j1, j2, a1, a2)
+
+
+def random_rational_basis(rng):
+    """A random basis with rational entries that satisfies the pairing
+    identity."""
+    while True:
+        basis = mixed_basis(rng, [_rat(rng) for _ in range(4)])
+        if basis is not None:
+            return basis
 
 
 class TestSingularity:
@@ -240,6 +369,31 @@ class TestTwoSingularityGluings:
                         )
                         assert covered == inside
 
+    def test_equals_elimination_oracle(self):
+        rng = random.Random(20261018)
+        families = 0
+        for i in range(3000):
+            basis = planted_basis(rng)[0] if i % 2 else random_rational_basis(rng)
+            got = two_singularity_gluings(basis)
+            assert got == elimination_oracle(basis), basis
+            assert all(type(s.ratio) in (Fraction, type(None)) for s in got)
+            families += bool(got)
+        assert families > 1500
+
+    def test_planted_families_are_found_and_lie_in_span(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            basis, (j1, j2, a1, a2) = planted_basis(rng)
+            sols = two_singularity_gluings(basis)
+            planted = next(s for s in sols if (s.j1, s.j2) == (j1, j2))
+            assert planted.ratio in (None, a2 / a1)
+            for sol in sols:
+                assert sol.ratio is None or sol.ratio > 0
+                ratios = [Fraction(1), Fraction(2)] if sol.ratio is None else [sol.ratio]
+                for ratio in ratios:
+                    vec = family_vector(sol.j1, sol.j2, Fraction(1), ratio)
+                    assert sympy_in_span(basis, vec)
+
     def test_basis_validation(self):
         with pytest.raises(InputError):
             T2PairBasis(((1, 0), (0, 0)), ((2, 0), (0, 0)))  # dependent
@@ -265,3 +419,79 @@ class TestTwoSingularityGluings:
     def test_bad_basis_entry_is_input_error(self, bad):
         with pytest.raises(InputError, match=r"B1\[0\]\[1\] must be a finite rational"):
             T2PairBasis(((1, bad), (0, 1)), ((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("b1, b2, name", [
+        (((1, 0, 0), (0, 0)), ((0, 0), (1, 0)), "B1"),
+        ((1, 0), ((0, 0), (1, 0)), "B1"),
+        (((1, 0), (0, 0)), [[0, 0]], "B2"),
+        (((1, 0), (0, 0)), {"u": 0, "v": 1}, "B2"),
+        (((1, 0), "10"), ((0, 0), (1, 0)), "B1"),
+    ])
+    def test_malformed_shape_is_input_error(self, b1, b2, name):
+        with pytest.raises(InputError, match=rf"^{name} must be \[\[u, v\], \[y, z\]\]$"):
+            T2PairBasis(b1, b2)
+
+
+def _sympy_rows(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in map(Fraction, r)] for r in rows])
+
+
+def random_stack(rng, entry):
+    """Four rows of width 4 from ``entry``, sometimes with a zero row, a
+    multiple of another row or a sum of two others."""
+    rows = [[entry(rng) for _ in range(4)] for _ in range(4)]
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(4), 2)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        rows[i] = [c * x for x in rows[j]]
+    if rng.random() < 0.3:
+        i, j, k = rng.sample(range(4), 3)
+        rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+    if rng.random() < 0.2:
+        rows[rng.randrange(4)] = [0] * 4
+    return rows
+
+
+def _int_entry(rng):
+    return 0 if rng.random() < 0.3 else rng.randint(-10**6, 10**6)
+
+
+def _fraction_entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+class TestExactKernels:
+    """The Pluecker annihilator and the stack rank against sympy's exact
+    ``nullspace`` and ``rank``."""
+
+    @pytest.mark.parametrize("entry", [_int_entry, _fraction_entry])
+    def test_rank_equals_sympy(self, entry):
+        rng = random.Random(12)
+        for _ in range(300):
+            rows = random_stack(rng, entry)
+            assert _rank(rows) == _sympy_rows(rows).rank(), rows
+            k = rng.randint(1, 3)
+            assert _rank(rows[:k]) == _sympy_rows(rows[:k]).rank(), rows[:k]
+
+    @pytest.mark.parametrize("entry", [_int_entry, _fraction_entry])
+    def test_annihilator_spans_the_sympy_nullspace(self, entry):
+        rng = random.Random(13)
+        checked = 0
+        for _ in range(200):
+            b1, b2 = random_stack(rng, entry)[:2]
+            pair = _sympy_rows([b1, b2])
+            if pair.rank() < 2:
+                continue
+            checked += 1
+            c1, c2 = _annihilator(_integer_row(b1), _integer_row(b2))
+            for c in (c1, c2):
+                assert all(type(x) is int for x in c)
+                assert sum(x * y for x, y in zip(c, b1)) == 0
+                assert sum(x * y for x, y in zip(c, b2)) == 0
+            assert _sympy_rows([c1, c2]).rank() == 2
+            null = sympy.Matrix.hstack(*pair.nullspace()).T
+            assert _sympy_rows([c1, c2]).col_join(null).rank() == 2
+        assert checked > 150
