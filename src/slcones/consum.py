@@ -9,6 +9,9 @@ every component, which holds iff every vertex bipartition is crossed in
 both directions — equivalently (on a connected graph) iff the digraph is
 strongly connected, which two reachability searches decide: component
 1 must reach every component both along the edges and against them.
+Areas come from the two breadth-first trees of those searches: each
+edge closes into a walk through component 1, and subtree counts sum the
+walks' unit circulations in O(q + n) for q components and n edges.
 
 All feasibility and balance arithmetic here is exact over the rationals;
 floating point enters only through the phase-region classifier, whose
@@ -54,6 +57,9 @@ __all__ = [
 WALL_TOL = 1e-12
 #: relative tolerance for checking a supplied area vector in family_balance_region
 PAIRING_TOL = 1e-9
+#: bits (m times those of t's numerator and denominator) of the largest exact
+#: t^m family_balance_region forms: any float t at m <= 10^4, about 1 s at most
+MAX_POWER_BITS = 12 * 10**6
 _MAX_ORACLE_Q = 20
 
 
@@ -197,65 +203,53 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     """Exact positive areas balancing the weighted flow at every
     component, normalized so that min_i A_i w_i = 1.
 
-    Every edge is closed into a directed cycle through a return path
-    (one exists by strong connectivity); summing the unit circulations
-    of these n cycles gives positive integer flows f_i balanced at every
-    vertex, and A_i = f_i / w_i.  The return path of edge u -> v is the
-    shortest path v -> u in the breadth-first tree from v that scans
-    out-edges in input order.  One search per distinct head v serves
-    every edge into v: it records each vertex's parent vertex and parent
-    edge in two index arrays, stops once every tail of an edge into v is
-    reached, and the return paths of those edges are walked at once, so
-    no tree outlives its search.  The arrays are shared by all searches
-    and a per-search stamp tells which entries are current.
+    Two breadth-first trees rooted at component 1 give both the verdict
+    and the flows.  The out-tree follows the edges and the in-tree goes
+    against them, each scanning its neighbour lists in edge order; the
+    graph is strongly connected iff both reach all q components.  Every
+    non-loop edge u -> v then closes into the walk from v to 1 in the
+    in-tree and from 1 to u in the out-tree, and the flow f_i of an edge
+    is 1 plus the number of these walks through it: a sum of unit
+    circulations, so positive and balanced at every vertex, and
+    A_i = f_i / w_i.  The tree edge into a vertex carries one walk per
+    edge head (in-tree) or edge tail (out-tree) in the subtree below it,
+    so the flows are subtree counts summed in each tree's visit order
+    reversed: O(q + n) time and memory.
     """
-    if not feasible(g):
-        raise InfeasibleGraphError(
-            "graph is not strongly connected: no positive balanced areas exist"
-        )
-    if g.n == 0:
-        return BalanceSolution(())
     q = g.q
-    out = [[] for _ in range(q + 1)]
-    tails = []
-    into = {}
-    for idx, e in enumerate(g.edges):
-        out[e.tail].append((idx, e.head))
-        tails.append(e.tail)
-        if e.head != e.tail:
-            into.setdefault(e.head, []).append(idx)
     flows = [1] * g.n
-    seen = [0] * (q + 1)  # stamp of the search that reached the vertex
-    goal = [0] * (q + 1)  # stamp of the search that looks for the vertex
-    parent = [0] * (q + 1)
-    via = [0] * (q + 1)
-    for stamp, (head, idxs) in enumerate(into.items(), 1):
-        left = 0
-        for idx in idxs:
-            if goal[tails[idx]] != stamp:
-                goal[tails[idx]] = stamp
-                left += 1
-        seen[head] = stamp
-        queue = [head]
-        pos = 0
-        while left:
-            v = queue[pos]
-            pos += 1
-            for idx, w in out[v]:
-                if seen[w] != stamp:
-                    seen[w] = stamp
+    into = [[] for _ in range(q + 1)]
+    out = [[] for _ in range(q + 1)]
+    heads = [0] * (q + 1)  # non-loop edges into, then out of, each subtree
+    tails = [0] * (q + 1)
+    for idx, e in enumerate(g.edges):
+        u, v = e.tail, e.head
+        if u != v:
+            into[v].append((idx, u))
+            out[u].append((idx, v))
+            heads[v] += 1
+            tails[u] += 1
+    for adj, below in ((into, heads), (out, tails)):
+        parent = [0] * (q + 1)
+        via = [0] * (q + 1)
+        parent[1] = 1
+        order = [1]
+        for v in order:
+            for idx, w in adj[v]:
+                if not parent[w]:
                     parent[w] = v
                     via[w] = idx
-                    if goal[w] == stamp:
-                        left -= 1
-                        if not left:
-                            break
-                    queue.append(w)
-        for idx in idxs:
-            w = tails[idx]
-            while w != head:
-                flows[via[w]] += 1
-                w = parent[w]
+                    order.append(w)
+        if len(order) < q:
+            _require_connected(g)
+            raise InfeasibleGraphError(
+                "graph is not strongly connected: no positive balanced areas exist"
+            )
+        for w in reversed(order[1:]):
+            flows[via[w]] += below[w]
+            below[parent[w]] += below[w]
+    if g.n == 0:
+        return BalanceSolution(())
     lo = min(flows)
     areas = [
         Fraction(f * e.weight.denominator, lo * e.weight.numerator)
@@ -453,7 +447,8 @@ def family_balance_region(
     supplied the pairings are read as floats by
     :func:`~slcones.errors.as_finite` and compared exactly, as
     Fractions, with t^m times the exact imbalance of ``A``, to relative
-    tolerance :data:`PAIRING_TOL`.
+    tolerance :data:`PAIRING_TOL`.  When that imbalance is nonzero, an
+    exact t^m beyond :data:`MAX_POWER_BITS` raises :class:`InputError`.
 
     Without ``A`` the pairings b_k are read as exact rationals by
     :func:`~slcones.errors.as_rational` (a float becomes the nearest
@@ -485,7 +480,11 @@ def family_balance_region(
             raise InputError(f"expected {g.n} areas, got {len(A.A)}")
         nets = _net_flow(g, A.A)
         # t^m only scales a nonzero imbalance, and grows with m
-        tm = Fraction(t) ** m_exp if any(nets) else 0
+        tf = Fraction(t)
+        bits = m_exp * (tf.numerator.bit_length() + tf.denominator.bit_length())
+        if any(nets) and bits > MAX_POWER_BITS:
+            raise InputError(f"t^m for m = {m_exp} needs {bits} bits, over {MAX_POWER_BITS}")
+        tm = tf ** m_exp if any(nets) else 0
         tol = Fraction(PAIRING_TOL)
         for p, net in zip(vals, nets):
             p, target = Fraction(p), tm * net

@@ -77,6 +77,8 @@ class WallError(InputError):
 def as_int(x, what: str) -> int:
     """Exact integer from an int or an integral finite float; bools,
     strings and every other type are rejected with :class:`InputError`."""
+    if type(x) is int:  # the common case, kept cheap; type() lets no bool through
+        return x
     if isinstance(x, float) and math.isfinite(x) and x.is_integer():
         return int(x)
     if not isinstance(x, (bool, float)):

@@ -85,11 +85,12 @@ def hl_eigenvalue(m: int, n) -> int:
 class ConeSpectrum:
     """Eigenvalue table (lambda, multiplicity), complete up to ``cutoff``.
 
-    ``entries`` is sorted strictly increasing in lambda.  Instances for
-    the torus link come from :func:`enumerate_spectrum`; a generic link
-    can be described by passing an explicit table (rational eigenvalues
-    allowed).  Equal eigenvalues in a supplied table are merged by
-    summing their multiplicities.
+    ``entries`` is sorted strictly increasing in lambda; int eigenvalues
+    stay ints and the others are read by :func:`~slcones.errors.as_rational`.
+    Instances for the torus link come from :func:`enumerate_spectrum`; a
+    generic link can be described by passing an explicit table (rational
+    eigenvalues allowed).  Equal eigenvalues in a supplied table are
+    merged by summing their multiplicities.
     """
 
     m: int
@@ -101,21 +102,19 @@ class ConeSpectrum:
         if m < 3:
             raise InputError(f"dimension m must be >= 3, got {m}")
         cut = as_rational(cutoff, "cutoff")
-        merged: dict[Fraction, int] = {}
+        merged: dict = {}
         for lam, mult in entries:
-            lam_e = as_rational(lam, "eigenvalue")
+            lam_e = lam if type(lam) is int else as_rational(lam, "eigenvalue")
             mult = as_int(mult, "multiplicity")
             if lam_e < 0:
                 raise InputError(f"eigenvalues must be nonnegative, got {lam}")
             if mult <= 0:
                 raise InputError(f"multiplicities must be positive, got {mult}")
             merged[lam_e] = merged.get(lam_e, 0) + mult
-        table = tuple(sorted(merged.items()))
-        for lam_e, _ in table:
-            if lam_e > cut:
-                raise InputError(
-                    f"eigenvalue {lam_e} exceeds the declared cutoff {cut}"
-                )
+        table = tuple(sorted(merged.items()))  # linear on an ascending table
+        if table and table[-1][0] > cut:
+            lam_e = next(lam_e for lam_e, _ in table if lam_e > cut)
+            raise InputError(f"eigenvalue {lam_e} exceeds the declared cutoff {cut}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "cutoff", cut)

@@ -2,11 +2,14 @@
 
 The exhaustive bipartition oracle is the reference implementation for
 the strong-connectivity criterion; the two are compared on every small
-digraph and on randomized larger ones.  The max-flow verdict of
+digraph and on randomized larger ones.  The areas of solve_areas are
+compared with an independent walk of its two-tree rule on seeded graphs
+up to q = 200.  The max-flow verdict of
 family_balance_region is compared with Fourier-Motzkin elimination on
 small graphs and with the exhaustive cut condition on larger ones, and
 check_balance with plain Fraction sums.
 """
+import collections
 import hashlib
 import itertools
 import math
@@ -38,6 +41,7 @@ from slcones.errors import (
     InputError,
     PreconditionError,
     as_finite,
+    as_int,
     as_rational,
 )
 
@@ -71,6 +75,42 @@ def chorded_cycle(seed, q):
     return IntersectionGraph(
         q, [(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 12))) for u, v in pairs]
     )
+
+
+def tree_walk_oracle(g):
+    """Reference for solve_areas: both breadth-first trees from component
+    1 by a deque search scanning edges in input order, then the closed
+    walk v -> 1 (in-tree) -> u (out-tree) -> v of every non-loop edge
+    u -> v, walked edge by edge.  None when a tree misses a component."""
+
+    def tree(arcs):
+        nbrs = collections.defaultdict(list)
+        for idx, a, b in arcs:
+            nbrs[a].append((idx, b))
+        up = {1: None}  # vertex -> (edge index, next vertex toward 1)
+        queue = collections.deque([1])
+        while queue:
+            a = queue.popleft()
+            for idx, b in nbrs[a]:
+                if b not in up:
+                    up[b] = (idx, a)
+                    queue.append(b)
+        return up
+
+    in_tree = tree([(idx, e.head, e.tail) for idx, e in enumerate(g.edges)])
+    out_tree = tree([(idx, e.tail, e.head) for idx, e in enumerate(g.edges)])
+    if len(in_tree) < g.q or len(out_tree) < g.q:
+        return None
+    flows = [1] * g.n
+    for e in g.edges:
+        if e.tail == e.head:
+            continue
+        for w, up in ((e.head, in_tree), (e.tail, out_tree)):
+            while up[w] is not None:
+                idx, w = up[w]
+                flows[idx] += 1
+    lo = min(flows, default=1)
+    return tuple(Fraction(f, lo) / e.weight for f, e in zip(flows, g.edges))
 
 
 def undirected_connected(q, pairs):
@@ -232,6 +272,8 @@ class TestFeasible:
             feasible(g)
         with pytest.raises(PreconditionError):
             bipartition_oracle(g)
+        with pytest.raises(PreconditionError):
+            solve_areas(g)
 
     def test_self_loops_never_matter(self):
         base = IntersectionGraph(2, [(1, 2, 1), (2, 1, 1)])
@@ -252,7 +294,7 @@ class TestFeasible:
 
     @pytest.mark.parametrize("bad", ["abc", "2", True, 1.5, float("inf"), float("nan"), None])
     def test_integer_fields_are_strict(self, bad):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="must be an integer"):
             IntersectionGraph(bad, [])
         with pytest.raises(InputError):
             Edge(bad, 1, 1)
@@ -267,8 +309,9 @@ class TestFeasible:
 
     def test_disconnected_message_counts_pieces(self):
         g = IntersectionGraph(5, [(1, 2, 1), (2, 1, 1), (4, 3, 1)])
-        with pytest.raises(PreconditionError, match="found 3 pieces"):
-            feasible(g)
+        for call in (feasible, solve_areas):
+            with pytest.raises(PreconditionError, match="found 3 pieces"):
+                call(g)
 
 
 class TestOracleAgreement:
@@ -316,8 +359,8 @@ class TestSolveAreas:
         with pytest.raises(InfeasibleGraphError):
             solve_areas(IntersectionGraph(2, [(1, 2, 1), (1, 2, 1)]))
 
-    # Both graphs offer several shortest return paths for some edges; the
-    # areas pin the choice (first in edge order, breadth first).
+    # Both graphs offer several breadth-first trees; the areas pin the
+    # choice (first in edge order).
     def test_frozen_areas_four_components(self):
         g = IntersectionGraph(4, [(1, 2, 1), (1, 3, 2), (2, 4, 3), (3, 4, 1),
                                   (4, 1, 5), (2, 3, Fraction(1, 2)), (3, 1, 1)])
@@ -328,22 +371,63 @@ class TestSolveAreas:
                                   (4, 5, 1), (5, 6, 4), (6, 1, 1), (1, 4, 3),
                                   (4, 1, 2), (2, 5, 1), (6, 3, Fraction(5, 2)),
                                   (5, 2, 1), (3, 3, 7)])
-        assert solve_areas(g).A == (3, 1, 12, 4, Fraction(5, 4), 3, 1, Fraction(3, 2), 4,
-                                    Fraction(4, 5), 3, Fraction(1, 7))
+        areas = solve_areas(g).A
+        assert areas == (8, 1, 9, 1, Fraction(7, 4), 6, 1, Fraction(5, 2), 7,
+                         Fraction(2, 5), 1, Fraction(1, 7))
+        assert areas == tree_walk_oracle(g)
 
-    # The chords give many edges several shortest return paths; these
-    # digests of "p/q" areas pin which one the search takes.
+    # The chords give the trees many choices; these digests of "p/q"
+    # areas pin which ones the searches take.
     @pytest.mark.parametrize("q, digest", [
-        (50, "4a8a291594b221df1e2b41c9df0be9f5ec2c18b201a64480c24853dbcf908d46"),
-        (100, "be37aa89aea4481f585fc6b2d321908e125b9084966f8702174255ef48b4bead"),
-        (200, "268bf404160f5030cbcfc2f45913fcd1e7526e664b03252f7bd155acb25a80a3"),
+        pytest.param(50, "8c5aedf9e55e4772315d9e7426d14f91760292367a03e68059122c809d0fc0af",
+                     id="50"),
+        pytest.param(100, "e8322f2629609f8d1c6ddb3a5174af02c388bed376f787d0140c336c993b9e8a",
+                     id="100"),
+        pytest.param(200, "a8f47edc1321255d1bcd412d21fab10ef39bd90295d8bb4375273380d45fb5d5",
+                     id="200"),
     ])
     def test_frozen_areas_chorded_cycles(self, q, digest):
-        areas = solve_areas(chorded_cycle(q, q)).A
+        g = chorded_cycle(q, q)
+        areas = solve_areas(g).A
+        assert areas == tree_walk_oracle(g)
         text = ",".join(f"{a.numerator}/{a.denominator}" for a in areas)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(0, 6))
+    def test_equals_tree_walk_oracle(self):
+        rng = random.Random(20261019)
+        graphs = [random_connected_graph(seed, rng.randint(1, 40), rng.randint(0, 80))
+                  for seed in range(1500)]
+        graphs += [chorded_cycle(seed, rng.randint(1, 200)) for seed in range(500)]
+        solved = 0
+        for g in graphs:
+            want = tree_walk_oracle(g)
+            if want is None:
+                with pytest.raises(InfeasibleGraphError):
+                    solve_areas(g)
+            else:
+                assert solve_areas(g).A == want, g
+                solved += 1
+        assert solved >= 1000
+
+    @pytest.mark.parametrize("chords", [0, 3000])
+    def test_directed_cycle_of_3000(self, chords):
+        # one search per edge head, O(q * n), takes seconds on the plain
+        # cycle; the two trees take about 10 ms
+        rng = random.Random(chords)
+        q = 3000
+        edges = [(v, v % q + 1, Fraction(rng.randint(1, 12), rng.randint(1, 12)))
+                 for v in range(1, q + 1)]
+        edges += [(rng.randint(1, q), rng.randint(1, q), rng.randint(1, 5))
+                  for _ in range(chords)]
+        g = IntersectionGraph(q, edges)
+        start = time.perf_counter()
+        sol = solve_areas(g)
+        assert time.perf_counter() - start < 1.0
+        assert all(a > 0 for a in sol.A)
+        assert check_balance(g, sol) and fraction_check_balance(g, sol)
+        assert min(a * e.weight for a, e in zip(sol.A, g.edges)) == 1
+
+    @given(st.integers(0, 10**6), st.integers(1, 30), st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
     def test_solutions_positive_balanced_normalized(self, seed, q, extra):
         g = random_connected_graph(seed, q, extra)
@@ -586,6 +670,22 @@ class TestFamilyBalanceRegion:
         assert not family_balance_region(g, [1e-3, -1e-3], 3.7, sol, m=10**6)
         assert time.perf_counter() - start < 0.05
 
+    def test_exact_power_is_bounded(self):
+        # a nonzero imbalance is compared with t^m exactly; a power past
+        # MAX_POWER_BITS is refused before it is formed (t = 1.1 took 0.8 s
+        # at m = 10^5), while every float t still answers at m = 10^4
+        one_way = IntersectionGraph(2, [(1, 2, 1)])
+        two = BalanceSolution([2])
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="bits"):
+            family_balance_region(one_way, [1.0, -1.0], 1.1, two, m=10**6)
+        assert time.perf_counter() - start < 0.05
+        widest = math.nextafter(2.0**-1021, 0)  # 53 + 1075 bits as a fraction
+        for t in (1.1, widest):
+            assert not family_balance_region(one_way, [1.0, -1.0], t, two, m=10**4)
+        # the bound is on bits, not on m: 1^m has 2 bits per factor
+        assert family_balance_region(one_way, [2.0, -2.0], 1.0, two, m=10**6)
+
     def test_equals_fm_oracle_on_small_graphs(self):
         rng = random.Random(20261018)
         for _ in range(3000):
@@ -705,6 +805,21 @@ class TestAsFinite:
     def test_rejected(self, bad):
         with pytest.raises(InputError, match="must be a finite real number"):
             as_finite(bad, "x")
+
+
+class TestAsInt:
+    def test_integers(self):
+        assert as_int(7, "x") == 7 and type(as_int(7, "x")) is int
+        assert as_int(-(10**40), "x") == -(10**40)
+        assert as_int(np.int64(-5), "x") == -5 and type(as_int(np.int64(-5), "x")) is int
+        assert as_int(3.0, "x") == 3 and type(as_int(3.0, "x")) is int
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), 2.5, math.nan, math.inf,
+                                     "3", None, Fraction(3), [1]])
+    def test_rejected_with_one_message(self, bad):
+        with pytest.raises(InputError) as info:
+            as_int(bad, "edge tail")
+        assert str(info.value) == f"edge tail must be an integer, got {bad!r}"
 
 
 class TestAsRational:

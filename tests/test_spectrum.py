@@ -283,6 +283,22 @@ class TestGenericTable:
         spec = ConeSpectrum(3, [(2, 4), (2, 2), (0, 1)], 6)
         assert spec.entries == ((0, 1), (2, 6))
 
+    def test_ascending_int_table_is_kept_as_it_is(self):
+        spec = ConeSpectrum(3, [(0, 1), (2, 6), (6, 6)], 6)
+        assert spec.entries == ((0, 1), (2, 6), (6, 6))
+        assert all(type(lam) is int for lam, _ in spec.entries)
+        assert all(type(lam) is int for lam, _ in enumerate_spectrum(4, 30).entries)
+
+    def test_unsorted_or_repeated_tables_are_merged_and_sorted(self):
+        spec = ConeSpectrum(3, [(0, 1), (Fraction(5, 2), 3), (2, 1), (Fraction(2), 4)], 6)
+        assert spec.entries == ((0, 1), (2, 5), (Fraction(5, 2), 3))
+        assert ConeSpectrum(3, [(2, 1), (2, 2)], 6).entries == ((2, 3),)
+
+    @pytest.mark.parametrize("rows", [[(0, 1), (7, 1), (9, 1)], [(9, 1), (7, 1), (0, 1)]])
+    def test_cutoff_error_names_the_smallest_excess(self, rows):
+        with pytest.raises(InputError, match="^eigenvalue 7 exceeds the declared cutoff 6$"):
+            ConeSpectrum(3, rows, 6)
+
     def test_rational_eigenvalues(self):
         spec = ConeSpectrum(3, [(0, 1), (Fraction(5, 2), 3)], 4)
         assert spec.multiplicity(Fraction(5, 2)) == 3
