@@ -21,6 +21,17 @@ product quotient: the series form is exact at x = 0 where the quotient
 is 0/0, with P(0) = a_1 + ... + a_m.  The integrand Horner-evaluates P
 in straight-line code that is compiled once per m and then reused for
 every neck of that dimension.
+
+The neck check needs no quadrature beyond the m waist phases.  Its
+tangents are analytic: d/dy of z_k(y) is (y / r_k + i r_k a_k f_k(y))
+e^(i psi_k(y)) with f_k the angle integrand in closed form, and the
+sphere directions are an exact Householder basis.  The partial phases
+psi_k(y) of all samples come from one cumulative pass of a fixed
+10-point Gauss-Legendre rule over panels that end at every |y| and stay
+narrower than a quarter of max(1 / sqrt(a_1 + ... + a_m), t), which
+keeps them clear of the poles and branch points of f_k.  The samples
+are drawn from one seeded stream and checked in blocks of 1024, over
+stacked frames with one batched Gram product and one batched det.
 """
 from __future__ import annotations
 
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tolerances import LAWLOR_TOL as DEFAULT_TOL
-from .errors import InputError, NumericError, as_finite
+from .errors import InputError, NumericError, as_finite, as_int
 
 __all__ = [
     "NeckParams",
@@ -48,16 +59,24 @@ __all__ = [
 
 #: tolerance on sum(phi) - pi accepted when constructing an AngleSpec
 ANGLE_SUM_TOL = 1e-6
-#: finite-difference step used by verify_sl_neck
-DEFAULT_FD_STEP = 1e-5
-#: residual bounds the verification suites assert against
+#: residual bounds the verification suites assert against; the neck's is
+#: what its waist phases certify, (m/2) * LAWLOR_TOL, plus rounding
 HL_CONE_RESIDUAL_BOUND = 1e-10
-NECK_RESIDUAL_BOUND = 1e-4
+NECK_RESIDUAL_BOUND = 1e-9
 #: Newton iteration cap and positivity floor for the inverse map
 _NEWTON_MAX_ITER = 60
 _POSITIVITY_EPS = 1e-12
 
 _QUAD_LIMIT = 200
+
+#: seed of the sample stream of both SL checks
+_SAMPLE_SEED = 20250821
+#: samples per batched block of the SL checks, which bounds their memory
+_BLOCK = 1024
+#: Gauss-Legendre points per panel of the partial phases, and the largest
+#: panel width as a fraction of max(1 / sqrt(a_1 + ... + a_m), t)
+_GL_POINTS = 10
+_PANEL_FRACTION = 0.25
 
 
 def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float):
@@ -335,26 +354,64 @@ def _half_phases(p: NeckParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.array(angles_from_a(p, tol).phi) / 2.0
 
 
-def _integrands(p: NeckParams) -> list:
-    """The m angle integrands of the neck, built once per neck."""
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre():
+    """The fixed Gauss-Legendre rule on [0, 1] as (nodes, weights), built
+    at the first partial phase rather than at import."""
+    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
+    rule = (x + 1.0) / 2.0, w / 2.0
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def _angle_integrands(coeffs, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """f_k(t) = 1 / ((1 + a_k t^2) sqrt(P(t))) for every entry of ``t``,
+    with k on a new last axis; P is Horner-evaluated in t^2.
+
+    For huge t, t^2 or P overflows to inf and f_k becomes 0, the limit
+    that the scalar integrand also gives; the overflow is not warned about.
+    """
+    with np.errstate(over="ignore"):
+        u = t * t
+        v = np.full_like(u, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            v = v * u + c
+        return 1.0 / ((1.0 + a * u[..., None]) * np.sqrt(v)[..., None])
+
+
+def _partial_phases(p: NeckParams, half: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """psi_k(y) = phi_k/2 + sign(y) a_k int_0^|y| f_k for every y, as an
+    array of shape (len(y), m), with the waist phases ``half`` from
+    :func:`_half_phases`.
+
+    All the integrals come from one cumulative pass of the fixed
+    Gauss-Legendre rule: [0, max |y|] is cut into panels that end at
+    every |y|, and the panel sums are added up outward from 0.  No panel
+    is wider than _PANEL_FRACTION * max(s, t), with t its left end and
+    s = 1 / sqrt(a_1 + ... + a_m).  That keeps the rule's Bernstein
+    ellipse clear of every singularity of f_k: the poles sit at
+    +-i / sqrt(a_k), and a branch point x of sqrt(P) has x^2 = w with
+    prod_k (1 + a_k w) = 1.  Every such w has Re w < 0 (otherwise each
+    factor has modulus > 1), so |arg x| lies in (pi/4, 3pi/4), and
+    |w| >= min(1 / (2 max a), 4.5 / sum a), so every singularity lies at
+    least max(s / 2, t / sqrt(2)) from the panel.
+    """
+    a = np.array(p.a)
     coeffs = _poly_coeffs(p.a)
-    return [_integrand(coeffs, ak) for ak in p.a]
-
-
-def _phases_at(
-    p: NeckParams, y: float, half: np.ndarray, integrands: list
-) -> np.ndarray:
-    """psi_k(y) = phi_k/2 + a_k int_0^y (signed for negative y), with the
-    integrands from :func:`_integrands`."""
-    out = np.empty(p.m)
-    for k, (ak, f) in enumerate(zip(p.a, integrands)):
-        val, _ = _quad(f, 0.0, y, epsabs=1e-13, epsrel=1e-13)
-        out[k] = half[k] + ak * val
-    return out
-
-
-def _radii_at(p: NeckParams, y: float) -> np.ndarray:
-    return np.sqrt(1.0 / np.array(p.a) + y * y)
+    s = np.abs(y)
+    top = float(s.max())
+    scale = 1.0 / math.sqrt(coeffs[0])
+    grid = [0.0]
+    while grid[-1] < top:
+        grid.append(grid[-1] + _PANEL_FRACTION * max(scale, grid[-1]))
+    ends = np.sort(np.concatenate([grid[:-1], s]))
+    width = np.diff(ends)
+    nodes, weights = _gauss_legendre()
+    f = _angle_integrands(coeffs, a, ends[:-1, None] + width[:, None] * nodes)
+    panels = np.einsum("pnk,n->pk", f, weights) * width[:, None]
+    cumulative = np.concatenate([np.zeros((1, p.m)), np.cumsum(panels, axis=0)])
+    return half + np.sign(y)[:, None] * a * cumulative[np.searchsorted(ends, s)]
 
 
 def neck_point(p: NeckParams, y: float, x) -> np.ndarray:
@@ -364,100 +421,110 @@ def neck_point(p: NeckParams, y: float, x) -> np.ndarray:
     sqrt(1/a_k + y^2) and phase psi_k(y) increasing from 0 at y -> -inf
     to phi_k at y -> +inf.
     """
+    y = as_finite(y, "y")
     x = np.asarray(x, dtype=float)
     if x.shape != (p.m,):
         raise InputError(f"direction must have shape ({p.m},), got {x.shape}")
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise InputError(f"direction must be a unit vector, |x| = {np.linalg.norm(x)}")
-    psi = _phases_at(p, y, _half_phases(p), _integrands(p))
-    z = _radii_at(p, y) * np.exp(1j * psi)
+    psi = _partial_phases(p, _half_phases(p), np.array([y]))[0]
+    z = np.sqrt(1.0 / np.array(p.a) + y * y) * np.exp(1j * psi)
     return z * x
 
 
-def _omega_residual(frame: np.ndarray) -> float:
-    """Largest |omega(v_i, v_j)| / (|v_i| |v_j|) over frame columns."""
-    norms = np.linalg.norm(frame, axis=0)
-    gram = frame.conj().T @ frame
-    om = np.abs(np.imag(gram)) / np.outer(norms, norms)
-    return float(np.max(om))
-
-
-def _phase_residual(frame: np.ndarray) -> float:
-    """|Im det| / |det| of the complex frame matrix."""
-    det = np.linalg.det(frame)
-    mag = abs(det)
-    scale = float(np.prod(np.linalg.norm(frame, axis=0)))
-    if mag < 1e-12 * scale:
-        raise NumericError(
-            f"degenerate tangent frame: |det| = {mag:.3e} vs scale {scale:.3e}",
-            achieved=mag,
-        )
-    return float(abs(det.imag) / mag)
-
-
-def _sphere_tangent_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space of the unit sphere at x,
-    via the Householder reflection exchanging e_1 and x."""
-    m = x.size
-    v = x.copy()
-    v[0] += 1.0 if v[0] >= 0 else -1.0
-    v /= np.linalg.norm(v)
-    h = np.eye(m) - 2.0 * np.outer(v, v)
-    return h[:, 1:]
-
-
-def verify_sl_neck(
-    p: NeckParams, sample_count: int = 1000, h: float = DEFAULT_FD_STEP
-) -> SLResidual:
-    """Residuals of the special Lagrangian conditions on sampled necks.
-
-    At each sampled (y, x) a tangent frame is built by symmetric finite
-    differences of :func:`neck_point` in y and along sphere tangent
-    directions at x; the symplectic form is evaluated on every frame
-    2-plane and the volume-form phase on the full frame.
-    """
+def _as_sample_count(sample_count) -> int:
+    sample_count = as_int(sample_count, "sample_count")
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
-    if not (h > 0):
-        raise InputError("finite-difference step must be positive")
+    return sample_count
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x, each equal to np.linalg.norm of
+    that row (a dot product, which an axis reduction does not round
+    alike)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _draw_blocks(sample_count: int, scalar, vector):
+    """The samples of a check in blocks of at most _BLOCK, as arrays
+    (scalars, vectors): per sample one ``scalar(rng)`` and then one
+    ``vector(rng)`` from a single default_rng(_SAMPLE_SEED) stream, so the
+    samples do not depend on the block size."""
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    for start in range(0, sample_count, _BLOCK):
+        draws = [(scalar(rng), vector(rng)) for _ in range(min(_BLOCK, sample_count - start))]
+        yield np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
+
+
+def _neck_samples(m: int, sample_count: int):
+    """Blocks (y, x) of the neck check: y uniform in [-1.5, 1.5], x a unit
+    vector normalized from a standard normal draw."""
+    for y, x in _draw_blocks(
+        sample_count, lambda rng: rng.uniform(-1.5, 1.5), lambda rng: rng.normal(size=m)
+    ):
+        yield y, x / _row_norms(x)[:, None]
+
+
+def _sphere_tangent_bases(x: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the tangent spaces of the unit sphere at the
+    rows of x, as an (N, m, m-1) stack: the Householder reflection
+    exchanging e_1 and x, without its first column."""
+    v = x.copy()
+    v[:, 0] += np.where(v[:, 0] >= 0, 1.0, -1.0)
+    v /= _row_norms(v)[:, None]
+    return np.eye(x.shape[1])[:, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:]
+
+
+def _max_residuals(frames: np.ndarray) -> tuple:
+    """Over a stack of complex frames (N, m, m): the largest
+    |omega(v_i, v_j)| / (|v_i| |v_j|) over frame columns, from one batched
+    Gram product, and the largest |Im det| / |det|, from one batched det."""
+    gram = frames.conj().transpose(0, 2, 1) @ frames
+    norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
+    det = np.linalg.det(frames)
+    mag = np.abs(det)
+    scale = np.prod(norms, axis=1)
+    degenerate = ~(mag >= 1e-12 * scale)  # NaN counts as degenerate
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise NumericError(
+            f"degenerate tangent frame: |det| = {mag[i]:.3e} vs scale {scale[i]:.3e}",
+            achieved=float(mag[i]),
+        )
+    omega = np.abs(gram.imag) / (norms[:, :, None] * norms[:, None, :])
+    return float(np.max(omega)), float(np.max(np.abs(det.imag) / mag))
+
+
+def verify_sl_neck(p: NeckParams, sample_count: int = 1000) -> SLResidual:
+    """Residuals of the special Lagrangian conditions on sampled necks.
+
+    At each sampled (y, x) the tangent frame is analytic: its first
+    column is dz/dy = (y / r_k + i r_k a_k f_k(y)) e^(i psi_k(y)) x_k,
+    with f_k in closed form, and the others are z(y) * tau_j for the
+    sphere tangent basis tau_j at x.  The phases psi_k come from
+    :func:`_partial_phases`, so the only quadratures are the m waist
+    phases.  The symplectic form is evaluated on every frame 2-plane and
+    the volume-form phase on the full frame, in blocks of _BLOCK samples
+    so that memory stays bounded for any ``sample_count`` (an integer
+    >= 1).  The waist phases certify a phase residual of (m/2) times
+    their tolerance, and the rest is rounding.
+    """
+    sample_count = _as_sample_count(sample_count)
     m = p.m
-    integrands = _integrands(p)
+    a = np.array(p.a)
+    coeffs = _poly_coeffs(p.a)
     half = _half_phases(p)
-    a_arr = np.array(p.a)
-    rng = np.random.default_rng(20250821)
-    max_om = 0.0
-    max_ph = 0.0
-    for _ in range(sample_count):
-        y = rng.uniform(-1.5, 1.5)
-        x = rng.normal(size=m)
-        x /= np.linalg.norm(x)
-
-        psi = _phases_at(p, y, half, integrands)
-        z = _radii_at(p, y) * np.exp(1j * psi)
-        # phase increments over [y, y +- h] keep the 1/h amplification of
-        # quadrature noise out of the derivative
-        dplus = np.empty(m)
-        dminus = np.empty(m)
-        for k, (ak, f) in enumerate(zip(p.a, integrands)):
-            vp, _ = _quad(f, y, y + h, epsabs=1e-14, epsrel=1e-13)
-            vm, _ = _quad(f, y, y - h, epsabs=1e-14, epsrel=1e-13)
-            dplus[k] = ak * vp
-            dminus[k] = ak * vm
-        zp = np.sqrt(1.0 / a_arr + (y + h) ** 2) * np.exp(1j * (psi + dplus))
-        zm = np.sqrt(1.0 / a_arr + (y - h) ** 2) * np.exp(1j * (psi + dminus))
-
-        frame = np.empty((m, m), dtype=complex)
-        frame[:, 0] = (zp - zm) * x / (2.0 * h)
-        taus = _sphere_tangent_basis(x)
-        for j in range(m - 1):
-            xp = x + h * taus[:, j]
-            xp /= np.linalg.norm(xp)
-            xm = x - h * taus[:, j]
-            xm /= np.linalg.norm(xm)
-            frame[:, j + 1] = z * (xp - xm) / (2.0 * h)
-
-        max_om = max(max_om, _omega_residual(frame))
-        max_ph = max(max_ph, _phase_residual(frame))
+    max_om = max_ph = 0.0
+    for y, x in _neck_samples(m, sample_count):
+        r = np.sqrt(1.0 / a + (y * y)[:, None])
+        rot = np.exp(1j * _partial_phases(p, half, y))
+        dz = (y[:, None] / r + 1j * r * a * _angle_integrands(coeffs, a, y)) * rot
+        frames = np.empty((len(y), m, m), dtype=complex)
+        frames[:, :, 0] = dz * x
+        frames[:, :, 1:] = (r * rot)[:, :, None] * _sphere_tangent_bases(x)
+        om, ph = _max_residuals(frames)
+        max_om, max_ph = max(max_om, om), max(max_ph, ph)
     return SLResidual(max_om, max_ph)
 
 
@@ -468,33 +535,30 @@ def verify_sl_hl_cone(m: int, sample_count: int = 1000) -> SLResidual:
     The cone is sampled through its torus-orbit parametrization
     r * e^(i gamma) * (e^(i t_1), ..., e^(i t_{m-1}), e^(-i(t_1+...+t_{m-1}))) / sqrt(m)
     with the overall phase gamma chosen so that the defining condition
-    i^(m+1) z_1 ... z_m >= 0 holds exactly.
+    i^(m+1) z_1 ... z_m >= 0 holds exactly.  Frames are stacked and
+    checked in blocks, as in :func:`verify_sl_neck`.
     """
+    m = as_int(m, "dimension m")
     if m < 3:
         raise InputError(f"dimension m must be >= 3, got {m}")
-    if sample_count < 1:
-        raise InputError("sample_count must be >= 1")
+    sample_count = _as_sample_count(sample_count)
     gamma = -(m + 1) * math.pi / (2.0 * m)
     phase = complex(math.cos(gamma), math.sin(gamma))
-    rng = np.random.default_rng(20250821)
-    max_om = 0.0
-    max_ph = 0.0
-    for _ in range(sample_count):
-        r = rng.uniform(0.5, 2.0)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=m - 1)
-        angles = np.append(theta, -np.sum(theta))
-        point = r * phase * np.exp(1j * angles) / math.sqrt(m)
-
-        frame = np.empty((m, m), dtype=complex)
-        frame[:, 0] = point / r
-        for j in range(m - 1):
-            col = np.zeros(m, dtype=complex)
-            col[j] = 1j * point[j]
-            col[m - 1] = -1j * point[m - 1]
-            frame[:, j + 1] = col
-
-        max_om = max(max_om, _omega_residual(frame))
-        max_ph = max(max_ph, _phase_residual(frame))
+    torus = np.arange(m - 1)
+    max_om = max_ph = 0.0
+    for r, theta in _draw_blocks(
+        sample_count,
+        lambda rng: rng.uniform(0.5, 2.0),
+        lambda rng: rng.uniform(0.0, 2.0 * math.pi, size=m - 1),
+    ):
+        angles = np.concatenate([theta, -np.sum(theta, axis=1, keepdims=True)], axis=1)
+        points = (r * phase)[:, None] * np.exp(1j * angles) / math.sqrt(m)
+        frames = np.zeros((len(r), m, m), dtype=complex)
+        frames[:, :, 0] = points / r[:, None]
+        frames[:, torus, torus + 1] = 1j * points[:, :-1]
+        frames[:, m - 1, 1:] = -1j * points[:, m - 1 :]
+        om, ph = _max_residuals(frames)
+        max_om, max_ph = max(max_om, om), max(max_ph, ph)
     return SLResidual(max_om, max_ph)
 
 

@@ -129,6 +129,8 @@ def _joint_diagonalize(ar: np.ndarray, br: np.ndarray) -> np.ndarray:
 def _eigenstructure(p1: SLPlane, p2: SLPlane):
     """O real orthogonal and unimodular d with S = O diag(d) O^T for
     S = M M^T, M = p1^{-1} p2; columns ordered by ascending angle."""
+    if p1.m != p2.m:
+        raise InputError(f"dimension mismatch: {p1.m} vs {p2.m}")
     mrel = p1.frame.conj().T @ p2.frame
     s = mrel @ mrel.T
     o = _joint_diagonalize(s.real, s.imag)
@@ -144,23 +146,15 @@ def _eigenstructure(p1: SLPlane, p2: SLPlane):
     return mrel, o[:, order], d[order]
 
 
-def characteristic_angles(
-    p1: SLPlane, p2: SLPlane, tol: float = DEFAULT_TRANSVERSE_TOL
-) -> PlanePairReport:
-    """Angles, type, and transversality of the pair (p1·R^m, p2·R^m).
-
-    Eigenvalue phases of S = M M^T are taken in (0, 2*pi) and halved.
-    An eigenvalue within ``tol`` (a finite positive number) of 1 marks
-    the pair non-transverse (an angle at the boundary 0 or pi), and
-    boundary values are reported as computed.
-    """
+def _positive_tol(tol) -> float:
     tol = as_finite(tol, "tol")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    if p1.m != p2.m:
-        raise InputError(f"dimension mismatch: {p1.m} vs {p2.m}")
-    m = p1.m
-    _, _, d = _eigenstructure(p1, p2)
+    return tol
+
+
+def _report(m: int, d: np.ndarray, tol: float) -> PlanePairReport:
+    """The report of a pair from the eigenvalues d of its S."""
     transverse = bool(np.min(np.abs(d - 1.0)) > tol)
     phi = np.sort(np.mod(np.angle(d), 2.0 * math.pi) / 2.0)
     total = float(np.sum(phi)) / math.pi
@@ -172,6 +166,21 @@ def characteristic_angles(
         )
     lawlor = transverse and k in (1, m - 1)
     return PlanePairReport(m, tuple(float(x) for x in phi), k, transverse, lawlor)
+
+
+def characteristic_angles(
+    p1: SLPlane, p2: SLPlane, tol: float = DEFAULT_TRANSVERSE_TOL
+) -> PlanePairReport:
+    """Angles, type, and transversality of the pair (p1·R^m, p2·R^m).
+
+    Eigenvalue phases of S = M M^T are taken in (0, 2*pi) and halved.
+    An eigenvalue within ``tol`` (a finite positive number) of 1 marks
+    the pair non-transverse (an angle at the boundary 0 or pi), and
+    boundary values are reported as computed.
+    """
+    tol = _positive_tol(tol)
+    _, _, d = _eigenstructure(p1, p2)
+    return _report(p1.m, d, tol)
 
 
 def lawlor_family_exists(report: PlanePairReport) -> bool:
@@ -200,10 +209,10 @@ def canonical_transform(
     works.  The square roots e^{i phi} take the branch with phase in
     (0, pi), matching the angle convention.
     """
-    report = characteristic_angles(p1, p2, tol)
-    if not report.transverse:
-        raise InputError("canonical transform requires a transverse pair")
+    tol = _positive_tol(tol)
     mrel, o, d = _eigenstructure(p1, p2)
+    if not _report(p1.m, d, tol).transverse:
+        raise InputError("canonical transform requires a transverse pair")
     phi = np.mod(np.angle(d), 2.0 * math.pi) / 2.0
     roots = np.exp(1j * phi)
     o2 = np.diag(1.0 / roots) @ o.T @ mrel

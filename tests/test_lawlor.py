@@ -8,12 +8,14 @@ incrementally (r <- r + u + r*u) so the oracle stays cancellation-free
 near x = 0.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slcones import lawlor
 from slcones.errors import InputError, NumericError
 from slcones.lawlor import (
     AngleSpec,
@@ -29,8 +31,9 @@ from slcones.lawlor import (
 from slcones.lawlor import (
     _half_phases,
     _integrand,
-    _integrands,
-    _phases_at,
+    _max_residuals,
+    _neck_samples,
+    _partial_phases,
     _poly_coeffs,
 )
 
@@ -92,6 +95,32 @@ def mp_oracle(a, dps=30):
         om = 2 * mp.pi ** (mp.mpf(m) / 2) / mp.gamma(mp.mpf(m) / 2)
         A = om / mp.sqrt(mp.fprod(a))
         return [float(v) for v in phi], float(A)
+    finally:
+        mp.dps = old
+
+
+def mp_psi(a, y, dps=30):
+    """Independent recomputation of psi_k(y) = a_k int_{-inf}^y f_k."""
+    mp = pytest.importorskip("mpmath").mp
+    old = mp.dps
+    mp.dps = dps
+    try:
+        a = [mp.mpf(x) for x in a]
+
+        def P(x):
+            if x == 0:
+                return mp.fsum(a)
+            r = mp.mpf(0)
+            for ak in a:
+                u = ak * x * x
+                r = r + u + r * u
+            return r / (x * x)
+
+        return [
+            float(ak * mp.quad(lambda x: 1 / ((1 + ak * x * x) * mp.sqrt(P(x))),
+                               [-mp.inf, -1, 0, y]))
+            for ak in a
+        ]
     finally:
         mp.dps = old
 
@@ -278,8 +307,9 @@ class TestBitIdentity:
 
     def test_neck_residuals_exact(self):
         res = verify_sl_neck(NeckParams((0.7, 1.9, 3.1, 0.4, 2.2)), sample_count=8)
-        assert res.max_omega_residual == 1.2005044564597338e-11
-        assert res.max_phase_residual == 1.9933110717573754e-11
+        assert res.max_omega_residual == 1.6042592486329407e-16
+        assert res.max_phase_residual == 3.33066907387547e-16
+        assert max(res.max_omega_residual, res.max_phase_residual) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +384,20 @@ class TestNeckPoint:
 
     def test_frozen_phases_positive_y(self):
         p = NeckParams((1, 2, 3))
-        psi = _phases_at(p, 1.0, _half_phases(p), _integrands(p))
-        assert psi == pytest.approx(ORACLE_PSI_123_AT_1, abs=1e-10)
+        psi = _partial_phases(p, _half_phases(p), np.array([1.0]))[0]
+        assert psi == pytest.approx(ORACLE_PSI_123_AT_1, abs=1e-13)
 
     def test_frozen_phases_negative_y(self):
         p = NeckParams((1, 1, 1))
-        psi = _phases_at(p, -0.75, _half_phases(p), _integrands(p))
-        assert psi == pytest.approx([ORACLE_PSI_111_AT_M075] * 3, abs=1e-10)
+        psi = _partial_phases(p, _half_phases(p), np.array([-0.75]))[0]
+        assert psi == pytest.approx([ORACLE_PSI_111_AT_M075] * 3, abs=1e-13)
+
+    def test_live_oracle_phases_wide_ratio(self):
+        p = NeckParams((50.0, 0.03, 1.0))
+        y = np.array([0.7, -1.2, 2.5])
+        psi = _partial_phases(p, _half_phases(p), y)
+        for yi, row in zip(y, psi):
+            assert row == pytest.approx(mp_psi(p.a, float(yi)), abs=1e-13)
 
     def test_moduli(self):
         p = NeckParams((1, 2, 3))
@@ -373,9 +410,7 @@ class TestNeckPoint:
         # psi_k(y) -> 0 as y -> -inf and -> phi_k as y -> +inf
         p = NeckParams((1, 2, 3))
         spec = angles_from_a(p)
-        half, integrands = _half_phases(p), _integrands(p)
-        far = _phases_at(p, 60.0, half, integrands)
-        near = _phases_at(p, -60.0, half, integrands)
+        far, near = _partial_phases(p, _half_phases(p), np.array([60.0, -60.0]))
         assert far == pytest.approx(spec.phi, abs=1e-3)
         assert near == pytest.approx([0.0] * 3, abs=1e-3)
         assert np.all(near > 0)
@@ -386,6 +421,106 @@ class TestNeckPoint:
             neck_point(p, 0.0, np.array([1.0, 1.0, 0.0]))
         with pytest.raises(InputError):
             neck_point(p, 0.0, np.array([1.0, 0.0]))
+        with pytest.raises(InputError):
+            neck_point(p, math.nan, np.array([1.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# batched partial phases against the scipy partial phase they replace
+
+
+def quad_phase_oracle(a, y, half):
+    """The reference: psi_k(y) = phi_k/2 + a_k int_0^y f_k by scipy's
+    adaptive quadrature, one call per k, as the finite-difference neck
+    check computed it."""
+    from scipy.integrate import quad
+
+    coeffs = _poly_coeffs(a)
+    return [
+        half[k] + ak * quad(loop_integrand(coeffs, ak), 0.0, y,
+                            epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        for k, ak in enumerate(a)
+    ]
+
+
+def loop_neck_draws(m, count):
+    """The reference: the per-sample draws of the finite-difference check."""
+    rng = np.random.default_rng(20250821)
+    out = []
+    for _ in range(count):
+        y = rng.uniform(-1.5, 1.5)
+        x = rng.normal(size=m)
+        x /= np.linalg.norm(x)
+        out.append((y, x))
+    return out
+
+
+class TestPartialPhases:
+    def test_equal_quad_oracle(self):
+        rng = np.random.default_rng(20261019)
+        pairs = 0
+        for trial in range(100):
+            m = int(rng.integers(3, 9))
+            if trial % 2:
+                a = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
+            else:
+                a = rng.uniform(0.2, 5.0, size=m)
+            p = NeckParams(a)
+            half = _half_phases(p)
+            y = rng.uniform(-3.0, 3.0, size=5)
+            for yi, row in zip(y, _partial_phases(p, half, y)):
+                ref = quad_phase_oracle(p.a, float(yi), half)
+                assert np.max(np.abs(row - ref)) <= 1e-13, (p.a, yi)
+                pairs += 1
+        assert pairs == 500
+
+    def test_zero_and_repeated_y(self):
+        p = NeckParams((0.5, 1.0, 2.0, 4.0))
+        half = _half_phases(p)
+        psi = _partial_phases(p, half, np.array([0.0, 1.1, -1.1, 1.1, 0.0]))
+        assert np.array_equal(psi[0], half) and np.array_equal(psi[4], half)
+        assert np.array_equal(psi[1], psi[3])
+        assert psi[1] + psi[2] == pytest.approx(2 * half, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_draws_equal_the_per_sample_stream(self, m):
+        y, x = next(_neck_samples(m, 8))
+        for (yi, xi), (ry, rx) in zip(zip(y, x), loop_neck_draws(m, 8), strict=True):
+            assert yi == ry
+            assert np.array_equal(xi, rx)
+
+    def test_blocks_continue_one_stream(self, monkeypatch):
+        whole = next(_neck_samples(5, 10))
+        monkeypatch.setattr(lawlor, "_BLOCK", 3)
+        blocks = list(_neck_samples(5, 10))
+        assert [len(y) for y, _ in blocks] == [3, 3, 3, 1]
+        assert np.array_equal(np.concatenate([y for y, _ in blocks]), whole[0])
+        assert np.array_equal(np.concatenate([x for _, x in blocks]), whole[1])
+
+    @pytest.mark.parametrize("a", [(1.0, 2.0, 3.0), (0.7, 1.9, 3.1, 0.4, 2.2),
+                                   (0.5, 1.3, 2.0, 4.4, 0.9, 1.7, 3.3, 0.6)])
+    def test_only_waist_phases_are_quadratures(self, a, monkeypatch):
+        calls = []
+        quad = lawlor._quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(lawlor, "_quad", counted)
+        verify_sl_neck(NeckParams(a), 1000)
+        assert len(calls) == len(a)
+
+    def test_memory_bounded_in_sample_count(self):
+        p = NeckParams((0.5, 1.3, 2.0, 4.4, 0.9, 1.7, 3.3, 0.6))
+        verify_sl_neck(p, 8)  # quadrature and Gauss-Legendre set-up
+        tracemalloc.start()
+        try:
+            verify_sl_neck(p, 5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +529,11 @@ class TestNeckPoint:
 
 class TestVerifySL:
     @pytest.mark.parametrize("a", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0),
-                                   (0.5, 1.0, 2.0, 4.0)])
+                                   (0.5, 1.0, 2.0, 4.0), (50.0, 0.03, 1.0)])
     def test_neck_residuals_small(self, a):
         res = verify_sl_neck(NeckParams(a), sample_count=200)
-        assert res.max_omega_residual < 1e-4
-        assert res.max_phase_residual < 1e-4
-
-    def test_neck_residual_scales_with_step(self):
-        # second-order finite differences: shrinking h by 10 should not
-        # make the residual worse by more than quadrature noise
-        p = NeckParams((1, 2, 3))
-        coarse = verify_sl_neck(p, sample_count=50, h=1e-3)
-        fine = verify_sl_neck(p, sample_count=50, h=1e-5)
-        assert fine.max_omega_residual < coarse.max_omega_residual + 1e-8
+        assert res.max_omega_residual <= 1e-12
+        assert res.max_phase_residual <= 1e-12
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_hl_cone_residuals_tiny(self, m):
@@ -428,13 +555,24 @@ class TestVerifySL:
             assert abs(w.imag) < 1e-12 * abs(w)
             assert w.real > 0
 
+    def test_degenerate_frame_is_numeric_error(self):
+        dependent = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-13]]
+        frames = np.array([np.eye(3), dependent], dtype=complex)
+        with pytest.raises(NumericError, match="degenerate tangent frame") as exc:
+            _max_residuals(frames)
+        assert exc.value.achieved == pytest.approx(1e-13)
+        assert _max_residuals(frames[:1]) == (0.0, 0.0)
+
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
             verify_sl_hl_cone(2)
+        for bad in (0, True, 2.5, "8"):
+            with pytest.raises(InputError):
+                verify_sl_neck(NeckParams((1, 2, 3)), sample_count=bad)
+            with pytest.raises(InputError):
+                verify_sl_hl_cone(3, sample_count=bad)
         with pytest.raises(InputError):
-            verify_sl_neck(NeckParams((1, 2, 3)), sample_count=0)
-        with pytest.raises(InputError):
-            verify_sl_neck(NeckParams((1, 2, 3)), h=0.0)
+            verify_sl_hl_cone(3.5)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group, unitary_group
 
+from slcones import planes
 from slcones.errors import InputError
 from slcones.planes import (
     PlanePairReport,
@@ -224,6 +225,30 @@ class TestReconstruction:
     def test_requires_transverse(self):
         with pytest.raises(InputError):
             canonical_transform(identity_plane(3), identity_plane(3))
+
+    def test_rejects_what_characteristic_angles_rejects(self):
+        p2 = phi_frame([PI / 3] * 3)
+        for args in [(identity_plane(3), identity_plane(4)),
+                     (identity_plane(3), p2, 0.0), (identity_plane(3), p2, math.nan)]:
+            with pytest.raises(InputError):
+                characteristic_angles(*args)
+            with pytest.raises(InputError):
+                canonical_transform(*args)
+
+    def test_diagonalizes_once_per_call(self, monkeypatch):
+        calls = []
+        eigenstructure = planes._eigenstructure
+
+        def counted(p1, p2):
+            calls.append(1)
+            return eigenstructure(p1, p2)
+
+        monkeypatch.setattr(planes, "_eigenstructure", counted)
+        p1, p2 = random_pair(4, 11)
+        canonical_transform(p1, p2)
+        assert len(calls) == 1
+        characteristic_angles(p1, p2)
+        assert len(calls) == 2
 
 
 def test_phi_frame_det_fix():
