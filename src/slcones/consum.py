@@ -12,6 +12,9 @@ strongly connected, which two reachability searches decide: component
 Areas come from the two breadth-first trees of those searches: each
 edge closes into a walk through component 1, and subtree counts sum the
 walks' unit circulations in O(q + n) for q components and n edges.
+Each edge is validated once, into a ``(tail, head, weight)`` tuple that
+every kernel unpacks, and both trees are built once per graph, on first
+use, and shared by :func:`feasible` and :func:`solve_areas`.
 
 All feasibility and balance arithmetic here is exact over the rationals;
 floating point enters only through the phase-region classifier, whose
@@ -23,7 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DegeneratePhaseError,
@@ -63,22 +67,26 @@ MAX_POWER_BITS = 12 * 10**6
 _MAX_ORACLE_Q = 20
 
 
-@dataclass(frozen=True)
-class Edge:
+def _edge(tail, head, weight) -> tuple:
+    """The checked fields of one edge: weight, then tail, then head."""
+    w = read_rational(weight, "edge weight")
+    if w.numerator <= 0:
+        raise InputError(f"edge weight must be positive, got {w}")
+    return as_int(tail, "edge tail"), as_int(head, "edge head"), w
+
+
+class Edge(NamedTuple("Edge", [("tail", int), ("head", int), ("weight", Fraction)])):
     """Directed weighted edge: tail = component of the positive sheet,
-    head = component of the negative sheet, weight = psi^m > 0 exact."""
+    head = component of the negative sheet, weight = psi^m > 0 exact.
 
-    tail: int
-    head: int
-    weight: Fraction
+    An immutable tuple, so it compares equal to the plain tuple with the
+    same fields.  ``_replace`` and ``_make`` skip the checks, and
+    :class:`IntersectionGraph` checks every edge it is given again."""
 
-    def __init__(self, tail: int, head: int, weight):
-        w = read_rational(weight, "edge weight")
-        if w.numerator <= 0:
-            raise InputError(f"edge weight must be positive, got {w}")
-        object.__setattr__(self, "tail", as_int(tail, "edge tail"))
-        object.__setattr__(self, "head", as_int(head, "edge head"))
-        object.__setattr__(self, "weight", w)
+    __slots__ = ()
+
+    def __new__(cls, tail, head, weight):
+        return tuple.__new__(cls, _edge(tail, head, weight))
 
 
 @dataclass(frozen=True)
@@ -92,21 +100,48 @@ class IntersectionGraph:
         q = as_int(q, "number of components q")
         if q < 1:
             raise InputError(f"need at least one component, got q = {q}")
+        new = tuple.__new__
         norm = []
         for e in edges:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
-            if not (1 <= e.tail <= q and 1 <= e.head <= q):
-                raise InputError(
-                    f"edge endpoints must lie in 1..{q}, got ({e.tail}, {e.head})"
-                )
-            norm.append(e)
+            u, v, _ = e = _edge(*e)
+            if not (1 <= u <= q and 1 <= v <= q):
+                raise InputError(f"edge endpoints must lie in 1..{q}, got ({u}, {v})")
+            norm.append(new(Edge, e))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
     def n(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _trees(self) -> list:
+        """The in-tree and the out-tree of the breadth-first searches from
+        component 1, each as ``(order, parent, via, below)``: the vertices
+        in visit order, each vertex's tree parent and the index of its tree
+        edge, and the count of non-loop edges into (in-tree) or out of
+        (out-tree) each vertex.  Neighbours are scanned in edge order."""
+        q = self.q
+        into = [[] for _ in range(q + 1)]
+        out = [[] for _ in range(q + 1)]
+        for idx, (u, v, _) in enumerate(self.edges):
+            if u != v:
+                into[v].append((idx, u))
+                out[u].append((idx, v))
+        trees = []
+        for adj in (into, out):
+            parent = [0] * (q + 1)
+            via = [0] * (q + 1)
+            parent[1] = 1
+            order = [1]
+            for v in order:
+                for idx, w in adj[v]:
+                    if not parent[w]:
+                        parent[w] = v
+                        via[w] = idx
+                        order.append(w)
+            trees.append((order, parent, via, [len(a) for a in adj]))
+        return trees
 
 
 @dataclass(frozen=True)
@@ -120,16 +155,6 @@ class BalanceSolution:
         if any(v.numerator <= 0 for v in vals):
             raise InputError(f"areas must be positive, got {vals}")
         object.__setattr__(self, "A", vals)
-
-
-def _neighbours(g: IntersectionGraph) -> tuple:
-    """Forward and reverse neighbour lists of vertices 1..q, in edge order."""
-    fwd = [[] for _ in range(g.q + 1)]
-    rev = [[] for _ in range(g.q + 1)]
-    for e in g.edges:
-        fwd[e.tail].append(e.head)
-        rev[e.head].append(e.tail)
-    return fwd, rev
 
 
 def _reach(adj: list, start: int, seen: list) -> int:
@@ -148,8 +173,10 @@ def _reach(adj: list, start: int, seen: list) -> int:
 
 
 def _require_connected(g: IntersectionGraph) -> None:
-    fwd, rev = _neighbours(g)
-    both = [f + r for f, r in zip(fwd, rev)]
+    both = [[] for _ in range(g.q + 1)]
+    for u, v, _ in g.edges:
+        both[u].append(v)
+        both[v].append(u)
     seen = [False] * (g.q + 1)
     pieces = 0
     for v in range(1, g.q + 1):
@@ -167,13 +194,12 @@ def feasible(g: IntersectionGraph) -> bool:
     in both directions; on a connected graph this is strong connectivity
     of the directed multigraph.
 
-    Strong connectivity is decided by reachability: it holds iff a search
-    from component 1 reaches all q components both along the edges and
+    Strong connectivity is decided by reachability: it holds iff the
+    graph's two search trees from component 1 (shared with
+    :func:`solve_areas`) reach all q components, along the edges and
     against them.  A disconnected graph raises :class:`PreconditionError`.
     """
-    fwd, rev = _neighbours(g)
-    if (_reach(fwd, 1, [False] * (g.q + 1)) == g.q
-            and _reach(rev, 1, [False] * (g.q + 1)) == g.q):
+    if all(len(order) == g.q for order, *_ in g._trees):
         return True
     _require_connected(g)
     return False
@@ -185,11 +211,12 @@ def bipartition_oracle(g: IntersectionGraph) -> bool:
     _require_connected(g)
     if g.q > _MAX_ORACLE_Q:
         raise InputError(f"oracle limited to q <= {_MAX_ORACLE_Q}, got q = {g.q}")
+    bits = [(1 << (u - 1), 1 << (v - 1)) for u, v, _ in g.edges]
     for mask in range(1, 2**g.q - 1):
         fwd = bwd = False
-        for e in g.edges:
-            tail_in = bool(mask >> (e.tail - 1) & 1)
-            head_in = bool(mask >> (e.head - 1) & 1)
+        for tail_bit, head_bit in bits:
+            tail_in = bool(mask & tail_bit)
+            head_in = bool(mask & head_bit)
             if tail_in and not head_in:
                 fwd = True
             elif head_in and not tail_in:
@@ -203,48 +230,27 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     """Exact positive areas balancing the weighted flow at every
     component, normalized so that min_i A_i w_i = 1.
 
-    Two breadth-first trees rooted at component 1 give both the verdict
-    and the flows.  The out-tree follows the edges and the in-tree goes
-    against them, each scanning its neighbour lists in edge order; the
-    graph is strongly connected iff both reach all q components.  Every
-    non-loop edge u -> v then closes into the walk from v to 1 in the
-    in-tree and from 1 to u in the out-tree, and the flow f_i of an edge
-    is 1 plus the number of these walks through it: a sum of unit
-    circulations, so positive and balanced at every vertex, and
-    A_i = f_i / w_i.  The tree edge into a vertex carries one walk per
-    edge head (in-tree) or edge tail (out-tree) in the subtree below it,
-    so the flows are subtree counts summed in each tree's visit order
-    reversed: O(q + n) time and memory.
+    The graph's two breadth-first trees rooted at component 1 give both
+    the verdict and the flows.  The out-tree follows the edges and the
+    in-tree goes against them, each scanning its neighbour lists in edge
+    order; the graph is strongly connected iff both reach all q
+    components.  Every non-loop edge u -> v then closes into the walk
+    from v to 1 in the in-tree and from 1 to u in the out-tree, and the
+    flow f_i of an edge is 1 plus the number of these walks through it:
+    a sum of unit circulations, so positive and balanced at every
+    vertex, and A_i = f_i / w_i.  The tree edge into a vertex carries one
+    walk per edge head (in-tree) or edge tail (out-tree) in the subtree
+    below it, so the flows are subtree counts summed in each tree's visit
+    order reversed: O(q + n) time and memory.
     """
-    q = g.q
     flows = [1] * g.n
-    into = [[] for _ in range(q + 1)]
-    out = [[] for _ in range(q + 1)]
-    heads = [0] * (q + 1)  # non-loop edges into, then out of, each subtree
-    tails = [0] * (q + 1)
-    for idx, e in enumerate(g.edges):
-        u, v = e.tail, e.head
-        if u != v:
-            into[v].append((idx, u))
-            out[u].append((idx, v))
-            heads[v] += 1
-            tails[u] += 1
-    for adj, below in ((into, heads), (out, tails)):
-        parent = [0] * (q + 1)
-        via = [0] * (q + 1)
-        parent[1] = 1
-        order = [1]
-        for v in order:
-            for idx, w in adj[v]:
-                if not parent[w]:
-                    parent[w] = v
-                    via[w] = idx
-                    order.append(w)
-        if len(order) < q:
+    for order, parent, via, below in g._trees:
+        if len(order) < g.q:
             _require_connected(g)
             raise InfeasibleGraphError(
                 "graph is not strongly connected: no positive balanced areas exist"
             )
+        below = below[:]  # edge heads (in-tree) or tails (out-tree) per subtree
         for w in reversed(order[1:]):
             flows[via[w]] += below[w]
             below[parent[w]] += below[w]
@@ -252,8 +258,8 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
         return BalanceSolution(())
     lo = min(flows)
     areas = [
-        Fraction(f * e.weight.denominator, lo * e.weight.numerator)
-        for f, e in zip(flows, g.edges)
+        Fraction(f * w.denominator, lo * w.numerator)
+        for f, (_, _, w) in zip(flows, g.edges)
     ]
     sol = BalanceSolution(areas)
     if not check_balance(g, sol):
@@ -265,14 +271,14 @@ def _scaled_net(g: IntersectionGraph, A: Sequence) -> tuple:
     """Weighted outflow minus inflow of areas ``A`` at components 1..q,
     as integers over one common denominator: returns ``(net, d)`` with
     ``net[k - 1] / d`` the net flow at component k."""
-    terms = [(e.weight.numerator * a.numerator, e.weight.denominator * a.denominator)
-             for e, a in zip(g.edges, A)]
+    terms = [(w.numerator * a.numerator, w.denominator * a.denominator)
+             for (_, _, w), a in zip(g.edges, A)]
     d = math.lcm(*(den for _, den in terms))
     net = [0] * (g.q + 1)
-    for e, (num, den) in zip(g.edges, terms):
+    for (u, v, _), (num, den) in zip(g.edges, terms):
         f = num * (d // den)
-        net[e.tail] += f
-        net[e.head] -= f
+        net[u] += f
+        net[v] -= f
     return net[1:], d
 
 
@@ -494,7 +500,7 @@ def family_balance_region(
 
     if sum(vals) != 0:
         return False
-    arcs = [(e.tail, e.head) for e in g.edges if e.tail != e.head]
+    arcs = [(u, v) for u, v, _ in g.edges if u != v]
     scale = math.lcm(*(p.denominator for p in vals)) * (len(arcs) + 1)
     supply = [p.numerator * (scale // p.denominator) for p in vals]
     for u, v in arcs:

@@ -7,13 +7,19 @@ compared with an independent walk of its two-tree rule on seeded graphs
 up to q = 200.  The max-flow verdict of
 family_balance_region is compared with Fourier-Motzkin elimination on
 small graphs and with the exhaustive cut condition on larger ones, and
-check_balance with plain Fraction sums.
+check_balance with plain Fraction sums.  The graph's edge checks are
+compared with a frozen copy of the earlier dataclass checks, and the
+bipartition oracle with a frozen copy of its attribute-reading form.
 """
 import collections
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -22,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slcones import cli
 from slcones.consum import (
     BalanceSolution,
     Edge,
@@ -43,6 +50,7 @@ from slcones.errors import (
     as_finite,
     as_int,
     as_rational,
+    read_rational,
 )
 
 
@@ -255,6 +263,95 @@ def _random_strong_graph(rng, q: int) -> IntersectionGraph:
     )
 
 
+def validation_oracle(q, edges) -> list:
+    """Frozen copy of the checks of the dataclass ``Edge`` and of
+    ``IntersectionGraph`` before edges became tuples: the ``(tail, head,
+    weight)`` triples a graph holds, or the exception it raises.  Every
+    edge went through ``Edge(*e)``, so a wrong arity is a ``TypeError``."""
+
+    def edge(tail, head, weight):
+        w = read_rational(weight, "edge weight")
+        if w.numerator <= 0:
+            raise InputError(f"edge weight must be positive, got {w}")
+        return as_int(tail, "edge tail"), as_int(head, "edge head"), w
+
+    q = as_int(q, "number of components q")
+    if q < 1:
+        raise InputError(f"need at least one component, got q = {q}")
+    triples = []
+    for e in edges:
+        tail, head, weight = edge(*e)
+        if not (1 <= tail <= q and 1 <= head <= q):
+            raise InputError(f"edge endpoints must lie in 1..{q}, got ({tail}, {head})")
+        triples.append((tail, head, weight))
+    return triples
+
+
+def literal_bipartition_oracle(g) -> bool:
+    """Frozen copy of bipartition_oracle as it read edge attributes: every
+    mask against every edge, after the connectivity and size checks."""
+    if not undirected_connected(g.q, [(e.tail, e.head) for e in g.edges]):
+        raise PreconditionError("disconnected")
+    if g.q > 20:
+        raise InputError("too large")
+    for mask in range(1, 2**g.q - 1):
+        fwd = bwd = False
+        for e in g.edges:
+            tail_in = bool(mask >> (e.tail - 1) & 1)
+            head_in = bool(mask >> (e.head - 1) & 1)
+            if tail_in and not head_in:
+                fwd = True
+            elif head_in and not tail_in:
+                bwd = True
+        if not (fwd and bwd):
+            return False
+    return True
+
+
+# Edge fields of every kind the checks tell apart, out-of-range endpoints
+# and non-positive weights included.
+_FIELD = st.one_of(
+    st.integers(-1, 4),
+    st.just(10**30),
+    st.booleans(),
+    st.sampled_from([1.0, 2.0, -1.0, 1.5, 0.1, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["3/7", "x", "2", "1/0"]),
+    st.fractions(max_value=0, max_denominator=9),
+    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+    st.none(),
+)
+_VALID_EDGE = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5))
+_EDGE = st.one_of(
+    _VALID_EDGE,
+    _VALID_EDGE,
+    _VALID_EDGE,
+    st.tuples(_FIELD, _FIELD, _FIELD),
+    st.tuples(_FIELD, _FIELD, _FIELD).map(Edge._make),  # skips Edge's checks
+    st.lists(_FIELD, max_size=5).filter(lambda f: len(f) != 3).map(tuple),
+)
+
+
+def _json_field(x):
+    return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x
+
+
+def _consum_cli(q, edges) -> int:
+    """Exit code of ``cli.main(["consum"])`` on the graph as a document; a
+    wrong-arity edge becomes a JSON list, which is no edge object."""
+    doc = {"q": q, "edges": [
+        dict(zip(("tail", "head", "weight"), map(_json_field, e))) if len(e) == 3
+        else [_json_field(x) for x in e]
+        for e in edges
+    ]}
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(["consum"])
+    finally:
+        sys.stdin = stdin
+
+
 class TestFeasible:
     def test_two_cycle(self):
         assert feasible(IntersectionGraph(2, [(1, 2, 1), (2, 1, 8)]))
@@ -291,6 +388,70 @@ class TestFeasible:
             Edge(1, 2, 0)
         with pytest.raises(InputError):
             Edge(1, 2, Fraction(-1, 2))
+        # _replace skips Edge's checks; the graph checks every edge again
+        for bad, same in ((Edge(1, 2, 1)._replace(weight=Fraction(-1, 2)),
+                           (1, 2, Fraction(-1, 2))),
+                          (Edge(1, 2, 1)._replace(tail=True), (True, 2, 1))):
+            with pytest.raises(InputError) as want:
+                IntersectionGraph(2, [same])
+            with pytest.raises(InputError) as got:
+                IntersectionGraph(2, [bad])
+            assert str(got.value) == str(want.value)
+
+    def test_edge_equals_its_plain_tuple(self):
+        assert Edge(1, 2, 0.5) == (1, 2, Fraction(1, 2))
+        assert IntersectionGraph(2, [Edge(2, 1, 3)]).edges == ((2, 1, 3),)
+
+    @given(st.sampled_from([1, 2, 3] * 3 + [0, 2.0, True, "2", 1.5, math.nan]),
+           st.lists(_EDGE, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_checks_equal_validation_oracle(self, q, edges):
+        try:
+            want = validation_oracle(q, edges)
+        except (InputError, TypeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                IntersectionGraph(q, edges)
+            assert type(got.value) is type(exc)
+            if isinstance(exc, InputError):  # a TypeError names its function
+                assert str(got.value) == str(exc)
+            assert _consum_cli(q, edges) == 2
+            return
+        g = IntersectionGraph(q, edges)
+        assert [tuple(e) for e in g.edges] == want
+        for e in g.edges:
+            assert type(e) is Edge
+            assert (type(e.tail), type(e.head), type(e.weight)) == (int, int, Fraction)
+        try:
+            feasible(g)
+        except PreconditionError:
+            assert _consum_cli(q, edges) == 2
+        else:
+            assert _consum_cli(q, edges) == 0
+
+    def test_trees_built_once_per_graph(self, monkeypatch):
+        prop = IntersectionGraph.__dict__["_trees"]
+        built = []
+
+        def counted(g, build=prop.func):
+            built.append(g)
+            return build(g)
+
+        monkeypatch.setattr(prop, "func", counted)
+        edges = chorded_cycle(7, 30).edges
+        g = IntersectionGraph(30, edges)
+        assert feasible(g)
+        areas = solve_areas(g).A
+        assert solve_areas(g).A == areas == tree_walk_oracle(g)
+        assert len(built) == 1 and built[0] is g
+        h = IntersectionGraph(30, edges)
+        solve_areas(h)
+        assert feasible(h)
+        assert len(built) == 2 and built[1] is h
+        split = IntersectionGraph(2, [(1, 2, 1)])
+        assert not feasible(split)
+        with pytest.raises(InfeasibleGraphError):
+            solve_areas(split)
+        assert len(built) == 3 and built[2] is split
 
     @pytest.mark.parametrize("bad", ["abc", "2", True, 1.5, float("inf"), float("nan"), None])
     def test_integer_fields_are_strict(self, bad):
@@ -335,6 +496,30 @@ class TestOracleAgreement:
     def test_randomized_agreement(self, seed, q, extra):
         g = random_connected_graph(seed, q, extra)
         assert feasible(g) == bipartition_oracle(g)
+
+    def test_equals_literal_oracle(self):
+        rng = random.Random(20261020)
+        verdicts = collections.Counter()
+        for seed in range(300):
+            q = rng.randint(1, 8)
+            if seed % 2:
+                g = random_connected_graph(seed, q, rng.randint(0, 2 * q))
+            else:
+                g = IntersectionGraph(q, [(rng.randint(1, q), rng.randint(1, q), 1)
+                                          for _ in range(rng.randint(0, 2 * q))])
+            if rng.random() < 0.5 and g.n:  # a parallel edge and a self-loop
+                u, v, w = g.edges[rng.randrange(g.n)]
+                g = IntersectionGraph(q, g.edges + ((u, v, w), (v, v, 2)))
+            try:
+                want = literal_bipartition_oracle(g)
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    bipartition_oracle(g)
+                verdicts["disconnected"] += 1
+                continue
+            assert bipartition_oracle(g) == want, g
+            verdicts[want] += 1
+        assert min(verdicts[True], verdicts[False], verdicts["disconnected"]) >= 30
 
     def test_oracle_size_limit(self):
         edges = [(v, v + 1, 1) for v in range(1, 21)] + [(21, 1, 1)]
