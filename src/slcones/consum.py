@@ -206,24 +206,33 @@ def feasible(g: IntersectionGraph) -> bool:
 
 
 def bipartition_oracle(g: IntersectionGraph) -> bool:
-    """Literal exhaustive evaluation of the bipartition criterion
-    (2^q subsets); the reference oracle for :func:`feasible`."""
+    """Exhaustive evaluation of the bipartition criterion; the reference
+    oracle for :func:`feasible`.
+
+    It tests every one of the 2^q - 2 proper subsets, word-parallel: bit
+    s of the Python int ``inside[v]`` is set iff component v lies in
+    subset s, so an edge u -> v leaves exactly the subsets in
+    ``inside[u] & ~inside[v]`` and enters those in the reverse.  The
+    graph passes iff the edges leave and enter every proper subset.
+    """
     _require_connected(g)
     if g.q > _MAX_ORACLE_Q:
         raise InputError(f"oracle limited to q <= {_MAX_ORACLE_Q}, got q = {g.q}")
-    bits = [(1 << (u - 1), 1 << (v - 1)) for u, v, _ in g.edges]
-    for mask in range(1, 2**g.q - 1):
-        fwd = bwd = False
-        for tail_bit, head_bit in bits:
-            tail_in = bool(mask & tail_bit)
-            head_in = bool(mask & head_bit)
-            if tail_in and not head_in:
-                fwd = True
-            elif head_in and not tail_in:
-                bwd = True
-        if not (fwd and bwd):
-            return False
-    return True
+    subsets = 1 << g.q
+    inside = [0]
+    for v in range(g.q):
+        # bit v of s repeats as 2^v zeros then 2^v ones; double to 2^q bits
+        word, width = ((1 << (1 << v)) - 1) << (1 << v), 2 << v
+        while width < subsets:
+            word |= word << width
+            width *= 2
+        inside.append(word)
+    leaves = enters = 0
+    for u, v, _ in g.edges:
+        leaves |= inside[u] & ~inside[v]
+        enters |= inside[v] & ~inside[u]
+    proper = (1 << (subsets - 1)) - 2  # bits 1 .. 2^q - 2
+    return leaves & enters == proper
 
 
 def solve_areas(g: IntersectionGraph) -> BalanceSolution:

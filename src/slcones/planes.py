@@ -7,9 +7,17 @@ whose sum is k*pi for an integer type k in {1, ..., m-1}.  The angles
 are the halved eigenvalue phases of the unitary symmetric matrix
 S = M M^T, M = p1^{-1} p2.  Necks with the given planes as asymptotic
 ends exist exactly for types 1 and m-1.
+
+S is diagonalized by a real orthogonal O, found jointly for its
+commuting real and imaginary parts: LAPACK ``eigh`` of Re S seeds O, and
+cyclic Jacobi rotations on the pair (Re, Im) of O^T S O remove whatever
+off-diagonal entry still exceeds a fixed threshold of 1e-10.  That
+happens where two eigenvalues have (nearly) equal cosines, which
+``eigh`` of Re S alone cannot separate; a generic pair does no rotation.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,7 +38,11 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-12
-_CLUSTER_GAP = 1e-8
+#: a joint Jacobi rotation runs on (p, q) only while |(O^T S O)_pq| exceeds this
+_ROTATION_TOL = 1e-10
+#: Jacobi sweeps after which the residual check decides
+_MAX_SWEEPS = 30
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,18 +58,18 @@ class SLPlane:
         m = frame.shape[0]
         if m < 1:
             raise InputError("frame must be nonempty")
-        # checked before any arithmetic, which would warn on a NaN or inf
-        if not np.isfinite(frame).all():
-            raise InputError("frame is not unitary: it has a non-finite entry")
-        # a unitary frame has every |entry| <= 1; a huge finite entry would
-        # overflow the Gram product below, with numpy's warning
-        big = np.max(np.abs(frame))
-        if big > 1.0 + _FRAME_TOL:
+        # A unitary frame has every |entry| <= 1, so a NaN, an inf or a huge
+        # finite entry fails here, before the Gram product below could warn
+        # or overflow; the finite test runs only to name the failure.
+        big = np.abs(frame).max()
+        if not (big <= 1.0 + _FRAME_TOL):
+            if not np.isfinite(frame).all():
+                raise InputError("frame is not unitary: it has a non-finite entry")
             raise InputError(f"frame is not unitary: it has an entry of modulus {big:.3e}")
-        unitary_defect = np.max(np.abs(frame.conj().T @ frame - np.eye(m)))
-        # written as not (x <= tol) so that a Gram product overflowing to
-        # NaN fails too
-        if not (unitary_defect <= _FRAME_TOL):
+        gram = frame.conj().T @ frame
+        gram.flat[:: m + 1] -= 1.0
+        unitary_defect = np.abs(gram).max()
+        if unitary_defect > _FRAME_TOL:
             raise InputError(
                 f"frame is not unitary: max |frame^* frame - I| = {unitary_defect:.3e}"
             )
@@ -105,45 +117,83 @@ def phi_frame(phi) -> SLPlane:
     return SLPlane(frame)
 
 
-def _joint_diagonalize(ar: np.ndarray, br: np.ndarray) -> np.ndarray:
-    """Real orthogonal O diagonalizing two commuting real symmetric
-    matrices: eigendecompose the first, then rediagonalize the second
-    inside each eigenvalue cluster of the first."""
-    w, o = np.linalg.eigh(ar)
-    o = o.copy()
-    n = len(w)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] < _CLUSTER_GAP:
-            j += 1
-        if j - i > 1:
-            block = o[:, i:j]
-            bb = block.T @ br @ block
-            _, u = np.linalg.eigh((bb + bb.T) / 2.0)
-            o[:, i:j] = block @ u
-        i = j
-    return o
+def _off_diagonal(f: np.ndarray) -> float:
+    """Largest modulus of an off-diagonal entry of the square matrix f."""
+    a = np.abs(f)
+    a.flat[:: len(a) + 1] = 0.0
+    return float(a.max())
+
+
+def _rotate(f: np.ndarray, o: np.ndarray, p: int, q: int) -> None:
+    """One joint Jacobi step on (p, q): F <- R^T F R and O <- O R for the
+    plane rotation R by theta, where (cos 2*theta, sin 2*theta) is the
+    principal axis of the 2x2 aggregate sum h h^T over the real and the
+    imaginary part of h = (F_pp - F_qq, 2 F_pq)."""
+    u, v = f[p, p] - f[q, q], 2.0 * f[p, q]
+    # sum h h^T = [[|u|^2, Re(u conj v)], [Re(u conj v), |v|^2]]
+    uu, vv = abs(u) ** 2, abs(v) ** 2
+    uv = u.real * v.real + u.imag * v.imag
+    theta = math.atan2(2.0 * uv, uu - vv) / 4.0
+    c, s = math.cos(theta), math.sin(theta)
+    for x in (f, o):
+        xp, xq = x[:, p].copy(), x[:, q].copy()
+        x[:, p] = c * xp + s * xq
+        x[:, q] = c * xq - s * xp
+    fp, fq = f[p].copy(), f[q].copy()
+    f[p] = c * fp + s * fq
+    f[q] = c * fq - s * fp
+
+
+def _joint_diagonalize(s: np.ndarray):
+    """Real orthogonal O and F = O^T S O with F diagonal, for a complex
+    symmetric S whose real and imaginary parts commute; the residual is
+    the largest off-diagonal |F_pq|.
+
+    O starts as the eigenvectors of Re S from LAPACK ``eigh``.  Where
+    eigenvalues e^{2 i phi} share (nearly) the same cosine, those vectors
+    mix them and Im F is not diagonal.  Cyclic Jacobi rotations on the
+    pair (Re F, Im F) then diagonalize both at once (Cardoso & Souloumiac,
+    SIAM J. Matrix Anal. Appl. 17(1), 1996): a rotation runs on (p, q)
+    only while |F_pq| exceeds ``_ROTATION_TOL``, and sweeps stop when none
+    does.  There is no eigenvalue cluster gap, and a generic pair, whose
+    ``eigh`` residual is far below the threshold, does no rotation.
+    """
+    _, o = np.linalg.eigh(s.real)
+    f = o.T @ s @ o
+    off = _off_diagonal(f)
+    for _ in range(_MAX_SWEEPS):
+        if off <= _ROTATION_TOL:
+            break
+        for p in range(len(f) - 1):
+            for q in range(p + 1, len(f)):
+                if abs(f[p, q]) > _ROTATION_TOL:
+                    _rotate(f, o, p, q)
+        off = _off_diagonal(f)
+    return o, f, off
+
+
+def _phase(z: complex) -> float:
+    """Argument of z in [0, 2*pi)."""
+    return cmath.phase(z) % _TWO_PI
 
 
 def _eigenstructure(p1: SLPlane, p2: SLPlane):
     """O real orthogonal and unimodular d with S = O diag(d) O^T for
-    S = M M^T, M = p1^{-1} p2; columns ordered by ascending angle."""
+    S = M M^T, M = p1^{-1} p2; columns ordered by ascending angle, d a
+    list of Python complex numbers."""
     if p1.m != p2.m:
         raise InputError(f"dimension mismatch: {p1.m} vs {p2.m}")
     mrel = p1.frame.conj().T @ p2.frame
-    s = mrel @ mrel.T
-    o = _joint_diagonalize(s.real, s.imag)
-    full = o.T @ s @ o
-    d = np.diag(full).copy()
-    off = np.max(np.abs(full - np.diag(d)))
+    o, full, off = _joint_diagonalize(mrel @ mrel.T)
     if off > 1e-8:
         raise NumericError(
             f"joint diagonalization failed: off-diagonal residual {off:.3e}",
             achieved=off,
         )
-    order = np.argsort(np.mod(np.angle(d), 2.0 * math.pi))
-    return mrel, o[:, order], d[order]
+    d = full.diagonal().tolist()
+    phases = [_phase(x) for x in d]
+    order = sorted(range(len(d)), key=phases.__getitem__)
+    return mrel, o[:, order], [d[i] for i in order]
 
 
 def _positive_tol(tol) -> float:
@@ -153,11 +203,11 @@ def _positive_tol(tol) -> float:
     return tol
 
 
-def _report(m: int, d: np.ndarray, tol: float) -> PlanePairReport:
+def _report(m: int, d: list, tol: float) -> PlanePairReport:
     """The report of a pair from the eigenvalues d of its S."""
-    transverse = bool(np.min(np.abs(d - 1.0)) > tol)
-    phi = np.sort(np.mod(np.angle(d), 2.0 * math.pi) / 2.0)
-    total = float(np.sum(phi)) / math.pi
+    transverse = min(abs(x - 1.0) for x in d) > tol
+    phi = sorted(_phase(x) / 2.0 for x in d)
+    total = sum(phi) / math.pi
     k = round(total)
     if transverse and abs(total - k) > 1e-6:
         raise NumericError(
@@ -165,7 +215,7 @@ def _report(m: int, d: np.ndarray, tol: float) -> PlanePairReport:
             achieved=abs(total - k),
         )
     lawlor = transverse and k in (1, m - 1)
-    return PlanePairReport(m, tuple(float(x) for x in phi), k, transverse, lawlor)
+    return PlanePairReport(m, tuple(phi), k, transverse, lawlor)
 
 
 def characteristic_angles(
@@ -213,16 +263,14 @@ def canonical_transform(
     mrel, o, d = _eigenstructure(p1, p2)
     if not _report(p1.m, d, tol).transverse:
         raise InputError("canonical transform requires a transverse pair")
-    phi = np.mod(np.angle(d), 2.0 * math.pi) / 2.0
-    roots = np.exp(1j * phi)
-    o2 = np.diag(1.0 / roots) @ o.T @ mrel
-    real_defect = np.max(np.abs(o2.imag))
+    roots = np.array([cmath.exp(0.5j * _phase(x)) for x in d])
+    o2 = (o.T @ mrel) / roots[:, None]
+    real_defect = np.abs(o2.imag).max()
     if real_defect > 1e-8:
         raise NumericError(
             f"orthogonal factor is not real: residual {real_defect:.3e}",
             achieved=real_defect,
         )
     if np.linalg.det(o) < 0:
-        o = o.copy()
-        o[:, 0] *= -1.0
+        o[:, 0] *= -1.0  # o is the reordered copy from _eigenstructure
     return o.T @ p1.frame.conj().T

@@ -85,6 +85,25 @@ def chorded_cycle(seed, q):
     )
 
 
+def split_graph(seed, q, extra):
+    """Connected digraph that is not strongly connected: a shuffled order
+    cut into parts S and T, each a path of random orientations, one edge
+    S -> T, and extra edges (loops allowed) none of which runs T -> S."""
+    rng = random.Random(seed)
+    order = list(range(1, q + 1))
+    rng.shuffle(order)
+    cut = rng.randint(1, q - 1)
+    side_s, side_t = order[:cut], order[cut:]
+    pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+             for part in (side_s, side_t) for u, v in zip(part, part[1:])]
+    pairs.append((rng.choice(side_s), rng.choice(side_t)))
+    in_t = set(side_t)
+    for _ in range(extra):
+        u, v = rng.randint(1, q), rng.randint(1, q)
+        pairs.append((v, u) if u in in_t and v not in in_t else (u, v))
+    return IntersectionGraph(q, [(u, v, 1) for u, v in pairs])
+
+
 def tree_walk_oracle(g):
     """Reference for solve_areas: both breadth-first trees from component
     1 by a deque search scanning edges in input order, then the closed
@@ -520,6 +539,22 @@ class TestOracleAgreement:
             assert bipartition_oracle(g) == want, g
             verdicts[want] += 1
         assert min(verdicts[True], verdicts[False], verdicts["disconnected"]) >= 30
+
+    @pytest.mark.parametrize("q", range(9, 21))
+    def test_equals_feasible_beyond_the_literal_copy(self, q):
+        # the literal copy takes 2^q steps per edge; these sizes are
+        # checked against feasible alone
+        for seed in range(2):
+            for g in (chorded_cycle(1000 * q + seed, q), split_graph(1000 * q + seed, q, q)):
+                assert bipartition_oracle(g) == feasible(g)
+            assert feasible(chorded_cycle(1000 * q + seed, q))
+            assert not feasible(split_graph(1000 * q + seed, q, q))
+
+    def test_disconnected_graph_still_refused(self):
+        g = IntersectionGraph(12, [(v, v % 6 + 1, 1) for v in range(1, 7)]
+                              + [(v, 7 + (v - 6) % 6, 1) for v in range(7, 13)])
+        with pytest.raises(PreconditionError):
+            bipartition_oracle(g)
 
     def test_oracle_size_limit(self):
         edges = [(v, v + 1, 1) for v in range(1, 21)] + [(21, 1, 1)]

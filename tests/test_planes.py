@@ -1,15 +1,24 @@
-"""Tests for characteristic angles, types, and plane-pair reconstruction."""
+"""Tests for characteristic angles, types, and plane-pair reconstruction.
+
+Pairs whose eigenvalues e^{2 i phi} share (nearly) the same cosine are
+checked against their planted angles and an mpmath eigenvalue oracle, and
+generic pairs against a frozen copy of the earlier cluster-gap
+diagonalization.
+"""
+import io
+import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group, unitary_group
 
-from slcones import planes
-from slcones.errors import InputError
+from slcones import cli, planes
+from slcones.errors import InputError, NumericError
 from slcones.planes import (
     PlanePairReport,
     SLPlane,
@@ -32,6 +41,41 @@ def random_su(m, seed):
 
 def random_pair(m, seed):
     return SLPlane(random_su(m, seed)), SLPlane(random_su(m, seed + 10_000))
+
+
+def haar_so(rng, m):
+    """Haar-distributed rotation: QR of a Gaussian matrix with the signs
+    of R's diagonal moved into Q, then one column flipped if det = -1."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1.0
+    return q
+
+
+def haar_su(rng, m):
+    """Haar-distributed special unitary matrix, by the same QR rule with
+    the determinant's phase divided out."""
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return q / np.linalg.det(q) ** (1.0 / m)
+
+
+def planted_pair(rng, phi):
+    """Frames u O1 and u F O2 of a pair with characteristic angles phi: u
+    Haar in SU(m), O1 and O2 Haar in SO(m), F the model frame of phi."""
+    m = len(phi)
+    u = haar_su(rng, m)
+    return (SLPlane(u @ haar_so(rng, m)),
+            SLPlane(u @ phi_frame(phi).frame @ haar_so(rng, m)))
+
+
+def cosine_collision(a, delta):
+    """Angles (a, pi - a + delta, pi - delta): the eigenvalues e^{2 i phi}
+    of the first two have cosines 2 delta sin 2a apart, and sines of
+    opposite signs."""
+    return [a, PI - a + delta, PI - delta]
 
 
 def plane_projector(frame):
@@ -249,6 +293,132 @@ class TestReconstruction:
         assert len(calls) == 1
         characteristic_angles(p1, p2)
         assert len(calls) == 2
+
+
+def assert_moves_to_model(p1, p2, angles):
+    b = canonical_transform(p1, p2)
+    m = p1.m
+    assert np.max(np.abs(b.conj().T @ b - np.eye(m))) < 1e-10
+    assert abs(np.linalg.det(b) - 1.0) < 1e-9
+    assert subspace_distance(b @ p1.frame, np.eye(m)) < 1e-8
+    assert subspace_distance(b @ p2.frame, phi_frame(angles).frame) < 1e-8
+
+
+class TestCosineCollisions:
+    """Eigenvalues of S with equal or nearly equal real parts: ``eigh`` of
+    Re S alone cannot separate them, the Jacobi rotations on the pair
+    (Re, Im) must."""
+
+    @pytest.mark.parametrize("delta", [5e-9, 7e-9, 1e-8, 2e-8, 5e-8, 1e-7])
+    def test_near_collision_band(self, delta):
+        # the cluster-gap diagonalization raised NumericError on about
+        # two thirds of such draws at delta = 1e-8
+        rng = np.random.default_rng(int(delta * 1e10))
+        for _ in range(200):
+            phi = cosine_collision(rng.uniform(0.2, 1.3), delta)
+            p1, p2 = planted_pair(rng, phi)
+            rep = characteristic_angles(p1, p2)
+            assert rep.angles == pytest.approx(sorted(phi), abs=1e-9)
+            assert rep.transverse and rep.k == 2
+            assert_moves_to_model(p1, p2, rep.angles)
+
+    def test_near_collision_through_the_cli(self, monkeypatch, capsys):
+        # a pair on which the cluster-gap diagonalization exited 3
+        rng = np.random.default_rng(0)
+        phi = cosine_collision(rng.uniform(0.2, 1.3), 1e-8)
+        p1, p2 = planted_pair(rng, phi)
+        doc = {key: [[[z.real, z.imag] for z in row] for row in p.frame.tolist()]
+               for key, p in (("p1", p1), ("p2", p2))}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert cli.main(["planes"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["angles"] == pytest.approx(sorted(phi), abs=1e-9)
+        assert out["k"] == 2
+
+    @pytest.mark.parametrize("phi", [
+        [0.5, PI - 0.5, 0.7, PI - 0.7],  # equal cosines, distinct sines
+        [PI / 4] * 4,
+        [PI / 3] * 3,
+    ])
+    def test_exact_collisions(self, phi):
+        pairs = [(identity_plane(len(phi)), phi_frame(phi))]
+        rng = np.random.default_rng(len(phi))
+        pairs += [planted_pair(rng, phi) for _ in range(20)]
+        for p1, p2 in pairs:
+            rep = characteristic_angles(p1, p2)
+            assert rep.angles == pytest.approx(sorted(phi), abs=1e-9)
+            assert_moves_to_model(p1, p2, rep.angles)
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_against_mpmath_eigenvalues(self, m):
+        rng = np.random.default_rng(100 + m)
+        # two generic pairs and one with planted cosine collisions: pairs
+        # (b, pi - b) and, for odd m, a near collision
+        phi = cosine_collision(rng.uniform(0.2, 1.3), 1e-8) if m % 2 else []
+        while len(phi) < m:
+            b = rng.uniform(0.2, 1.3)
+            phi += [b, PI - b]
+        pairs = [random_pair(m, 100 + m), random_pair(m, 200 + m), planted_pair(rng, phi)]
+        with mpmath.workdps(40):
+            for p1, p2 in pairs:
+                mrel = mpmath.matrix(p1.frame.conj().T.tolist()) * mpmath.matrix(p2.frame.tolist())
+                eig = mpmath.eig(mrel * mrel.T, left=False, right=False)
+                want = sorted(float((mpmath.arg(z) % (2 * mpmath.pi)) / 2) for z in eig)
+                rep = characteristic_angles(p1, p2)
+                assert rep.angles == pytest.approx(want, abs=1e-12)
+        assert rep.angles == pytest.approx(sorted(phi), abs=1e-9)
+
+
+def cluster_oracle(p1, p2):
+    """Frozen copy of the cluster-gap diagonalization that the joint Jacobi
+    rotations replaced: ``eigh`` of Re S, then ``eigh`` of Im S inside each
+    run of eigenvalues of Re S closer than 1e-8.  Returns (M, O, d) as
+    ``planes._eigenstructure`` does, d an array."""
+    mrel = p1.frame.conj().T @ p2.frame
+    s = mrel @ mrel.T
+    ar, br = s.real, s.imag
+    w, o = np.linalg.eigh(ar)
+    o = o.copy()
+    n = len(w)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and w[j] - w[j - 1] < 1e-8:
+            j += 1
+        if j - i > 1:
+            block = o[:, i:j]
+            bb = block.T @ br @ block
+            _, u = np.linalg.eigh((bb + bb.T) / 2.0)
+            o[:, i:j] = block @ u
+        i = j
+    full = o.T @ s @ o
+    d = np.diag(full).copy()
+    off = np.max(np.abs(full - np.diag(d)))
+    if off > 1e-8:
+        raise NumericError(f"joint diagonalization failed: off-diagonal residual {off:.3e}")
+    order = np.argsort(np.mod(np.angle(d), 2.0 * math.pi))
+    return mrel, o[:, order], d[order]
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_generic_pairs_equal_cluster_oracle(m):
+    # A generic pair's eigh residual (up to 6.7e-12 at m = 8) is below the
+    # rotation threshold, so no rotation runs and O, d and the report are
+    # those of the cluster-gap diagonalization, bit for bit.
+    checked = 0
+    for seed in range(60):
+        p1, p2 = random_pair(m, 1000 * m + seed)
+        mrel, o, d = cluster_oracle(p1, p2)
+        _, o_eigh = np.linalg.eigh((mrel @ mrel.T).real)
+        if planes._off_diagonal(o_eigh.T @ (mrel @ mrel.T) @ o_eigh) > planes._ROTATION_TOL:
+            continue
+        checked += 1
+        mrel_new, o_new, d_new = planes._eigenstructure(p1, p2)
+        assert np.array_equal(mrel_new, mrel)
+        assert np.array_equal(o_new, o)
+        assert d_new == d.tolist()
+        assert characteristic_angles(p1, p2) == planes._report(m, d.tolist(), 1e-9)
+    assert checked >= 55
 
 
 def test_phi_frame_det_fix():
