@@ -37,7 +37,9 @@ from .errors import (
     PreconditionError,
     as_finite,
     as_int,
+    as_positive,
     as_rational,
+    as_tuple,
     read_rational,
 )
 
@@ -102,7 +104,7 @@ class IntersectionGraph:
             raise InputError(f"need at least one component, got q = {q}")
         new = tuple.__new__
         norm = []
-        for e in edges:
+        for e in as_tuple(edges, "edges"):
             u, v, _ = e = _edge(*e)
             if not (1 <= u <= q and 1 <= v <= q):
                 raise InputError(f"edge endpoints must lie in 1..{q}, got ({u}, {v})")
@@ -151,7 +153,7 @@ class BalanceSolution:
     A: tuple
 
     def __init__(self, A):
-        vals = tuple(read_rational(x, "area") for x in A)
+        vals = tuple(read_rational(x, "area") for x in as_tuple(A, "areas"))
         if any(v.numerator <= 0 for v in vals):
             raise InputError(f"areas must be positive, got {vals}")
         object.__setattr__(self, "A", vals)
@@ -324,15 +326,11 @@ def moduli_dim_relation(n: int, q: int, b1X: int) -> ModuliDim:
     handle (raising b1 by one); n = q marks the index-one boundary case
     where the glued moduli space has exactly one extra dimension.
     """
-    n, q, b1X = as_int(n, "n"), as_int(q, "q"), as_int(b1X, "b1X")
-    if q < 1:
-        raise InputError(f"need q >= 1 components, got {q}")
+    n, q, b1X = as_int(n, "n"), as_int(q, "q", least=1), as_int(b1X, "b1X", least=0)
     if n < q - 1:
         raise InputError(
             f"{n} sums cannot connect {q} components: need n >= q - 1"
         )
-    if b1X < 0:
-        raise InputError(f"negative Betti number b1X = {b1X}")
     return ModuliDim(n + 1 - q + b1X, n == q)
 
 
@@ -348,20 +346,12 @@ class PhaseFamilyQuery:
     m: int
 
     def __init__(self, R1, R2, theta1, theta2, psi, m):
-        R1, R2, psi = float(R1), float(R2), float(psi)
-        if R1 <= 0 or R2 <= 0:
-            raise InputError(f"component magnitudes must be positive, got {R1}, {R2}")
-        if psi <= 0:
-            raise InputError(f"angle invariant must be positive, got {psi}")
-        m = as_int(m, "dimension m")
-        if m < 1:
-            raise InputError(f"dimension must be >= 1, got {m}")
-        object.__setattr__(self, "R1", R1)
-        object.__setattr__(self, "R2", R2)
-        object.__setattr__(self, "theta1", float(theta1))
-        object.__setattr__(self, "theta2", float(theta2))
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "R1", as_positive(R1, "component magnitude R1"))
+        object.__setattr__(self, "R2", as_positive(R2, "component magnitude R2"))
+        object.__setattr__(self, "theta1", as_finite(theta1, "phase theta1"))
+        object.__setattr__(self, "theta2", as_finite(theta2, "phase theta2"))
+        object.__setattr__(self, "psi", as_positive(psi, "angle invariant psi"))
+        object.__setattr__(self, "m", as_int(m, "dimension m", least=1))
 
 
 @dataclass(frozen=True)
@@ -391,7 +381,9 @@ def phase_region(qr: PhaseFamilyQuery) -> PhaseRegionResult:
     if abs(s1) <= WALL_TOL:
         return PhaseRegionResult("wall", None)
     if s1 > 0:
-        t = (qr.R1 * s1 / qr.psi**qr.m) ** (1.0 / qr.m)
+        t = (qr.R1 * s1) ** (1 / qr.m) / qr.psi  # psi^m could overflow
+        if t == math.inf:
+            raise NumericError(f"neck scale t overflows: psi = {qr.psi} is too small", achieved=t)
         return PhaseRegionResult("positive", t)
     return PhaseRegionResult("negative", None)
 
@@ -480,16 +472,13 @@ def family_balance_region(
     y >= 0 moves one unit of supply from each edge's tail to its head,
     and one integer max-flow decides whether some y meets the rest.
     """
+    pairings = as_tuple(pairings, "pairings")
     if len(pairings) != g.q:
         raise InputError(f"expected {g.q} pairing values, got {len(pairings)}")
     read = as_rational if A is None else as_finite
     vals = [read(p, f"pairing {k}") for k, p in enumerate(pairings, 1)]
-    t = as_finite(t, "scale t")
-    if not t > 0:
-        raise InputError(f"scale t must be positive, got {t}")
-    m_exp = as_int(m, "dimension m")
-    if m_exp < 1:
-        raise InputError(f"dimension must be >= 1, got {m_exp}")
+    t = as_positive(t, "scale t")
+    m_exp = as_int(m, "dimension m", least=1)
     if A is not None:
         if len(A.A) != g.n:
             raise InputError(f"expected {g.n} areas, got {len(A.A)}")

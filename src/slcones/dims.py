@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InconsistentProfileError, InputError, WallError, as_int
+from .errors import InconsistentProfileError, InputError, WallError, as_finite, as_int, as_tuple
 
 __all__ = [
     "ConeData",
@@ -38,13 +38,6 @@ __all__ = [
 ]
 
 
-def _nonneg(value: int, what: str) -> int:
-    value = as_int(value, what)
-    if value < 0:
-        raise InputError(f"{what} must be nonnegative, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class ConeData:
     """One singular cone: number of link components l and stability
@@ -57,11 +50,9 @@ class ConeData:
     def __init__(self, l: int, s_ind: int, rigid: bool = True):
         if not isinstance(rigid, bool):
             raise InputError(f"rigid must be true or false, got {rigid!r}")
-        object.__setattr__(self, "l", _nonneg(l, "link component count"))
-        object.__setattr__(self, "s_ind", _nonneg(s_ind, "stability index"))
+        object.__setattr__(self, "l", as_int(l, "link component count", least=1))
+        object.__setattr__(self, "s_ind", as_int(s_ind, "stability index", least=0))
         object.__setattr__(self, "rigid", rigid)
-        if self.l < 1:
-            raise InputError("every cone has at least one link component")
 
 
 @dataclass(frozen=True)
@@ -73,11 +64,19 @@ class NeckTopology:
     b1csL: int
 
     def __init__(self, b0L: int, b1L: int, b1csL: int):
-        object.__setattr__(self, "b0L", _nonneg(b0L, "b0(L)"))
-        object.__setattr__(self, "b1L", _nonneg(b1L, "b1(L)"))
-        object.__setattr__(self, "b1csL", _nonneg(b1csL, "b1_cs(L)"))
-        if self.b0L < 1:
-            raise InputError("a neck has at least one component")
+        object.__setattr__(self, "b0L", as_int(b0L, "b0(L)", least=1))
+        object.__setattr__(self, "b1L", as_int(b1L, "b1(L)", least=0))
+        object.__setattr__(self, "b1csL", as_int(b1csL, "b1_cs(L)", least=0))
+
+
+def _entry(cls, e, what: str):
+    """A profile entry: a ``cls`` instance, or a mapping of its keyword arguments."""
+    if isinstance(e, cls):
+        return e
+    try:
+        return cls(**e)
+    except TypeError as exc:  # not a mapping, or a missing, unknown or non-string key
+        raise InputError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -90,23 +89,19 @@ class TopologyProfile:
     dimY: Optional[int] = None
 
     def __init__(self, m, q, b1csX, cones: Sequence, necks: Sequence, dimY=None):
-        m = as_int(m, "ambient dimension m")
-        if m < 3:
-            raise InputError(f"ambient dimension must be >= 3, got {m}")
-        q = _nonneg(q, "component count q")
-        if q < 1:
-            raise InputError("need at least one component")
-        cones = tuple(c if isinstance(c, ConeData) else ConeData(**c) for c in cones)
-        necks = tuple(n if isinstance(n, NeckTopology) else NeckTopology(**n) for n in necks)
+        m = as_int(m, "ambient dimension m", least=3)
+        q = as_int(q, "component count q", least=1)
+        cones = tuple(_entry(ConeData, c, "cone") for c in as_tuple(cones, "cones"))
+        necks = tuple(_entry(NeckTopology, n, "neck") for n in as_tuple(necks, "necks"))
         if len(cones) != len(necks):
             raise InputError(
                 f"profile lists {len(cones)} cones but {len(necks)} necks"
             )
         if dimY is not None:
-            dimY = _nonneg(dimY, "dimY")
+            dimY = as_int(dimY, "dimY", least=0)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "b1csX", _nonneg(b1csX, "b1_cs(X')"))
+        object.__setattr__(self, "b1csX", as_int(b1csX, "b1_cs(X')", least=0))
         object.__setattr__(self, "cones", cones)
         object.__setattr__(self, "necks", necks)
         object.__setattr__(self, "dimY", dimY)
@@ -160,7 +155,7 @@ def dim_I(p: TopologyProfile) -> int:
 def ac_moduli_dims(neck: NeckTopology, l: int) -> AcDims:
     """Dimensions of the neck's moduli space at the three rate regimes,
     together with its Y and Z invariant-space dimensions."""
-    l = _nonneg(l, "end count l")
+    l = as_int(l, "end count l", least=0)
     dim_y = neck.b1L - neck.b0L + l - neck.b1csL
     dim_z = l - neck.b0L
     dim_m0 = neck.b1L - neck.b0L + l
@@ -248,6 +243,8 @@ def rate_lambda_dims(
     "negative" for rates in (2 - m, 0), where it is b1_cs(L).  A rate
     in the exceptional set has no well-defined moduli dimension.
     """
+    if not isinstance(exceptional, bool):
+        raise InputError(f"exceptional must be true or false, got {exceptional!r}")
     if exceptional:
         raise WallError("rate lies in the exceptional set; dimension jumps there")
     if regime == "negative":
@@ -266,7 +263,7 @@ def moduli_jump(dim_m0: int, s_ind: int, m: int) -> int:
     """Moduli dimension just above rate 0 for a neck on a rigid cone:
     the translations and the cone's excess eigenfunctions enter, adding
     s-ind + 2m to the rate-0 dimension."""
-    return _nonneg(dim_m0, "dimM0") + _nonneg(s_ind, "s_ind") + 2 * as_int(m, "m")
+    return as_int(dim_m0, "dimM0", least=0) + as_int(s_ind, "s_ind", least=0) + 2 * as_int(m, "m")
 
 
 def yz_vanishing_check(
@@ -275,7 +272,8 @@ def yz_vanishing_check(
     """Which of the two invariants are forced to vanish: Y when the rate
     is negative or b1(L) = 0; Z when the rate is below 2 - m or the
     cone link is connected."""
-    b0Sigma = _nonneg(b0Sigma, "b0(Sigma)")
+    lam = as_finite(lam, "rate lambda")
+    b0Sigma = as_int(b0Sigma, "b0(Sigma)", least=0)
     y_must = lam < 0 or neck.b1L == 0
     z_must = lam < 2 - as_int(m, "m") or b0Sigma == 1
     return (y_must, z_must)
@@ -284,8 +282,8 @@ def yz_vanishing_check(
 def check_boundary_image(b1_sigma: int, image_dim: int) -> None:
     """The boundary map image is half-dimensional in H^1 of the link;
     declared data violating 2 * image = b1(Sigma) is rejected."""
-    b1_sigma = _nonneg(b1_sigma, "b1(Sigma)")
-    image_dim = _nonneg(image_dim, "image dimension")
+    b1_sigma = as_int(b1_sigma, "b1(Sigma)", least=0)
+    image_dim = as_int(image_dim, "image dimension", least=0)
     if 2 * image_dim != b1_sigma:
         raise InconsistentProfileError(
             f"boundary image must be half of b1(Sigma): "

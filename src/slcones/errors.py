@@ -5,19 +5,21 @@ Two top-level families matter for callers (and fix the CLI exit codes):
 ``NumericError`` for computations that ran but could not certify their
 result.  Everything else subclasses one of those two.
 
-The module also holds :func:`as_int`, :func:`as_rational` and
-:func:`as_finite`, the one policy each for reading an integer, an exact
-rational and a finite float from caller data, so that every module
-rejects the same inputs without importing another solver (or numpy) to
-do it.  :func:`read_rational` adds ``"p/q"`` strings to
-:func:`as_rational`; the CLI and the library's exact fields (consum's
-weights and areas, t2cone's basis entries) read through it.
+The module also holds the one policy for reading caller data, which
+every module uses without importing another solver (or numpy): an
+integer by :func:`as_int` (``least`` adds a lower bound), an exact
+rational by :func:`as_rational` (:func:`read_rational` adds ``"p/q"``
+strings), a finite float by :func:`as_finite`, a positive one by
+:func:`as_positive`, and a sequence argument by :func:`as_tuple`.  Each
+raises :class:`InputError` naming the argument, and none coerces a bool,
+a string or a non-finite value into a number.
 """
 from __future__ import annotations
 
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 
 #: a float is read as the nearest fraction with at most this denominator
@@ -74,19 +76,23 @@ class WallError(InputError):
     moduli dimension is undefined."""
 
 
-def as_int(x, what: str) -> int:
+def as_int(x, what: str, least: int | None = None) -> int:
     """Exact integer from an int or an integral finite float; bools,
-    strings and every other type are rejected with :class:`InputError`."""
+    strings and every other type are rejected with :class:`InputError`,
+    and so is a value below ``least`` when that bound is given."""
     if type(x) is int:  # the common case, kept cheap; type() lets no bool through
-        return x
-    if isinstance(x, float) and math.isfinite(x) and x.is_integer():
-        return int(x)
-    if not isinstance(x, (bool, float)):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise InputError(f"{what} must be an integer, got {x!r}")
+        if least is None or x >= least:
+            return x
+        v = x
+    elif isinstance(x, float) and math.isfinite(x) and x.is_integer():
+        v = int(x)
+    elif isinstance(x, (bool, float)) or not hasattr(type(x), "__index__"):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    else:
+        v = operator.index(x)
+    if least is not None and v < least:
+        raise InputError(f"{what} must be >= {least}, got {v}")
+    return v
 
 
 def as_rational(x, what: str) -> Fraction:
@@ -139,3 +145,22 @@ def as_finite(x, what: str) -> float:
         if math.isfinite(v):
             return v
     raise InputError(f"{what} must be a finite real number, got {x!r}")
+
+
+def as_positive(x, what: str) -> float:
+    """Finite float > 0, read by :func:`as_finite`."""
+    v = as_finite(x, what)
+    if not v > 0:
+        raise InputError(f"{what} must be positive, got {v}")
+    return v
+
+
+def as_tuple(x, what: str) -> tuple:
+    """The items of a list, a tuple, an array or another iterable; strings,
+    mappings and non-iterables are rejected with :class:`InputError`."""
+    if not isinstance(x, (str, bytes, Mapping)):
+        try:
+            return tuple(x)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be a sequence, got {x!r}")

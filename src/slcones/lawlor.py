@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tolerances import LAWLOR_TOL as DEFAULT_TOL
-from .errors import InputError, NumericError, as_finite, as_int
+from .errors import InputError, NumericError, as_finite, as_int, as_positive, as_tuple
 
 __all__ = [
     "NeckParams",
@@ -92,6 +92,7 @@ def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float):
 
 def sphere_area(m: int) -> float:
     """(m-1)-dimensional volume of the unit sphere in R^m."""
+    m = as_int(m, "dimension m", least=1)
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
@@ -103,11 +104,9 @@ class NeckParams:
     a: tuple
 
     def __init__(self, a):
-        a = tuple(float(x) for x in a)
+        a = tuple(as_positive(x, "neck parameter a_k") for x in as_tuple(a, "neck parameters"))
         if len(a) < 3:
             raise InputError(f"need at least 3 parameters, got {len(a)}")
-        if any(x <= 0 or not math.isfinite(x) for x in a):
-            raise InputError(f"all parameters must be positive, got {a}")
         object.__setattr__(self, "m", len(a))
         object.__setattr__(self, "a", a)
 
@@ -123,8 +122,9 @@ class AngleSpec:
     sum_tol: float
 
     def __init__(self, phi, A, sum_tol: float = ANGLE_SUM_TOL):
-        phi = tuple(float(x) for x in phi)
-        A = float(A)
+        phi = tuple(as_finite(x, "angle phi_k") for x in as_tuple(phi, "angles"))
+        A = as_positive(A, "area parameter A")
+        sum_tol = as_positive(sum_tol, "angle sum tolerance")
         if len(phi) < 3:
             raise InputError(f"need at least 3 angles, got {len(phi)}")
         if any(not 0.0 < x < math.pi for x in phi):
@@ -134,12 +134,10 @@ class AngleSpec:
                 f"angles must sum to pi within {sum_tol}, "
                 f"got sum deviation {sum(phi) - math.pi:.3e}"
             )
-        if not (A > 0 and math.isfinite(A)):
-            raise InputError(f"area parameter must be positive, got {A}")
         object.__setattr__(self, "m", len(phi))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "sum_tol", float(sum_tol))
+        object.__setattr__(self, "sum_tol", sum_tol)
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,6 @@ def _poly_coeffs(a) -> list:
     """
     c = [1.0]
     for ak in a:
-        ak = float(ak)
         c = [1.0, *(c[i] + c[i - 1] * ak for i in range(1, len(c))), c[-1] * ak]
     return c[1:]  # drop the constant 1 of the product; c[0] = sum(a)
 
@@ -225,9 +222,7 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     :class:`NumericError` with the achieved bound if the quadrature cannot
     certify ``tol``.
     """
-    tol = as_finite(tol, "tol")
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    tol = as_positive(tol, "tol")
     coeffs = _poly_coeffs(p.a)
     phi = []
     for ak in p.a:
@@ -289,9 +284,7 @@ def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:
     positivity projection a_k <- max(a_k, eps), and stops when the
     residual drops below ``tol``, which must be a finite positive number.
     """
-    tol = as_finite(tol, "tol")
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    tol = as_positive(tol, "tol")
     m = spec.m
     phi_target = np.array(spec.phi[: m - 1])
     logA_target = math.log(spec.A)
@@ -422,7 +415,7 @@ def neck_point(p: NeckParams, y: float, x) -> np.ndarray:
     to phi_k at y -> +inf.
     """
     y = as_finite(y, "y")
-    x = np.asarray(x, dtype=float)
+    x = np.array([as_finite(v, "direction entry") for v in as_tuple(x, "direction")])
     if x.shape != (p.m,):
         raise InputError(f"direction must have shape ({p.m},), got {x.shape}")
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
@@ -430,13 +423,6 @@ def neck_point(p: NeckParams, y: float, x) -> np.ndarray:
     psi = _partial_phases(p, _half_phases(p), np.array([y]))[0]
     z = np.sqrt(1.0 / np.array(p.a) + y * y) * np.exp(1j * psi)
     return z * x
-
-
-def _as_sample_count(sample_count) -> int:
-    sample_count = as_int(sample_count, "sample_count")
-    if sample_count < 1:
-        raise InputError("sample_count must be >= 1")
-    return sample_count
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -510,7 +496,7 @@ def verify_sl_neck(p: NeckParams, sample_count: int = 1000) -> SLResidual:
     >= 1).  The waist phases certify a phase residual of (m/2) times
     their tolerance, and the rest is rounding.
     """
-    sample_count = _as_sample_count(sample_count)
+    sample_count = as_int(sample_count, "sample_count", least=1)
     m = p.m
     a = np.array(p.a)
     coeffs = _poly_coeffs(p.a)
@@ -538,10 +524,8 @@ def verify_sl_hl_cone(m: int, sample_count: int = 1000) -> SLResidual:
     i^(m+1) z_1 ... z_m >= 0 holds exactly.  Frames are stacked and
     checked in blocks, as in :func:`verify_sl_neck`.
     """
-    m = as_int(m, "dimension m")
-    if m < 3:
-        raise InputError(f"dimension m must be >= 3, got {m}")
-    sample_count = _as_sample_count(sample_count)
+    m = as_int(m, "dimension m", least=3)
+    sample_count = as_int(sample_count, "sample_count", least=1)
     gamma = -(m + 1) * math.pi / (2.0 * m)
     phase = complex(math.cos(gamma), math.sin(gamma))
     torus = np.arange(m - 1)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._tolerances import TRANSVERSE_TOL as DEFAULT_TRANSVERSE_TOL
-from .errors import InputError, NumericError, as_finite
+from .errors import InputError, NumericError, as_finite, as_int, as_positive, as_tuple
 
 __all__ = [
     "SLPlane",
@@ -52,7 +53,19 @@ class SLPlane:
     frame: np.ndarray
 
     def __init__(self, frame):
-        frame = np.array(frame, dtype=complex)
+        if isinstance(frame, np.ndarray):
+            if frame.dtype.kind not in "iufc":  # bools, strings, objects
+                raise InputError(f"frame entries must be numbers, got dtype {frame.dtype}")
+        else:  # numpy would read a bool or a numeric string as a number
+            frame = [as_tuple(row, "frame row") for row in as_tuple(frame, "frame")]
+            bad = [x for row in frame for x in row
+                   if isinstance(x, bool) or not isinstance(x, numbers.Number)]
+            if bad:
+                raise InputError(f"frame entries must be numbers, got {bad[0]!r}")
+        try:
+            frame = np.array(frame, dtype=complex)
+        except (ValueError, OverflowError):  # ragged rows, or an int beyond the float range
+            raise InputError("frame must be a square matrix of finite numbers") from None
         if frame.ndim != 2 or frame.shape[0] != frame.shape[1]:
             raise InputError(f"frame must be square, got shape {frame.shape}")
         m = frame.shape[0]
@@ -97,7 +110,7 @@ class PlanePairReport:
 
 def identity_plane(m: int) -> SLPlane:
     """The reference plane R^m itself."""
-    return SLPlane(np.eye(m))
+    return SLPlane(np.eye(as_int(m, "dimension m", least=1)))
 
 
 def phi_frame(phi) -> SLPlane:
@@ -107,7 +120,7 @@ def phi_frame(phi) -> SLPlane:
     model plane but has determinant (-1)^k; for odd k the last column is
     negated, which fixes the determinant without moving the plane.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = np.array([as_finite(x, "angle phi_k") for x in as_tuple(phi, "angles")])
     frame = np.diag(np.exp(1j * phi))
     k = round(float(np.sum(phi)) / math.pi)
     if abs(np.sum(phi) / math.pi - k) > 1e-9:
@@ -196,13 +209,6 @@ def _eigenstructure(p1: SLPlane, p2: SLPlane):
     return mrel, o[:, order], [d[i] for i in order]
 
 
-def _positive_tol(tol) -> float:
-    tol = as_finite(tol, "tol")
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    return tol
-
-
 def _report(m: int, d: list, tol: float) -> PlanePairReport:
     """The report of a pair from the eigenvalues d of its S."""
     transverse = min(abs(x - 1.0) for x in d) > tol
@@ -228,7 +234,7 @@ def characteristic_angles(
     the pair non-transverse (an angle at the boundary 0 or pi), and
     boundary values are reported as computed.
     """
-    tol = _positive_tol(tol)
+    tol = as_positive(tol, "tol")
     _, _, d = _eigenstructure(p1, p2)
     return _report(p1.m, d, tol)
 
@@ -259,7 +265,7 @@ def canonical_transform(
     works.  The square roots e^{i phi} take the branch with phase in
     (0, pi), matching the angle convention.
     """
-    tol = _positive_tol(tol)
+    tol = as_positive(tol, "tol")
     mrel, o, d = _eigenstructure(p1, p2)
     if not _report(p1.m, d, tol).transverse:
         raise InputError("canonical transform requires a transverse pair")

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompleteSpectrumError, InputError, as_int, as_rational
+from .errors import IncompleteSpectrumError, InputError, as_int, as_rational, as_tuple
 
 __all__ = [
     "ConeSpectrum",
@@ -68,10 +68,8 @@ def hl_eigenvalue(m: int, n) -> int:
     n must have exactly m-1 integer entries.  Q(n) >= ||n||^2 always
     (Cauchy-Schwarz), which is what makes ball enumeration complete.
     """
-    m = as_int(m, "dimension m")
-    if m < 3:
-        raise InputError(f"dimension m must be >= 3, got {m}")
-    entries = [as_int(v, "lattice point entry") for v in n]
+    m = as_int(m, "dimension m", least=3)
+    entries = [as_int(v, "lattice point entry") for v in as_tuple(n, "lattice point")]
     if len(entries) != m - 1:
         raise InputError(
             f"lattice point needs m-1 = {m - 1} entries, got {len(entries)}"
@@ -98,18 +96,18 @@ class ConeSpectrum:
     cutoff: Fraction
 
     def __init__(self, m: int, entries, cutoff):
-        m = as_int(m, "dimension m")
-        if m < 3:
-            raise InputError(f"dimension m must be >= 3, got {m}")
+        m = as_int(m, "dimension m", least=3)
         cut = as_rational(cutoff, "cutoff")
         merged: dict = {}
-        for lam, mult in entries:
+        for entry in as_tuple(entries, "spectrum entries"):
+            try:
+                lam, mult = entry
+            except (TypeError, ValueError):
+                raise InputError(f"spectrum entry must be a pair, got {entry!r}") from None
             lam_e = lam if type(lam) is int else as_rational(lam, "eigenvalue")
-            mult = as_int(mult, "multiplicity")
+            mult = as_int(mult, "multiplicity", least=1)
             if lam_e < 0:
                 raise InputError(f"eigenvalues must be nonnegative, got {lam}")
-            if mult <= 0:
-                raise InputError(f"multiplicities must be positive, got {mult}")
             merged[lam_e] = merged.get(lam_e, 0) + mult
         table = tuple(sorted(merged.items()))  # linear on an ascending table
         if table and table[-1][0] > cut:
@@ -248,12 +246,8 @@ def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
     module docstring).  Raises :class:`InputError`, before counting, when
     the admission bound :func:`_dp_cells` exceeds :data:`MAX_DP_CELLS`.
     """
-    m = as_int(m, "dimension m")
-    if m < 3:
-        raise InputError(f"dimension m must be >= 3, got {m}")
-    cutoff = as_int(cutoff, "cutoff")
-    if cutoff < 0:
-        raise InputError(f"cutoff must be >= 0, got {cutoff}")
+    m = as_int(m, "dimension m", least=3)
+    cutoff = as_int(cutoff, "cutoff", least=0)
     cells = _dp_cells(m, cutoff)
     if cells > MAX_DP_CELLS:
         raise InputError(
@@ -314,7 +308,10 @@ def exponents(spec: ConeSpectrum) -> ExponentData:
     c = m - 2
     out = []
     for lam, mult in spec.entries:
-        disc = math.sqrt(c * c + 4 * lam)
+        try:
+            disc = math.sqrt(c * c + 4 * lam)
+        except OverflowError:  # no float alpha could hold it either
+            raise InputError(f"exponents of {lam} at m = {m} exceed the float range") from None
         out.append(ExponentEntry((-c - disc) / 2, lam, -1, mult))
         out.append(ExponentEntry((-c + disc) / 2, lam, +1, mult))
     out.sort(key=lambda e: (e.alpha, e.branch))
@@ -368,9 +365,7 @@ def stability_index(m: int) -> StabilityReport:
     dim G = m-1 here; stable means s-ind = 0, rigid means the exponent-2
     multiplicity equals m^2 - 1 - dim G.  Stability implies rigidity.
     """
-    m = as_int(m, "dimension m")
-    if m < 3:
-        raise InputError(f"dimension m must be >= 3, got {m}")
+    m = as_int(m, "dimension m", least=3)
     spec = enumerate_spectrum(m, 2 * m)
     data = exponents(spec)
     n2 = n_sigma(data, 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError, NumericError, as_finite, as_int, read_rational
+from .errors import InputError, NumericError, as_finite, as_int, as_tuple, read_rational
 
 __all__ = [
     "T2Singularity",
@@ -48,7 +48,7 @@ class T2Singularity:
     k: tuple
 
     def __init__(self, k):
-        k = tuple(as_int(x, "k entry") for x in k)
+        k = tuple(as_int(x, "k entry") for x in as_tuple(k, "k"))
         if len(k) != 3:
             raise InputError(f"need a triple, got {k}")
         if sum(k) != 0:
@@ -85,9 +85,8 @@ def h1_order(s: T2Singularity, h1X: int, j: int) -> Optional[int]:
     """Order of the first integral homology after gluing neck j:
     |k_j| times the order for the singular 3-fold; None when k_j = 0
     (the homology need not stay finite)."""
-    h1X = as_int(h1X, "group order h1X")
-    if h1X < 1:
-        raise InputError(f"group order must be positive, got {h1X}")
+    h1X = as_int(h1X, "group order h1X", least=1)
+    j = as_int(j, "neck index j")
     if j not in (1, 2, 3):
         raise InputError(f"neck index must be 1, 2, or 3, got {j}")
     kj = s.k[j - 1]
@@ -283,12 +282,13 @@ def family_region(omega_pairing: float, kj: int) -> FamilyRegionResult:
         return FamilyRegionResult("wall", None, kj == 0)
     region = "positive" if pairing > 0 else "negative"
     if kj != 0 and (pairing > 0) == (kj > 0):
-        t = math.sqrt(pairing / (math.pi * kj))
-        if t == 0.0:
-            # subnormal pairing: the quotient underflowed, but the true
-            # scale sqrt(|pairing| / (pi |kj|)) is representable
-            t = math.exp(
-                0.5 * (math.log(abs(pairing)) - math.log(math.pi * abs(kj)))
-            )
+        try:
+            t = math.sqrt(pairing / (math.pi * kj))
+        except OverflowError:  # k_j beyond the float range
+            t = 0.0
+        if t == 0.0:  # the quotient underflowed; sqrt(|pairing| / (pi |kj|)) may not
+            t = math.exp(0.5 * (math.log(abs(pairing)) - math.log(math.pi) - math.log(abs(kj))))
+            if t == 0.0:
+                raise NumericError(f"neck scale t underflows at pairing {pairing}", achieved=0.0)
         return FamilyRegionResult(region, t, False)
     return FamilyRegionResult(region, None, False)

@@ -49,7 +49,9 @@ from slcones.errors import (
     PreconditionError,
     as_finite,
     as_int,
+    as_positive,
     as_rational,
+    as_tuple,
     read_rational,
 )
 
@@ -1040,6 +1042,55 @@ class TestAsInt:
         with pytest.raises(InputError) as info:
             as_int(bad, "edge tail")
         assert str(info.value) == f"edge tail must be an integer, got {bad!r}"
+
+    def test_least_bound(self):
+        assert as_int(3, "m", least=3) == 3
+        assert as_int(4.0, "m", least=3) == 4 and type(as_int(4.0, "m", least=3)) is int
+        assert as_int(np.int64(0), "cutoff", least=0) == 0
+        assert as_int(-7, "x", least=None) == -7
+        for bad, got in ((2, 2), (2.0, 2), (np.int64(-1), -1), (-(10**40), -(10**40))):
+            with pytest.raises(InputError) as info:
+                as_int(bad, "dimension m", least=3)
+            assert str(info.value) == f"dimension m must be >= 3, got {got}"
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 3.5, "3", None])
+    def test_type_is_checked_before_the_bound(self, bad):
+        with pytest.raises(InputError, match="^dimension m must be an integer"):
+            as_int(bad, "dimension m", least=3)
+
+
+class TestAsPositive:
+    def test_positive_reals_become_floats(self):
+        assert as_positive(2, "tol") == 2.0 and type(as_positive(2, "tol")) is float
+        assert as_positive(Fraction(1, 4), "tol") == 0.25
+        assert as_positive(np.float64(1e-300), "tol") == 1e-300
+        assert as_positive(5e-324, "tol") == 5e-324
+
+    @pytest.mark.parametrize("bad", [0, 0.0, -0.0, -1e-300, -(10**300)])
+    def test_nonpositive_rejected(self, bad):
+        with pytest.raises(InputError) as info:
+            as_positive(bad, "tol")
+        assert str(info.value) == f"tol must be positive, got {float(bad)}"
+
+    @pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf, 10**400, "1",
+                                     None, [1], 1j])
+    def test_rejected_as_as_finite_rejects(self, bad):
+        with pytest.raises(InputError, match="^tol must be a finite real number"):
+            as_positive(bad, "tol")
+
+
+class TestAsTuple:
+    def test_iterables_become_tuples(self):
+        assert as_tuple([1, 2], "x") == (1, 2)
+        assert as_tuple((1,), "x") == (1,)
+        assert as_tuple(np.array([0.5, 1.5]), "x") == (0.5, 1.5)
+        assert as_tuple((k for k in range(3)), "x") == (0, 1, 2)
+
+    @pytest.mark.parametrize("bad", ["12", b"12", {"a": 1}, None, 1, True, 1.5, np.float64(1.0)])
+    def test_rejected(self, bad):
+        with pytest.raises(InputError) as info:
+            as_tuple(bad, "areas")
+        assert str(info.value) == f"areas must be a sequence, got {bad!r}"
 
 
 class TestAsRational:
