@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -80,10 +79,8 @@ def _edge(tail, head, weight) -> tuple:
 class Edge(NamedTuple("Edge", [("tail", int), ("head", int), ("weight", Fraction)])):
     """Directed weighted edge: tail = component of the positive sheet,
     head = component of the negative sheet, weight = psi^m > 0 exact.
-
-    An immutable tuple, so it compares equal to the plain tuple with the
-    same fields.  ``_replace`` and ``_make`` skip the checks, and
-    :class:`IntersectionGraph` checks every edge it is given again."""
+    Only ``Edge(...)`` checks its fields, so :class:`IntersectionGraph`
+    checks every edge it is given again."""
 
     __slots__ = ()
 
@@ -91,26 +88,28 @@ class Edge(NamedTuple("Edge", [("tail", int), ("head", int), ("weight", Fraction
         return tuple.__new__(cls, _edge(tail, head, weight))
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
+class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", tuple)])):
     """Directed multigraph on components 1..q; self-loops allowed."""
 
-    q: int
-    edges: tuple
+    # no __slots__: the cached _trees live in the instance __dict__
 
-    def __init__(self, q: int, edges: Sequence):
+    def __new__(cls, q: int, edges: Sequence):
         q = as_int(q, "number of components q")
         if q < 1:
             raise InputError(f"need at least one component, got q = {q}")
         new = tuple.__new__
         norm = []
         for e in as_tuple(edges, "edges"):
-            u, v, _ = e = _edge(*e)
+            try:
+                u, v, _ = e = _edge(*e)
+            except TypeError:  # _edge's readers raise only InputError
+                raise InputError(
+                    f"edge must be a (tail, head, weight) triple, got {e!r}"
+                ) from None
             if not (1 <= u <= q and 1 <= v <= q):
                 raise InputError(f"edge endpoints must lie in 1..{q}, got ({u}, {v})")
             norm.append(new(Edge, e))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "edges", tuple(norm))
+        return new(cls, (q, tuple(norm)))
 
     @property
     def n(self) -> int:
@@ -146,17 +145,16 @@ class IntersectionGraph:
         return trees
 
 
-@dataclass(frozen=True)
-class BalanceSolution:
+class BalanceSolution(NamedTuple("BalanceSolution", [("A", tuple)])):
     """Exact positive areas, one per intersection point."""
 
-    A: tuple
+    __slots__ = ()
 
-    def __init__(self, A):
+    def __new__(cls, A):
         vals = tuple(read_rational(x, "area") for x in as_tuple(A, "areas"))
         if any(v.numerator <= 0 for v in vals):
             raise InputError(f"areas must be positive, got {vals}")
-        object.__setattr__(self, "A", vals)
+        return tuple.__new__(cls, (vals,))
 
 
 def _reach(adj: list, start: int, seen: list) -> int:
@@ -311,8 +309,7 @@ def check_balance(g: IntersectionGraph, sol: BalanceSolution) -> bool:
     return not any(_scaled_net(g, sol.A)[0])
 
 
-@dataclass(frozen=True)
-class ModuliDim:
+class ModuliDim(NamedTuple):
     """First Betti number of the connected sum and the index-one flag."""
 
     b1: int
@@ -334,28 +331,25 @@ def moduli_dim_relation(n: int, q: int, b1X: int) -> ModuliDim:
     return ModuliDim(n + 1 - q + b1X, n == q)
 
 
-@dataclass(frozen=True)
-class PhaseFamilyQuery:
+class PhaseFamilyQuery(NamedTuple("PhaseFamilyQuery", [
+    ("R1", float), ("R2", float), ("theta1", float), ("theta2", float), ("psi", float), ("m", int),
+])):
     """Phase data of a two-component family: [class]·[X_k] = R_k e^{i theta_k}."""
 
-    R1: float
-    R2: float
-    theta1: float
-    theta2: float
-    psi: float
-    m: int
+    __slots__ = ()
 
-    def __init__(self, R1, R2, theta1, theta2, psi, m):
-        object.__setattr__(self, "R1", as_positive(R1, "component magnitude R1"))
-        object.__setattr__(self, "R2", as_positive(R2, "component magnitude R2"))
-        object.__setattr__(self, "theta1", as_finite(theta1, "phase theta1"))
-        object.__setattr__(self, "theta2", as_finite(theta2, "phase theta2"))
-        object.__setattr__(self, "psi", as_positive(psi, "angle invariant psi"))
-        object.__setattr__(self, "m", as_int(m, "dimension m", least=1))
+    def __new__(cls, R1, R2, theta1, theta2, psi, m):
+        return tuple.__new__(cls, (
+            as_positive(R1, "component magnitude R1"),
+            as_positive(R2, "component magnitude R2"),
+            as_finite(theta1, "phase theta1"),
+            as_finite(theta2, "phase theta2"),
+            as_positive(psi, "angle invariant psi"),
+            as_int(m, "dimension m", least=1),
+        ))
 
 
-@dataclass(frozen=True)
-class PhaseRegionResult:
+class PhaseRegionResult(NamedTuple):
     """Which side of the wall the total phase lies on, and the neck
     scale t in the positive region."""
 

@@ -13,8 +13,7 @@ computable in the torus-cone case) and validated here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InconsistentProfileError, InputError, WallError, as_finite, as_int, as_tuple
 
@@ -38,35 +37,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeData:
+class ConeData(NamedTuple("ConeData", [("l", int), ("s_ind", int), ("rigid", bool)])):
     """One singular cone: number of link components l and stability
     index; ``rigid`` marks whether the index formula applies as stated."""
 
-    l: int
-    s_ind: int
-    rigid: bool = True
+    __slots__ = ()
 
-    def __init__(self, l: int, s_ind: int, rigid: bool = True):
+    def __new__(cls, l: int, s_ind: int, rigid: bool = True):
         if not isinstance(rigid, bool):
             raise InputError(f"rigid must be true or false, got {rigid!r}")
-        object.__setattr__(self, "l", as_int(l, "link component count", least=1))
-        object.__setattr__(self, "s_ind", as_int(s_ind, "stability index", least=0))
-        object.__setattr__(self, "rigid", rigid)
+        return tuple.__new__(cls, (
+            as_int(l, "link component count", least=1),
+            as_int(s_ind, "stability index", least=0),
+            rigid,
+        ))
 
 
-@dataclass(frozen=True)
-class NeckTopology:
+class NeckTopology(NamedTuple("NeckTopology", [("b0L", int), ("b1L", int), ("b1csL", int)])):
     """Betti data of one asymptotically conical neck."""
 
-    b0L: int
-    b1L: int
-    b1csL: int
+    __slots__ = ()
 
-    def __init__(self, b0L: int, b1L: int, b1csL: int):
-        object.__setattr__(self, "b0L", as_int(b0L, "b0(L)", least=1))
-        object.__setattr__(self, "b1L", as_int(b1L, "b1(L)", least=0))
-        object.__setattr__(self, "b1csL", as_int(b1csL, "b1_cs(L)", least=0))
+    def __new__(cls, b0L: int, b1L: int, b1csL: int):
+        return tuple.__new__(cls, (
+            as_int(b0L, "b0(L)", least=1),
+            as_int(b1L, "b1(L)", least=0),
+            as_int(b1csL, "b1_cs(L)", least=0),
+        ))
 
 
 def _entry(cls, e, what: str):
@@ -79,16 +76,13 @@ def _entry(cls, e, what: str):
         raise InputError(f"{what}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class TopologyProfile:
-    m: int
-    q: int
-    b1csX: int
-    cones: tuple
-    necks: tuple
-    dimY: Optional[int] = None
+class TopologyProfile(NamedTuple("TopologyProfile", [
+    ("m", int), ("q", int), ("b1csX", int), ("cones", tuple), ("necks", tuple),
+    ("dimY", Optional[int]),
+])):
+    __slots__ = ()
 
-    def __init__(self, m, q, b1csX, cones: Sequence, necks: Sequence, dimY=None):
+    def __new__(cls, m, q, b1csX, cones: Sequence, necks: Sequence, dimY=None):
         m = as_int(m, "ambient dimension m", least=3)
         q = as_int(q, "component count q", least=1)
         cones = tuple(_entry(ConeData, c, "cone") for c in as_tuple(cones, "cones"))
@@ -99,20 +93,15 @@ class TopologyProfile:
             )
         if dimY is not None:
             dimY = as_int(dimY, "dimY", least=0)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "b1csX", as_int(b1csX, "b1_cs(X')", least=0))
-        object.__setattr__(self, "cones", cones)
-        object.__setattr__(self, "necks", necks)
-        object.__setattr__(self, "dimY", dimY)
+        b1csX = as_int(b1csX, "b1_cs(X')", least=0)
+        return tuple.__new__(cls, (m, q, b1csX, cones, necks, dimY))
 
     @property
     def n(self) -> int:
         return len(self.cones)
 
 
-@dataclass(frozen=True)
-class AcDims:
+class AcDims(NamedTuple):
     """Per-neck moduli dimensions at the three standard rates."""
 
     dimY: int
@@ -120,15 +109,13 @@ class AcDims:
     dimM0: int
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     dimF: int
     indX: int
     non_rigid_warning: bool
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     dimI: int
     dimZ: int
     dimYi: tuple

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,32 +96,30 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
-@dataclass(frozen=True)
-class NeckParams:
+class NeckParams(NamedTuple("NeckParams", [("m", int), ("a", tuple)])):
     """The m positive neck parameters a_1..a_m."""
 
-    m: int
-    a: tuple
+    __slots__ = ()
 
-    def __init__(self, a):
+    def __new__(cls, a):
         a = tuple(as_positive(x, "neck parameter a_k") for x in as_tuple(a, "neck parameters"))
         if len(a) < 3:
             raise InputError(f"need at least 3 parameters, got {len(a)}")
-        object.__setattr__(self, "m", len(a))
-        object.__setattr__(self, "a", a)
+        return tuple.__new__(cls, (len(a), a))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return (self.a,)
 
 
-@dataclass(frozen=True)
-class AngleSpec:
+class AngleSpec(NamedTuple("AngleSpec", [
+    ("m", int), ("phi", tuple), ("A", float), ("sum_tol", float),
+])):
     """Asymptotic angles phi_1..phi_m (each in (0, pi), summing to pi
     within ``sum_tol``) and the positive area parameter A."""
 
-    m: int
-    phi: tuple
-    A: float
-    sum_tol: float
+    __slots__ = ()
 
-    def __init__(self, phi, A, sum_tol: float = ANGLE_SUM_TOL):
+    def __new__(cls, phi, A, sum_tol: float = ANGLE_SUM_TOL):
         phi = tuple(as_finite(x, "angle phi_k") for x in as_tuple(phi, "angles"))
         A = as_positive(A, "area parameter A")
         sum_tol = as_positive(sum_tol, "angle sum tolerance")
@@ -134,14 +132,13 @@ class AngleSpec:
                 f"angles must sum to pi within {sum_tol}, "
                 f"got sum deviation {sum(phi) - math.pi:.3e}"
             )
-        object.__setattr__(self, "m", len(phi))
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "sum_tol", sum_tol)
+        return tuple.__new__(cls, (len(phi), phi, A, sum_tol))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return self[1:]
 
 
-@dataclass(frozen=True)
-class SLResidual:
+class SLResidual(NamedTuple):
     """Sup of |omega| over sampled tangent 2-planes and sup of the
     normalized imaginary part of the holomorphic volume form on sampled
     tangent frames."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,13 +46,14 @@ _MAX_SWEEPS = 30
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, eq=False)
-class SLPlane:
-    """A plane frame·R^m with ``frame`` special unitary."""
+class SLPlane(NamedTuple("SLPlane", [("frame", np.ndarray)])):
+    """A plane frame·R^m with ``frame`` special unitary.  Planes compare
+    and hash by identity, as tuple equality would compare the arrays."""
 
-    frame: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __init__(self, frame):
+    def __new__(cls, frame):
         if isinstance(frame, np.ndarray):
             if frame.dtype.kind not in "iufc":  # bools, strings, objects
                 raise InputError(f"frame entries must be numbers, got dtype {frame.dtype}")
@@ -90,15 +91,14 @@ class SLPlane:
         if not (abs(det - 1.0) <= _FRAME_TOL * max(1.0, m)):
             raise InputError(f"frame must have unit determinant, got det = {det}")
         frame.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
+        return tuple.__new__(cls, (frame,))
 
     @property
     def m(self) -> int:
         return self.frame.shape[0]
 
 
-@dataclass(frozen=True)
-class PlanePairReport:
+class PlanePairReport(NamedTuple):
     """Sorted characteristic angles, type k, and existence flags."""
 
     m: int

@@ -40,8 +40,8 @@ appear purely as display approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import IncompleteSpectrumError, InputError, as_int, as_rational, as_tuple
 
@@ -79,8 +79,9 @@ def hl_eigenvalue(m: int, n) -> int:
     return m * t - s * s
 
 
-@dataclass(frozen=True)
-class ConeSpectrum:
+class ConeSpectrum(NamedTuple("ConeSpectrum", [
+    ("m", int), ("entries", tuple), ("cutoff", Fraction),
+])):
     """Eigenvalue table (lambda, multiplicity), complete up to ``cutoff``.
 
     ``entries`` is sorted strictly increasing in lambda; int eigenvalues
@@ -91,11 +92,9 @@ class ConeSpectrum:
     merged by summing their multiplicities.
     """
 
-    m: int
-    entries: tuple  # of (eigenvalue, multiplicity)
-    cutoff: Fraction
+    __slots__ = ()
 
-    def __init__(self, m: int, entries, cutoff):
+    def __new__(cls, m: int, entries, cutoff):
         m = as_int(m, "dimension m", least=3)
         cut = as_rational(cutoff, "cutoff")
         merged: dict = {}
@@ -113,9 +112,7 @@ class ConeSpectrum:
         if table and table[-1][0] > cut:
             lam_e = next(lam_e for lam_e, _ in table if lam_e > cut)
             raise InputError(f"eigenvalue {lam_e} exceeds the declared cutoff {cut}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "entries", table)
-        object.__setattr__(self, "cutoff", cut)
+        return tuple.__new__(cls, (m, table, cut))
 
     def multiplicity(self, lam) -> int:
         lam = as_rational(lam, "eigenvalue")
@@ -255,12 +252,12 @@ def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
             f"cells, more than the limit of {MAX_DP_CELLS}"
         )
     counts = _counts(m, cutoff)
+    # already a valid table: int pairs, ascending, none past the cutoff
     entries = [(lam, c) for lam, c in enumerate(counts) if c]
-    return ConeSpectrum(m, entries, cutoff)
+    return ConeSpectrum._make((m, tuple(entries), Fraction(cutoff)))
 
 
-@dataclass(frozen=True)
-class ExponentEntry:
+class ExponentEntry(NamedTuple):
     """One exponent alpha with alpha*(alpha+m-2) = lam.
 
     ``branch`` is +1 for the upper root, -1 for the lower; ``alpha`` is a
@@ -274,8 +271,7 @@ class ExponentEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class ExponentData:
+class ExponentData(NamedTuple):
     """Both exponent roots for every eigenvalue of a spectrum.
 
     The exponents in the open interval (2-m, 0) never occur: lower roots
@@ -345,8 +341,7 @@ def n_sigma(data: ExponentData, delta) -> int:
     return -sum(mult for lam, mult in seen.items() if lam < lam_needed)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Stability/rigidity data of the Harvey-Lawson cone in dimension m."""
 
     m: int

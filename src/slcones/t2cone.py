@@ -16,9 +16,8 @@ the basis rows are scaled by the lcm of their denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, NumericError, as_finite, as_int, as_tuple, read_rational
 
@@ -40,14 +39,13 @@ __all__ = [
 W_VECTORS = {1: (1, 0), 2: (0, 1), 3: (-1, -1)}
 
 
-@dataclass(frozen=True)
-class T2Singularity:
+class T2Singularity(NamedTuple("T2Singularity", [("k", tuple)])):
     """k-invariant of one torus-cone point, sign-normalized so that the
     first nonzero entry of the generator (k2, -k1) is positive."""
 
-    k: tuple
+    __slots__ = ()
 
-    def __init__(self, k):
+    def __new__(cls, k):
         k = tuple(as_int(x, "k entry") for x in as_tuple(k, "k"))
         if len(k) != 3:
             raise InputError(f"need a triple, got {k}")
@@ -61,7 +59,7 @@ class T2Singularity:
         first = next(x for x in gen if x != 0)
         if first < 0:
             k = tuple(-x for x in k)
-        object.__setattr__(self, "k", k)
+        return tuple.__new__(cls, (k,))
 
 
 def k_from_generator(p: int, q: int) -> T2Singularity:
@@ -95,8 +93,7 @@ def h1_order(s: T2Singularity, h1X: int, j: int) -> Optional[int]:
     return abs(kj) * h1X
 
 
-@dataclass(frozen=True)
-class T2PairBasis:
+class T2PairBasis(NamedTuple("T2PairBasis", [("B1", tuple), ("B2", tuple)])):
     """Exact basis (B1, B2) of the span of restriction images for two
     torus-cone points, as vectors in R^2 + R^2, each given as
     [[u, v], [y, z]] with entries read by
@@ -109,10 +106,9 @@ class T2PairBasis:
     between the two points: u1 v2 - u2 v1 + y1 z2 - y2 z1 = 0.
     """
 
-    B1: tuple
-    B2: tuple
+    __slots__ = ()
 
-    def __init__(self, B1, B2):
+    def __new__(cls, B1, B2):
         def vec4(b, name):
             if not (
                 isinstance(b, (list, tuple))
@@ -143,8 +139,10 @@ class T2PairBasis:
                 f"basis violates the pairing identity: "
                 f"u1 v2 - u2 v1 + y1 z2 - y2 z1 = {pairing} != 0"
             )
-        object.__setattr__(self, "B1", ((b1[0], b1[1]), (b1[2], b1[3])))
-        object.__setattr__(self, "B2", ((b2[0], b2[1]), (b2[2], b2[3])))
+        return tuple.__new__(cls, (
+            ((b1[0], b1[1]), (b1[2], b1[3])),
+            ((b2[0], b2[1]), (b2[2], b2[3])),
+        ))
 
     def flat(self):
         return (
@@ -153,8 +151,7 @@ class T2PairBasis:
         )
 
 
-@dataclass(frozen=True)
-class GluingSolution:
+class GluingSolution(NamedTuple):
     """One admissible family of simultaneous desingularizations.
 
     ``ratio`` is a2/a1 for a ray family (the two neck scales are
@@ -259,8 +256,7 @@ def two_singularity_gluings(basis: T2PairBasis) -> list:
     return solutions
 
 
-@dataclass(frozen=True)
-class FamilyRegionResult:
+class FamilyRegionResult(NamedTuple):
     """Sign classification of the area pairing, the locked neck scale
     where one exists, and whether every scale is admissible."""
 

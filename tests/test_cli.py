@@ -92,7 +92,9 @@ class TestDispatch:
 
 class TestImportGraph:
     """scipy serves only the Lawlor quadrature and is imported at the first
-    one, so no module, the CLI included, loads it at import time."""
+    one, so no module, the CLI included, loads it at import time.  Records
+    are named tuples, so no module loads ``dataclasses``, and the modules
+    that do not import numpy load no ``inspect`` either."""
 
     @pytest.mark.parametrize("module", [
         "slcones.cli", "slcones.lawlor", "slcones.spectrum", "slcones.planes",
@@ -101,11 +103,15 @@ class TestImportGraph:
     def test_import_loads_no_scipy(self, module):
         code = (
             f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'dataclasses' in sys.modules, 'inspect' in sys.modules, sep='; ')"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=_ENV, check=True)
-        assert r.stdout.strip() == "[]"
+        scipy, dataclasses, inspect = r.stdout.strip().split("; ")
+        assert (scipy, dataclasses) == ("[]", "False")
+        if module not in ("slcones.lawlor", "slcones.planes"):  # numpy loads inspect
+            assert inspect == "False"
 
     def test_cli_import_loads_no_numpy(self):
         code = (

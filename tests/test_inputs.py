@@ -146,11 +146,6 @@ class Word(Leaf):
     """A keyword such as a regime name."""
 
 
-class Edges(list):
-    """An edge list, replaced field by field only: an edge that is not a
-    triple is a ``TypeError``, as ``test_consum`` pins."""
-
-
 def _plain(node):
     if isinstance(node, Leaf):
         return node.value
@@ -162,8 +157,7 @@ def _plain(node):
 def _nodes(node, path=()):
     """(path, node) for every node below the argument tuple ``node``."""
     for i, child in enumerate(node):
-        if not (isinstance(child, Edges) or isinstance(node, Edges)):
-            yield path + (i,), child
+        yield path + (i,), child
         if isinstance(child, (list, tuple)):
             yield from _nodes(child, path + (i,))
 
@@ -207,7 +201,7 @@ def _profile(m, q, b1csX, cones, necks, dimY):
 
 
 def _cycle():
-    return Edges([[Int(1), Int(2), Rational(1)], [Int(2), Int(1), Rational(Fraction(1, 2))]])
+    return [[Int(1), Int(2), Rational(1)], [Int(2), Int(1), Rational(Fraction(1, 2))]]
 
 
 ROWS = [

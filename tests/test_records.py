@@ -1,0 +1,111 @@
+"""Record semantics, checked for every record type of the package.
+
+Each input and result type is an immutable named tuple: a field cannot
+be assigned, a rebuild from the same input is equal and hashes the same,
+the repr names the class and its fields, and copy and pickle rebuild an
+equal record.  ``SLPlane`` alone compares and hashes by identity.
+"""
+import copy
+import math
+import pickle
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from slcones import consum, dims, lawlor, planes, spectrum, t2cone
+from slcones.consum import (
+    BalanceSolution,
+    Edge,
+    IntersectionGraph,
+    PhaseFamilyQuery,
+    moduli_dim_relation,
+    phase_region,
+    solve_areas,
+)
+from slcones.dims import (
+    ConeData,
+    NeckTopology,
+    TopologyProfile,
+    ac_moduli_dims,
+    dim_F_and_index,
+    full_report,
+)
+from slcones.lawlor import AngleSpec, NeckParams, SLResidual, sphere_area
+from slcones.planes import SLPlane, characteristic_angles, identity_plane, phi_frame
+from slcones.spectrum import ConeSpectrum, enumerate_spectrum, exponents, stability_index
+from slcones.t2cone import T2PairBasis, T2Singularity, family_region, two_singularity_gluings
+
+_CYCLE = [(1, 2, 1), (2, 1, Fraction(1, 2))]
+_PROFILE = (3, 2, 0, [{"l": 2, "s_ind": 0}], [{"b0L": 1, "b1L": 1, "b1csL": 0}], 1)
+_BASIS = ([[1, 0], [0, 1]], [[0, 1], [1, 0]])
+
+# one builder per record type, each from one valid input
+BUILDERS = {
+    # consum
+    "Edge": lambda: Edge(1, 2, Fraction(1, 2)),
+    "IntersectionGraph": lambda: IntersectionGraph(2, _CYCLE),
+    "BalanceSolution": lambda: solve_areas(IntersectionGraph(2, _CYCLE)),
+    "ModuliDim": lambda: moduli_dim_relation(3, 2, 1),
+    "PhaseFamilyQuery": lambda: PhaseFamilyQuery(1.0, 2.0, 0.5, -0.25, 1.3, 3),
+    "PhaseRegionResult": lambda: phase_region(PhaseFamilyQuery(1.0, 2.0, 0.5, -0.25, 1.3, 3)),
+    # dims
+    "ConeData": lambda: ConeData(2, 0, False),
+    "NeckTopology": lambda: NeckTopology(1, 1, 0),
+    "TopologyProfile": lambda: TopologyProfile(*_PROFILE),
+    "AcDims": lambda: ac_moduli_dims(NeckTopology(1, 1, 0), 2),
+    "IndexReport": lambda: dim_F_and_index(TopologyProfile(*_PROFILE)),
+    "DimensionReport": lambda: full_report(TopologyProfile(*_PROFILE)),
+    # lawlor
+    "NeckParams": lambda: NeckParams([4.0, 1.0, 1.0]),
+    "AngleSpec": lambda: AngleSpec([math.pi / 3] * 3, sphere_area(3)),
+    "SLResidual": lambda: SLResidual(1e-15, 2e-15),
+    # planes
+    "SLPlane": lambda: identity_plane(3),
+    "PlanePairReport": lambda: characteristic_angles(identity_plane(3),
+                                                     phi_frame([math.pi / 3] * 3)),
+    # spectrum
+    "ConeSpectrum": lambda: ConeSpectrum(3, [(0, 1), (Fraction(3), 6)], 6),
+    "ExponentEntry": lambda: exponents(enumerate_spectrum(3, 6)).entries[0],
+    "ExponentData": lambda: exponents(enumerate_spectrum(3, 6)),
+    "StabilityReport": lambda: stability_index(3),
+    # t2cone
+    "T2Singularity": lambda: T2Singularity((1, -1, 0)),
+    "T2PairBasis": lambda: T2PairBasis(*_BASIS),
+    "GluingSolution": lambda: two_singularity_gluings(T2PairBasis(*_BASIS))[0],
+    "FamilyRegionResult": lambda: family_region(math.pi, 1),
+}
+
+
+def test_every_record_type_has_a_builder():
+    records = {
+        name
+        for module in (consum, dims, lawlor, planes, spectrum, t2cone)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+        and obj.__module__ == module.__name__
+    }
+    assert records == set(BUILDERS)
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_record_semantics(name):
+    r = BUILDERS[name]()
+    assert type(r).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(r, r._fields[0], r[0])
+    text = repr(r)
+    assert text.startswith(name + "(")
+    assert all(f"{field}=" in text for field in r._fields)
+    if name == "SLPlane":
+        assert r == r and not r != r
+        assert r != SLPlane(r.frame) and not r == SLPlane(r.frame)
+        assert hash(r) == hash(r)
+        for twin in (copy.copy(r), pickle.loads(pickle.dumps(r))):
+            assert np.array_equal(twin.frame, r.frame)
+        return
+    again = BUILDERS[name]()
+    assert again == r and hash(again) == hash(r)
+    assert r == tuple(r)
+    for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(twin) is type(r) and twin == r

@@ -190,6 +190,11 @@ class TestEnumerate:
         assert {int(lam): mult for lam, mult in spec.entries} == box_oracle(
             m, cutoff
         )
+        # the unchecked build equals the checked one, field types included
+        checked = ConeSpectrum(m, spec.entries, cutoff)
+        assert spec == checked
+        assert [type(x) for x in spec] == [type(x) for x in checked] == [int, tuple, Fraction]
+        assert {type(x) for e in spec.entries for x in e} <= {int}
 
     # (m - 1) * isqrt(cutoff) > cutoff at each point, so the DP's band
     # |s| <= cutoff is narrower than the digit-sum range of the ball.  At
