@@ -5,23 +5,18 @@ deterministically (sorted keys, no whitespace), so identical inputs give
 bit-identical bytes.  Exact rationals appear as ``"p/q"`` strings (plain
 integers when the denominator is 1); reals use the shortest decimal that
 round-trips.  Errors are reported as a JSON object on standard error,
-which carries nothing else: library warnings go to the debug log.
+which carries nothing else.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric/verification failure,
-64 usage error (unknown subcommand or malformed flags).
-
-``SLCONES_LOG`` (e.g. ``debug``) controls log verbosity on stderr; there
-is no other environment dependence.
+64 usage error (missing or unknown subcommand, malformed flags).  No
+environment variable changes what the CLI does.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import logging
 import math
-import os
 import sys
 import warnings
 from fractions import Fraction
@@ -29,8 +24,6 @@ from fractions import Fraction
 from . import __version__
 from ._tolerances import LAWLOR_TOL, TRANSVERSE_TOL
 from .errors import InputError, NumericError, as_finite, as_int, read_rational
-
-_LOG = logging.getLogger("slcones.cli")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,6 +52,8 @@ def _dumps(doc) -> str:
 
 
 def _digest(doc) -> str:
+    import hashlib  # only --record pays for it
+
     return hashlib.sha256(_dumps(doc).encode("utf-8")).hexdigest()
 
 
@@ -82,17 +77,19 @@ def _float_list(text: str, what: str) -> tuple:
 
 
 def _read_json(path: str):
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    # a ValueError also for an integer beyond Python's digit limit, and a
+    # RecursionError for nesting deeper than the decoder's stack
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON input: {exc}") from None
 
 
@@ -479,11 +476,8 @@ _SUITES = {
 def _cmd_verify(args):
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     failures = []
-    checks = 0
     for name in names:
-        _LOG.info("running suite %s", name)
         failures.extend(_SUITES[name]())
-        checks += 1
     out = {
         "suite": args.suite,
         "suitesRun": names,
@@ -511,7 +505,9 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND", parser_class=_Parser)
+    sub = parser.add_subparsers(
+        dest="subcommand", metavar="SUBCOMMAND", required=True, parser_class=_Parser
+    )
 
     record = argparse.ArgumentParser(add_help=False)
     record.add_argument(
@@ -628,13 +624,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("SLCONES_LOG", "").upper()
-    if level_name:
-        level = getattr(logging, level_name, logging.WARNING)
-        logging.basicConfig(stream=sys.stderr, level=level)
-
-
 def _emit_error(exc: Exception) -> None:
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     achieved = getattr(exc, "achieved", None)
@@ -644,26 +633,17 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write(f"{parser.prog}: error: a subcommand is required\n")
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                input_doc, output, code = args.func(args)
-            finally:
-                for w in caught:
-                    _LOG.debug("%s: %s", w.category.__name__, w.message)
+        # No library call warns; should a dependency still warn on some
+        # input, stderr carries nothing but the error JSON all the same.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            input_doc, output, code = args.func(args)
     except NumericError as exc:
-        _LOG.debug("numeric failure", exc_info=True)
         _emit_error(exc)
         return EXIT_NUMERIC
     except InputError as exc:
-        _LOG.debug("input rejected", exc_info=True)
         _emit_error(exc)
         return EXIT_INPUT
     if args.record:

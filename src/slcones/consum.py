@@ -121,8 +121,12 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
         component 1, each as ``(order, parent, via, below)``: the vertices
         in visit order, each vertex's tree parent and the index of its tree
         edge, and the count of non-loop edges into (in-tree) or out of
-        (out-tree) each vertex.  Neighbours are scanned in edge order."""
+        (out-tree) each vertex.  Neighbours are scanned in edge order.  A
+        graph with more than n + 1 components cannot be connected, and is
+        refused before any list of length q is built."""
         q = self.q
+        if q > self.n + 1:
+            _require_connected(self)
         into = [[] for _ in range(q + 1)]
         out = [[] for _ in range(q + 1)]
         for idx, (u, v, _) in enumerate(self.edges):
@@ -157,32 +161,30 @@ class BalanceSolution(NamedTuple("BalanceSolution", [("A", tuple)])):
         return tuple.__new__(cls, (vals,))
 
 
-def _reach(adj: list, start: int, seen: list) -> int:
-    """Mark in ``seen`` every vertex reachable from ``start`` over ``adj``
-    and return how many vertices were newly marked."""
-    seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count
-
-
 def _require_connected(g: IntersectionGraph) -> None:
-    both = [[] for _ in range(g.q + 1)]
+    """Raise :class:`PreconditionError` unless the underlying undirected
+    graph is connected.
+
+    Union-find over the edge endpoints, with path halving, counts the
+    merges, and the pieces are q minus the merges, so the work depends
+    only on the edges: a huge q with few edges is refused at once.
+    """
+    parent = {}
+
+    def find(v):
+        while v in parent:
+            w = parent[v]
+            if w in parent:
+                parent[v] = w = parent[w]
+            v = w
+        return v
+
+    pieces = g.q
     for u, v, _ in g.edges:
-        both[u].append(v)
-        both[v].append(u)
-    seen = [False] * (g.q + 1)
-    pieces = 0
-    for v in range(1, g.q + 1):
-        if not seen[v]:
-            pieces += 1
-            _reach(both, v, seen)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            pieces -= 1
     if pieces != 1:
         raise PreconditionError(
             f"underlying undirected graph must be connected, found {pieces} pieces"
@@ -377,7 +379,7 @@ def phase_region(qr: PhaseFamilyQuery) -> PhaseRegionResult:
     if s1 > 0:
         t = (qr.R1 * s1) ** (1 / qr.m) / qr.psi  # psi^m could overflow
         if t == math.inf:
-            raise NumericError(f"neck scale t overflows: psi = {qr.psi} is too small", achieved=t)
+            raise NumericError(f"neck scale t overflows: psi = {qr.psi} is too small")
         return PhaseRegionResult("positive", t)
     return PhaseRegionResult("negative", None)
 

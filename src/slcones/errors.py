@@ -41,12 +41,13 @@ class NumericError(SLConesError, RuntimeError):
     Attributes
     ----------
     achieved : float or None
-        The best error bound / residual actually reached, when known.
+        The best error bound / residual actually reached, when known; a
+        non-finite value is stored as None, since it bounds nothing.
     """
 
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
-        self.achieved = achieved
+        self.achieved = achieved if achieved is None or math.isfinite(achieved) else None
 
 
 class IncompleteSpectrumError(InputError):

@@ -83,11 +83,16 @@ def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float):
     """scipy's adaptive quadrature of f over [lo, hi], as (value, error).
 
     scipy is imported here, at the first quadrature, so that importing
-    this module (and with it the CLI) loads no scipy module.
+    this module (and with it the CLI) loads no scipy module.  With
+    ``full_output`` scipy returns its failure notice instead of warning
+    it, and the notice is dropped: :func:`angles_from_a` certifies every
+    angle from the error estimate, and the Newton residual of
+    :func:`a_from_angles` is uncertified by design and guarded by its
+    line search, so no call of this module warns.
     """
     from scipy.integrate import quad
 
-    return quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT)
+    return quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT, full_output=1)[:2]
 
 
 def sphere_area(m: int) -> float:
@@ -217,7 +222,8 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     absolute error at most ``tol``, so the angle sum is within m*tol of
     pi.  ``tol`` must be a finite positive number.  Raises
     :class:`NumericError` with the achieved bound if the quadrature cannot
-    certify ``tol``.
+    certify ``tol``, and when the product of the a_k, and with it A,
+    leaves the float range.
     """
     tol = as_positive(tol, "tol")
     coeffs = _poly_coeffs(p.a)
@@ -243,9 +249,11 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
         raise NumericError(
             f"quadrature angles {tuple(phi)} are not inside (0, pi) with "
             f"sum pi within {sum_tol:.3e}: sum deviation {dev:.3e}",
-            achieved=dev if math.isfinite(dev) else None,
+            achieved=dev,
         )
     prod = math.prod(p.a)
+    if not 0.0 < prod < math.inf:
+        raise NumericError(f"prod(a) = {prod} leaves the float range, so A cannot be formed")
     A = sphere_area(p.m) / math.sqrt(prod)
     return AngleSpec(phi, A, sum_tol=sum_tol)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -11,10 +12,13 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slcones
 from slcones import cli, consum, t2cone
@@ -94,7 +98,9 @@ class TestImportGraph:
     """scipy serves only the Lawlor quadrature and is imported at the first
     one, so no module, the CLI included, loads it at import time.  Records
     are named tuples, so no module loads ``dataclasses``, and the modules
-    that do not import numpy load no ``inspect`` either."""
+    that do not import numpy load no ``inspect`` either.  Nothing logs, and
+    only ``--record`` hashes, so no module loads ``logging`` or
+    ``hashlib``."""
 
     @pytest.mark.parametrize("module", [
         "slcones.cli", "slcones.lawlor", "slcones.spectrum", "slcones.planes",
@@ -104,12 +110,13 @@ class TestImportGraph:
         code = (
             f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-            "'dataclasses' in sys.modules, 'inspect' in sys.modules, sep='; ')"
+            "'dataclasses' in sys.modules, 'inspect' in sys.modules, "
+            "'logging' in sys.modules, 'hashlib' in sys.modules, sep='; ')"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=_ENV, check=True)
-        scipy, dataclasses, inspect = r.stdout.strip().split("; ")
-        assert (scipy, dataclasses) == ("[]", "False")
+        scipy, dataclasses, inspect, logging, hashlib = r.stdout.strip().split("; ")
+        assert (scipy, dataclasses, logging, hashlib) == ("[]", "False", "False", "False")
         if module not in ("slcones.lawlor", "slcones.planes"):  # numpy loads inspect
             assert inspect == "False"
 
@@ -269,38 +276,40 @@ class TestSpectrum:
 
 
 class TestLawlor:
-    def test_forward_then_inverse_round_trip(self):
-        fwd = _run(["lawlor", "--a", "4,1,1"])
-        assert fwd.returncode == 0, fwd.stderr
-        doc = json.loads(fwd.stdout)
+    def test_forward_then_inverse_round_trip(self, monkeypatch, capsys):
+        code, out, err = _main(["lawlor", "--a", "4,1,1"], "", monkeypatch, capsys)
+        assert code == 0, err
+        doc = json.loads(out)
         _validate(doc, "lawlor")
         assert sum(doc["phi"]) == pytest.approx(math.pi, abs=1e-10)
-        inv = _run(
+        code, out, err = _main(
             [
                 "lawlor",
                 "--phi", ",".join(repr(p) for p in doc["phi"]),
                 "--area", repr(doc["area"]),
-            ]
+            ],
+            "", monkeypatch, capsys,
         )
-        assert inv.returncode == 0, inv.stderr
-        back = json.loads(inv.stdout)
+        assert code == 0, err
+        back = json.loads(out)
         _validate(back, "lawlor")
         assert back["a"] == pytest.approx([4.0, 1.0, 1.0], rel=1e-8)
 
-    def test_unattainable_tolerance_exits_3(self):
-        r = _run(["lawlor", "--a", "4,1,1", "--tol", "1e-30"])
-        assert r.returncode == 3
-        err = json.loads(r.stderr)
+    def test_unattainable_tolerance_exits_3(self, monkeypatch, capsys):
+        code, out, err = _main(["lawlor", "--a", "4,1,1", "--tol", "1e-30"], "",
+                               monkeypatch, capsys)
+        assert code == 3
+        err = json.loads(err)
         _validate(err, "error")
         assert err["error"]["type"] == "NumericError"
         assert err["error"]["achieved"] > 0
 
     @pytest.mark.parametrize("a", ["1e12,1e-12,1", "1e308,1e308,1e308,1e308"])
-    def test_garbage_quadrature_exits_3(self, a):
-        r = _run(["lawlor", "--a", a])
-        assert r.returncode == 3
-        assert r.stdout == ""
-        err = json.loads(r.stderr)
+    def test_garbage_quadrature_exits_3(self, a, monkeypatch, capsys):
+        code, out, err = _main(["lawlor", "--a", a], "", monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        err = json.loads(err)
         _validate(err, "error")
         assert err["error"]["type"] == "NumericError"
 
@@ -653,10 +662,10 @@ class TestVerify:
         assert r.returncode == 0, r.stdout
         assert json.loads(r.stdout)["passed"] is True
 
-    def test_lawlor_suite_passes(self):
-        r = _run(["verify", "--suite", "lawlor"])
-        assert r.returncode == 0, r.stdout
-        doc = json.loads(r.stdout)
+    def test_lawlor_suite_passes(self, monkeypatch, capsys):
+        code, out, err = _main(["verify", "--suite", "lawlor"], "", monkeypatch, capsys)
+        assert code == 0, out
+        doc = json.loads(out)
         _validate(doc, "verify")
         assert doc["passed"] is True
 
@@ -677,3 +686,139 @@ class TestRunRecord:
         d6 = json.loads(_run(["stability", "--m", "6", "--record"]).stdout)
         assert d5["inputDigest"] != d6["inputDigest"]
         assert len(d5["inputDigest"]) == 64
+
+
+def _contract(sub: str, args, stdin: str = "") -> int:
+    """Run ``cli.main(args)`` in this process and check the CLI contract:
+    exit 0 with a document valid against the subcommand's schema on stdout
+    and nothing on stderr, or exit 2 or 3 with nothing on stdout and one
+    valid error document on stderr, or a usage error (``SystemExit(64)``).
+    Returns the exit code.  It takes no fixtures, so that hypothesis may
+    call it once per example."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            assert exc.code == 64, (args, exc.code)
+            return 64
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "", (args, err)
+        _validate(json.loads(out), sub)
+    else:
+        assert code in (2, 3), (args, code)
+        assert out == "", (args, out)
+        assert err.endswith("\n") and err.count("\n") == 1, (args, err)
+        _validate(json.loads(err), "error")
+    return code
+
+
+# the README documents, and a planes pair, whose every node the fuzz
+# replaces in turn
+_DOCUMENTS = [
+    ("consum", {"q": 2, "edges": [{"tail": 1, "head": 2, "weight": 1},
+                                  {"tail": 2, "head": 1, "weight": 8}]}),
+    ("dims", TestDims.PROFILE),
+    ("t2cone", {"generator": [1, 1], "h1X": 2}),
+    ("t2cone", {"basis": {"B1": [[1, 0], [0, 1]], "B2": [[0, 1], [1, 0]]}}),
+    ("t2cone", {"pairing": 1.5, "kJ": 1}),
+    ("planes", {"p1": _encode_frame(np.eye(3, dtype=complex)),
+                "p2": _encode_frame(phi_frame((math.pi / 4, math.pi / 4, math.pi / 2)).frame)}),
+]
+
+
+def _paths(doc, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(child, path + (key,))
+
+
+def _put(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    new = doc.copy()
+    new[path[0]] = _put(doc[path[0]], path[1:], value)
+    return new
+
+
+# a document first, then one of its nodes, so that each subcommand is drawn alike
+_NODES = st.sampled_from(_DOCUMENTS).flatmap(
+    lambda entry: st.sampled_from([(*entry, path) for path in _paths(entry[1])])
+)
+_HOSTILE_LEAVES = st.one_of(
+    st.sampled_from([10**400, -(10**400), 2**64, 1e18, math.nan, math.inf, -math.inf,
+                     5e-324, -0.0, 0, 1, 2, 0.5]),
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+)
+_HOSTILE_JSON = st.recursive(
+    _HOSTILE_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+_HOSTILE_NUMBER = st.sampled_from([
+    "0", "1", "-1", "2", "3", "8", "2.5", "1/2", "1/0", "1e18", "1e400", "nan", "inf",
+    "-inf", "5e-324", "1e-320", "1.1415926535897931", str(10**400), "abc", "", " ", "0x10",
+])
+_SMALL_INT = st.integers(-2, 30).map(str)
+_POSITIVE = st.floats(0.05, 20).map(repr)
+
+
+def _angles(weights) -> list:
+    """Angles proportional to ``weights`` that sum to pi, as flag strings."""
+    return [repr(math.pi * w / sum(weights)) for w in weights]
+
+
+class TestFuzz:
+    """Every subcommand answers or reports a typed error, whatever it is
+    given: exit 0, 2 or 3 under :func:`_contract`, or a usage error.  The
+    JSON subcommands get a documented input with one node replaced by a
+    hostile JSON value; the flag subcommands get hostile number strings."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(node=_NODES, value=_HOSTILE_JSON)
+    def test_json_subcommands_keep_the_contract(self, node, value):
+        sub, doc, path = node
+        _contract(sub, [sub], json.dumps(_put(doc, path, value)))
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(m=_SMALL_INT | _HOSTILE_NUMBER, cutoff=_SMALL_INT | _HOSTILE_NUMBER,
+           delta=st.none() | _SMALL_INT | _HOSTILE_NUMBER)
+    def test_spectrum_and_stability_keep_the_contract(self, m, cutoff, delta):
+        _contract("stability", ["stability", f"--m={m}"])
+        extra = [] if delta is None else [f"--delta={delta}"]
+        _contract("spectrum", ["spectrum", f"--m={m}", f"--cutoff={cutoff}", *extra])
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(flag=st.sampled_from(["--a", "--phi"]),
+           entries=st.lists(_POSITIVE | _HOSTILE_NUMBER, min_size=1, max_size=5)
+           | st.lists(st.floats(0.05, 20), min_size=3, max_size=5).map(_angles),
+           area=st.none() | _POSITIVE | _HOSTILE_NUMBER, tol=st.none() | _HOSTILE_NUMBER)
+    def test_lawlor_keeps_the_contract(self, flag, entries, area, tol):
+        args = ["lawlor", f"{flag}={','.join(entries)}"]
+        args += [] if area is None else [f"--area={area}"]
+        args += [] if tol is None else [f"--tol={tol}"]
+        _contract("lawlor", args)
+
+    # inputs that once ended in a traceback (exit 1) or exhausted memory
+    @pytest.mark.parametrize("args, stdin, code", [
+        (["lawlor", "--phi", "1,1,1.1415926535897931", "--area", "5e-324"], "", 3),
+        (["lawlor", "--phi", "1,1,1.1415926535897931", "--area", "1e-320"], "", 3),
+        (["lawlor", "--a", "1e-320,7,3.0,7,1e-320"], "", 3),
+        *(([sub], "[" * 200000, 2) for sub in ("planes", "consum", "dims", "t2cone")),
+        (["consum"], '{"q": %d, "edges": []}' % 10**400, 2),
+        (["consum"], '{"q": 1%s, "edges": []}' % ("0" * 5000), 2),
+    ], ids=["area 5e-324", "area 1e-320", "prod(a) underflows",
+            *(f"{sub} nested 200000 deep" for sub in ("planes", "consum", "dims", "t2cone")),
+            "q 10**400", "q of 5001 digits"])
+    def test_probed_inputs_are_typed_errors(self, args, stdin, code):
+        assert _contract(args[0], args, stdin) == code
+
+    def test_undecodable_input_file_exits_2(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_bytes(b'\xff\xfe{"q": 1}')
+        assert _contract("consum", ["consum", "--input", str(path)]) == 2

@@ -242,7 +242,7 @@ ROWS = [
     # consum
     ("Edge", Edge, (Int(1), Int(2), Rational(1))),
     ("IntersectionGraph -> feasible, solve_areas, bipartition_oracle", _graph,
-     (Count(2), _cycle())),
+     (Int(2), _cycle())),
     ("BalanceSolution -> check_balance", _balance,
      (Count(2), _cycle(), [Rational(1), Rational(2)])),
     ("family_balance_region, exact", _family,
