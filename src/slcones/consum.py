@@ -40,6 +40,7 @@ from .errors import (
     as_rational,
     as_tuple,
     read_rational,
+    shown,
 )
 
 __all__ = [
@@ -72,7 +73,7 @@ def _edge(tail, head, weight) -> tuple:
     """The checked fields of one edge: weight, then tail, then head."""
     w = read_rational(weight, "edge weight")
     if w.numerator <= 0:
-        raise InputError(f"edge weight must be positive, got {w}")
+        raise InputError(f"edge weight must be positive, got {shown(w)}")
     return as_int(tail, "edge tail"), as_int(head, "edge head"), w
 
 
@@ -96,7 +97,7 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
     def __new__(cls, q: int, edges: Sequence):
         q = as_int(q, "number of components q")
         if q < 1:
-            raise InputError(f"need at least one component, got q = {q}")
+            raise InputError(f"need at least one component, got q = {shown(q)}")
         new = tuple.__new__
         norm = []
         for e in as_tuple(edges, "edges"):
@@ -104,10 +105,10 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
                 u, v, _ = e = _edge(*e)
             except TypeError:  # _edge's readers raise only InputError
                 raise InputError(
-                    f"edge must be a (tail, head, weight) triple, got {e!r}"
+                    f"edge must be a (tail, head, weight) triple, got {shown(e)!r}"
                 ) from None
             if not (1 <= u <= q and 1 <= v <= q):
-                raise InputError(f"edge endpoints must lie in 1..{q}, got ({u}, {v})")
+                raise InputError(f"edge endpoints must lie in 1..{shown(q)}, got {shown((u, v))}")
             norm.append(new(Edge, e))
         return new(cls, (q, tuple(norm)))
 
@@ -157,7 +158,7 @@ class BalanceSolution(NamedTuple("BalanceSolution", [("A", tuple)])):
     def __new__(cls, A):
         vals = tuple(read_rational(x, "area") for x in as_tuple(A, "areas"))
         if any(v.numerator <= 0 for v in vals):
-            raise InputError(f"areas must be positive, got {vals}")
+            raise InputError(f"areas must be positive, got {shown(vals)}")
         return tuple.__new__(cls, (vals,))
 
 
@@ -187,7 +188,7 @@ def _require_connected(g: IntersectionGraph) -> None:
             pieces -= 1
     if pieces != 1:
         raise PreconditionError(
-            f"underlying undirected graph must be connected, found {pieces} pieces"
+            f"underlying undirected graph must be connected, found {shown(pieces)} pieces"
         )
 
 
@@ -219,7 +220,7 @@ def bipartition_oracle(g: IntersectionGraph) -> bool:
     """
     _require_connected(g)
     if g.q > _MAX_ORACLE_Q:
-        raise InputError(f"oracle limited to q <= {_MAX_ORACLE_Q}, got q = {g.q}")
+        raise InputError(f"oracle limited to q <= {_MAX_ORACLE_Q}, got q = {shown(g.q)}")
     subsets = 1 << g.q
     inside = [0]
     for v in range(g.q):
@@ -279,36 +280,38 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
 
 
 def _scaled_net(g: IntersectionGraph, A: Sequence) -> tuple:
-    """Weighted outflow minus inflow of areas ``A`` at components 1..q,
+    """Weighted outflow minus inflow of areas ``A`` at the edge endpoints,
     as integers over one common denominator: returns ``(net, d)`` with
-    ``net[k - 1] / d`` the net flow at component k."""
+    ``net[k] / d`` the net flow at component k, a dict holding only the
+    components that some edge touches (the net flow is 0 elsewhere)."""
     terms = [(w.numerator * a.numerator, w.denominator * a.denominator)
              for (_, _, w), a in zip(g.edges, A)]
     d = math.lcm(*(den for _, den in terms))
-    net = [0] * (g.q + 1)
+    net = {}
     for (u, v, _), (num, den) in zip(g.edges, terms):
         f = num * (d // den)
-        net[u] += f
-        net[v] -= f
-    return net[1:], d
+        net[u] = net.get(u, 0) + f
+        net[v] = net.get(v, 0) - f
+    return net, d
 
 
 def _net_flow(g: IntersectionGraph, A: Sequence) -> list:
     """Weighted outflow minus inflow of areas ``A`` at components 1..q."""
     net, d = _scaled_net(g, A)
-    return [Fraction(x, d) for x in net]
+    return [Fraction(net.get(k, 0), d) for k in range(1, g.q + 1)]
 
 
 def check_balance(g: IntersectionGraph, sol: BalanceSolution) -> bool:
     """Exact check of the weighted flow balance at every component.
 
-    The terms w_e * A_e are summed at each component as integers over the
-    lcm of their denominators, so the check builds no Fraction; the flow
-    balances iff every such integer sum is zero.
+    The terms w_e * A_e are summed at each edge endpoint as integers over
+    the lcm of their denominators, so the check builds no Fraction and
+    takes O(n) work whatever q is; the flow balances iff every such
+    integer sum is zero.
     """
     if len(sol.A) != g.n:
         raise InputError(f"expected {g.n} areas, got {len(sol.A)}")
-    return not any(_scaled_net(g, sol.A)[0])
+    return not any(_scaled_net(g, sol.A)[0].values())
 
 
 class ModuliDim(NamedTuple):
@@ -328,7 +331,7 @@ def moduli_dim_relation(n: int, q: int, b1X: int) -> ModuliDim:
     n, q, b1X = as_int(n, "n"), as_int(q, "q", least=1), as_int(b1X, "b1X", least=0)
     if n < q - 1:
         raise InputError(
-            f"{n} sums cannot connect {q} components: need n >= q - 1"
+            f"{shown(n)} sums cannot connect {shown(q)} components: need n >= q - 1"
         )
     return ModuliDim(n + 1 - q + b1X, n == q)
 
@@ -483,7 +486,9 @@ def family_balance_region(
         tf = Fraction(t)
         bits = m_exp * (tf.numerator.bit_length() + tf.denominator.bit_length())
         if any(nets) and bits > MAX_POWER_BITS:
-            raise InputError(f"t^m for m = {m_exp} needs {bits} bits, over {MAX_POWER_BITS}")
+            raise InputError(
+                f"t^m for m = {shown(m_exp)} needs {shown(bits)} bits, over {MAX_POWER_BITS}"
+            )
         tm = tf ** m_exp if any(nets) else 0
         tol = Fraction(PAIRING_TOL)
         for p, net in zip(vals, nets):

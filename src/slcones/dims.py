@@ -15,7 +15,15 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InconsistentProfileError, InputError, WallError, as_finite, as_int, as_tuple
+from .errors import (
+    InconsistentProfileError,
+    InputError,
+    WallError,
+    as_finite,
+    as_int,
+    as_tuple,
+    shown,
+)
 
 __all__ = [
     "ConeData",
@@ -45,7 +53,7 @@ class ConeData(NamedTuple("ConeData", [("l", int), ("s_ind", int), ("rigid", boo
 
     def __new__(cls, l: int, s_ind: int, rigid: bool = True):
         if not isinstance(rigid, bool):
-            raise InputError(f"rigid must be true or false, got {rigid!r}")
+            raise InputError(f"rigid must be true or false, got {shown(rigid)!r}")
         return tuple.__new__(cls, (
             as_int(l, "link component count", least=1),
             as_int(s_ind, "stability index", least=0),
@@ -133,7 +141,7 @@ def dim_I(p: TopologyProfile) -> int:
     val = p.b1csX + p.q - sum(c.l for c in p.cones)
     if val < 0:
         raise InconsistentProfileError(
-            f"dim I = {val} < 0: the end count exceeds what the exact "
+            f"dim I = {shown(val)} < 0: the end count exceeds what the exact "
             f"sequence of the pair allows"
         )
     return val
@@ -148,9 +156,9 @@ def ac_moduli_dims(neck: NeckTopology, l: int) -> AcDims:
     dim_m0 = neck.b1L - neck.b0L + l
     if dim_y < 0 or dim_z < 0 or dim_m0 < 0:
         raise InconsistentProfileError(
-            f"negative neck dimension from (b0={neck.b0L}, b1={neck.b1L}, "
-            f"b1_cs={neck.b1csL}, l={l}): "
-            f"(dimY, dimZ, dimM0) = ({dim_y}, {dim_z}, {dim_m0})"
+            f"negative neck dimension from (b0={shown(neck.b0L)}, b1={shown(neck.b1L)}, "
+            f"b1_cs={shown(neck.b1csL)}, l={shown(l)}): "
+            f"(dimY, dimZ, dimM0) = {shown((dim_y, dim_z, dim_m0))}"
         )
     return AcDims(dim_y, dim_z, dim_m0)
 
@@ -160,7 +168,7 @@ def dim_Z(p: TopologyProfile) -> int:
     independent matching restrictions: 1 - q + sum l_i - sum b0(L_i)."""
     val = 1 - p.q + sum(c.l for c in p.cones) - sum(n.b0L for n in p.necks)
     if val < 0:
-        raise InconsistentProfileError(f"dim Z = {val} < 0")
+        raise InconsistentProfileError(f"dim Z = {shown(val)} < 0")
     return val
 
 
@@ -173,7 +181,7 @@ def b1_N(p: TopologyProfile) -> int:
         c.l for c in p.cones
     )
     if val < 0:
-        raise InconsistentProfileError(f"b1(N) = {val} < 0")
+        raise InconsistentProfileError(f"b1(N) = {shown(val)} < 0")
     return val
 
 
@@ -188,11 +196,11 @@ def dim_F_and_index(p: TopologyProfile) -> IndexReport:
         raise InputError("profile must carry dimY to compute dimF")
     dim_f = p.dimY + 1 - p.q + sum(n.b1csL for n in p.necks)
     if dim_f < 0:
-        raise InconsistentProfileError(f"dim F = {dim_f} < 0")
+        raise InconsistentProfileError(f"dim F = {shown(dim_f)} < 0")
     if dim_f != b1_N(p) - dim_I(p):
         raise InconsistentProfileError(
             f"identity dimF = b1(N) - dimI violated: "
-            f"{dim_f} != {b1_N(p)} - {dim_I(p)}"
+            f"{shown(dim_f)} != {shown(b1_N(p))} - {shown(dim_I(p))}"
         )
     ind_x = dim_f + sum(c.s_ind for c in p.cones)
     warn = any(not c.rigid for c in p.cones)
@@ -231,7 +239,7 @@ def rate_lambda_dims(
     in the exceptional set has no well-defined moduli dimension.
     """
     if not isinstance(exceptional, bool):
-        raise InputError(f"exceptional must be true or false, got {exceptional!r}")
+        raise InputError(f"exceptional must be true or false, got {shown(exceptional)!r}")
     if exceptional:
         raise WallError("rate lies in the exceptional set; dimension jumps there")
     if regime == "negative":
@@ -241,9 +249,9 @@ def rate_lambda_dims(
             raise InputError("positive regime needs N_Sigma(lambda)")
         val = neck.b1L - neck.b0L + as_int(n_sigma_lambda, "N_Sigma(lambda)")
         if val < 0:
-            raise InconsistentProfileError(f"moduli dimension {val} < 0")
+            raise InconsistentProfileError(f"moduli dimension {shown(val)} < 0")
         return val
-    raise InputError(f"regime must be 'positive' or 'negative', got {regime!r}")
+    raise InputError(f"regime must be 'positive' or 'negative', got {shown(regime)!r}")
 
 
 def moduli_jump(dim_m0: int, s_ind: int, m: int) -> int:
@@ -274,5 +282,5 @@ def check_boundary_image(b1_sigma: int, image_dim: int) -> None:
     if 2 * image_dim != b1_sigma:
         raise InconsistentProfileError(
             f"boundary image must be half of b1(Sigma): "
-            f"2*{image_dim} != {b1_sigma}"
+            f"2*{shown(image_dim)} != {shown(b1_sigma)}"
         )

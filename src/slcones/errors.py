@@ -12,7 +12,9 @@ rational by :func:`as_rational` (:func:`read_rational` adds ``"p/q"``
 strings), a finite float by :func:`as_finite`, a positive one by
 :func:`as_positive`, and a sequence argument by :func:`as_tuple`.  Each
 raises :class:`InputError` naming the argument, and none coerces a bool,
-a string or a non-finite value into a number.
+a string or a non-finite value into a number.  Every message that echoes
+a caller's value passes it through :func:`shown`, so an integer too long
+to print still gives a message.
 """
 from __future__ import annotations
 
@@ -24,6 +26,36 @@ from fractions import Fraction
 
 #: a float is read as the nearest fraction with at most this denominator
 RATIONAL_MAX_DENOMINATOR = 10**12
+
+
+class _Shown(str):
+    """A stand-in for an over-long number in a message, printed without
+    quotes by ``str``, ``repr`` and the repr of a container."""
+
+    __repr__ = str.__str__
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of |n|: 2^(b-1) <= |n| < 2^b leaves two candidates."""
+    n = abs(n)
+    d = int((n.bit_length() - 1) * 0.3010299956639812) + 1
+    return d + (n >= 10**d)
+
+
+def shown(x):
+    """``x`` as an error message should echo it: an int or a Fraction
+    with more than 50 digits is replaced by its digit count, and so is
+    one inside a list or a tuple; anything else comes back as it is, so
+    a message formats it as before.  Call it on error paths only."""
+    if type(x) in (tuple, list):
+        return type(x)(map(shown, x))
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        a, b = _digits(x.numerator), _digits(x.denominator)
+        if max(a, b) > 50:
+            sign = "-" if x < 0 else ""
+            return _Shown(f"<{sign}int of {a} digits>" if x.denominator == 1
+                          else f"<{sign}fraction of {a}/{b} digits>")
+    return x
 
 
 class SLConesError(Exception):
@@ -88,11 +120,11 @@ def as_int(x, what: str, least: int | None = None) -> int:
     elif isinstance(x, float) and math.isfinite(x) and x.is_integer():
         v = int(x)
     elif isinstance(x, (bool, float)) or not hasattr(type(x), "__index__"):
-        raise InputError(f"{what} must be an integer, got {x!r}")
+        raise InputError(f"{what} must be an integer, got {shown(x)!r}")
     else:
         v = operator.index(x)
     if least is not None and v < least:
-        raise InputError(f"{what} must be >= {least}, got {v}")
+        raise InputError(f"{what} must be >= {least}, got {shown(v)}")
     return v
 
 
@@ -115,7 +147,7 @@ def as_rational(x, what: str) -> Fraction:
             v = float(x)
             if math.isfinite(v):
                 return Fraction(v).limit_denominator(RATIONAL_MAX_DENOMINATOR)
-    raise InputError(f"{what} must be a finite rational or real number, got {x!r}")
+    raise InputError(f"{what} must be a finite rational or real number, got {shown(x)!r}")
 
 
 def read_rational(x, what: str) -> Fraction:
@@ -145,7 +177,7 @@ def as_finite(x, what: str) -> float:
             v = math.inf
         if math.isfinite(v):
             return v
-    raise InputError(f"{what} must be a finite real number, got {x!r}")
+    raise InputError(f"{what} must be a finite real number, got {shown(x)!r}")
 
 
 def as_positive(x, what: str) -> float:
@@ -164,4 +196,4 @@ def as_tuple(x, what: str) -> tuple:
             return tuple(x)
         except TypeError:
             pass
-    raise InputError(f"{what} must be a sequence, got {x!r}")
+    raise InputError(f"{what} must be a sequence, got {shown(x)!r}")

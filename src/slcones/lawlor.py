@@ -96,9 +96,18 @@ def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float):
 
 
 def sphere_area(m: int) -> float:
-    """(m-1)-dimensional volume of the unit sphere in R^m."""
+    """(m-1)-dimensional volume of the unit sphere in R^m.
+
+    From m = 344 on, Gamma(m/2) passes the float range and the area is
+    formed from log Gamma instead; it underflows to 0.0 from m = 456.
+    """
     m = as_int(m, "dimension m", least=1)
-    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    try:
+        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    except OverflowError:
+        if m > 1000:  # the area is 0.0 in floats, and m / 2.0 may overflow too
+            return 0.0
+        return math.exp(math.log(2.0) + m / 2.0 * math.log(math.pi) - math.lgamma(m / 2.0))
 
 
 class NeckParams(NamedTuple("NeckParams", [("m", int), ("a", tuple)])):
@@ -255,6 +264,8 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     if not 0.0 < prod < math.inf:
         raise NumericError(f"prod(a) = {prod} leaves the float range, so A cannot be formed")
     A = sphere_area(p.m) / math.sqrt(prod)
+    if A == 0.0:
+        raise NumericError(f"A underflows at m = {p.m}, prod(a) = {prod}")
     return AngleSpec(phi, A, sum_tol=sum_tol)
 
 
@@ -288,12 +299,15 @@ def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:
     area equation holds exactly, takes damped Newton steps with the
     positivity projection a_k <- max(a_k, eps), and stops when the
     residual drops below ``tol``, which must be a finite positive number.
+    Raises :class:`NumericError` where the unit sphere's area underflows.
     """
     tol = as_positive(tol, "tol")
     m = spec.m
     phi_target = np.array(spec.phi[: m - 1])
     logA_target = math.log(spec.A)
     om = sphere_area(m)
+    if om == 0.0:
+        raise NumericError(f"the unit sphere's area underflows at m = {m}")
 
     # symmetric start satisfying A = omega_m (prod a)^(-1/2)
     s0 = (om / spec.A) ** (2.0 / m)

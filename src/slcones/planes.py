@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tolerances import TRANSVERSE_TOL as DEFAULT_TRANSVERSE_TOL
-from .errors import InputError, NumericError, as_finite, as_int, as_positive, as_tuple
+from .errors import InputError, NumericError, as_finite, as_int, as_positive, as_tuple, shown
 
 __all__ = [
     "SLPlane",
@@ -62,7 +62,7 @@ class SLPlane(NamedTuple("SLPlane", [("frame", np.ndarray)])):
             bad = [x for row in frame for x in row
                    if isinstance(x, bool) or not isinstance(x, numbers.Number)]
             if bad:
-                raise InputError(f"frame entries must be numbers, got {bad[0]!r}")
+                raise InputError(f"frame entries must be numbers, got {shown(bad[0])!r}")
         try:
             frame = np.array(frame, dtype=complex)
         except (ValueError, OverflowError):  # ragged rows, or an int beyond the float range

@@ -28,10 +28,8 @@ grow with m.  The brute-force box scan, the ball enumeration and the
 (sum n_i, sum n_i^2) dynamic program that counted before the walk are
 its independent oracles in the tests.
 
-Requests are admitted by the work of that dynamic program,
-(m-1)*(2*s_max+1)*(cutoff+1) with s_max = min((m-1)*isqrt(cutoff),
-cutoff), against :data:`MAX_DP_CELLS`, so the same requests are served
-and refused as when it did the counting.
+A request is served while the walk's own work count stays within
+:data:`MAX_WALK_WORK`.
 
 Exponent comparisons against rational thresholds are carried out through
 the exact quadratic relation (integer/Fraction arithmetic only); floats
@@ -43,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import IncompleteSpectrumError, InputError, as_int, as_rational, as_tuple
+from .errors import IncompleteSpectrumError, InputError, as_int, as_rational, as_tuple, shown
 
 __all__ = [
     "ConeSpectrum",
@@ -57,9 +55,10 @@ __all__ = [
     "stability_index",
 ]
 
-#: admission bound of enumerate_spectrum: the largest work
-#: (m-1) * (2 s_max + 1) * (cutoff + 1) of the (s, t) dynamic program it accepts
-MAX_DP_CELLS = 2 * 10**7
+#: admission budget of enumerate_spectrum: the largest work count it serves,
+#: cutoff + 1 table cells, plus 15 per walk node, plus one per value in each
+#: range the walk scans (at most about 1 s of walk on a 2-core x86 host)
+MAX_WALK_WORK = 3_400_000
 
 
 def hl_eigenvalue(m: int, n) -> int:
@@ -72,7 +71,7 @@ def hl_eigenvalue(m: int, n) -> int:
     entries = [as_int(v, "lattice point entry") for v in as_tuple(n, "lattice point")]
     if len(entries) != m - 1:
         raise InputError(
-            f"lattice point needs m-1 = {m - 1} entries, got {len(entries)}"
+            f"lattice point needs m-1 = {shown(m - 1)} entries, got {len(entries)}"
         )
     s = sum(entries)
     t = sum(v * v for v in entries)
@@ -102,16 +101,16 @@ class ConeSpectrum(NamedTuple("ConeSpectrum", [
             try:
                 lam, mult = entry
             except (TypeError, ValueError):
-                raise InputError(f"spectrum entry must be a pair, got {entry!r}") from None
+                raise InputError(f"spectrum entry must be a pair, got {shown(entry)!r}") from None
             lam_e = lam if type(lam) is int else as_rational(lam, "eigenvalue")
             mult = as_int(mult, "multiplicity", least=1)
             if lam_e < 0:
-                raise InputError(f"eigenvalues must be nonnegative, got {lam}")
+                raise InputError(f"eigenvalues must be nonnegative, got {shown(lam)}")
             merged[lam_e] = merged.get(lam_e, 0) + mult
         table = tuple(sorted(merged.items()))  # linear on an ascending table
         if table and table[-1][0] > cut:
             lam_e = next(lam_e for lam_e, _ in table if lam_e > cut)
-            raise InputError(f"eigenvalue {lam_e} exceeds the declared cutoff {cut}")
+            raise InputError(f"eigenvalue {shown(lam_e)} exceeds the declared cutoff {shown(cut)}")
         return tuple.__new__(cls, (m, table, cut))
 
     def multiplicity(self, lam) -> int:
@@ -122,17 +121,7 @@ class ConeSpectrum(NamedTuple("ConeSpectrum", [
         return 0
 
 
-def _dp_cells(m: int, cutoff: int) -> int:
-    """Admission bound of :func:`enumerate_spectrum`: the work of the
-    (sum n_i, sum n_i^2) dynamic program that once counted the spectrum,
-    m-1 layers over a banded (2 s_max + 1) x (cutoff + 1) table with
-    s_max = min((m-1) * floor(sqrt(cutoff)), cutoff)."""
-    d = m - 1
-    smax = min(d * math.isqrt(cutoff), cutoff)
-    return d * (2 * smax + 1) * (cutoff + 1)
-
-
-def _counts(m: int, cutoff: int) -> list:
+def _counts(m: int, cutoff: int) -> list | None:
     """``counts[q]`` = exact number of lattice vectors n with Q(n) = q.
 
     Sums m!/prod(k_v!) over the multisets {0: k0, v: k_v} with the mode 0
@@ -145,8 +134,13 @@ def _counts(m: int, cutoff: int) -> list:
     n*f(v) = (n*v - s1)^2 + p.  Two cuts keep the walk on live multisets:
     each later coordinate adds at least p/n (the minimum of f, and p/n
     never falls), and if the smallest of the rem coordinates left sits at
-    v above the mean s1/n, each of them adds at least f(v).
+    v above the mean s1/n, each of them adds at least f(v).  The work count
+    is the table's cutoff + 1 cells, 15 per ``walk`` call and the length of
+    each range scanned; past :data:`MAX_WALK_WORK` the walk stops and returns None.
     """
+    left = MAX_WALK_WORK - (cutoff + 1)  # the work budget still unspent
+    if left < 0:  # refused before the table is allocated
+        return None
     counts = [0] * (cutoff + 1)
     counts[0] = 1  # the mode alone, j = 0
     isqrt = math.isqrt
@@ -159,8 +153,10 @@ def _counts(m: int, cutoff: int) -> list:
         # place rem >= 1 more coordinates at nonzero values >= lo; coef is
         # m! / (k0! * prod k_v!) over the values placed so far, and k0 is
         # the enclosing loop's mode count
+        nonlocal left
+        left -= 15
         d = n * (cutoff - p) // rem - p
-        if d < 0:  # even rem coordinates at the mean overshoot
+        if d < 0 or left < 0:  # rem coordinates at the mean overshoot, or over budget
             return
         r = isqrt(d)
         vhi = (s1 + r) // n  # p + rem * f(v) <= cutoff for v above the mean
@@ -169,6 +165,8 @@ def _counts(m: int, cutoff: int) -> list:
             vlo = -((r - s1) // n)
             if vlo < lo:
                 vlo = lo
+            if vlo <= vhi:
+                left -= vhi - vlo + 1
             c = coef // fact[rem]
             if vlo <= 0:
                 if rem < k0:
@@ -200,7 +198,7 @@ def _counts(m: int, cutoff: int) -> list:
             pk = p
             for k in range(1, kmax + 1):
                 pk += fv
-                if pk > cutoff:
+                if pk > cutoff or left < 0:
                     break
                 n2 = n + k
                 t1 = s1 + k * v
@@ -217,6 +215,9 @@ def _counts(m: int, cutoff: int) -> list:
                 if wlo <= v:
                     wlo = v + 1
                 whi = (t1 + rr) // n2
+                if wlo > whi:
+                    continue
+                left -= whi - wlo + 1
                 c = coef // fact[k]
                 t1d = 2 * t1
                 q0 = pk + t2
@@ -233,25 +234,22 @@ def _counts(m: int, cutoff: int) -> list:
         coef *= k0 + 1
         if k0 * j <= cutoff:  # each of the j differs from all k0 mode coordinates
             walk(k0, 0, 0, 0, j, -isqrt(cutoff // k0), coef)
-    return counts
+    return counts if left >= 0 else None
 
 
 def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
     """Complete eigenvalue table of the torus link up to ``cutoff``.
 
     Counts the multisets of coordinate values with Q <= cutoff (see the
-    module docstring).  Raises :class:`InputError`, before counting, when
-    the admission bound :func:`_dp_cells` exceeds :data:`MAX_DP_CELLS`.
+    module docstring).  Raises :class:`InputError` once the walk's work
+    count passes the budget :data:`MAX_WALK_WORK`.
     """
     m = as_int(m, "dimension m", least=3)
     cutoff = as_int(cutoff, "cutoff", least=0)
-    cells = _dp_cells(m, cutoff)
-    if cells > MAX_DP_CELLS:
-        raise InputError(
-            f"spectrum for m = {m}, cutoff = {cutoff} needs {cells} DP "
-            f"cells, more than the limit of {MAX_DP_CELLS}"
-        )
     counts = _counts(m, cutoff)
+    if counts is None:
+        raise InputError(f"spectrum for m = {shown(m)}, cutoff = {shown(cutoff)} needs "
+                         f"more than {MAX_WALK_WORK} units of work")
     # already a valid table: int pairs, ascending, none past the cutoff
     entries = [(lam, c) for lam, c in enumerate(counts) if c]
     return ConeSpectrum._make((m, tuple(entries), Fraction(cutoff)))
@@ -307,7 +305,8 @@ def exponents(spec: ConeSpectrum) -> ExponentData:
         try:
             disc = math.sqrt(c * c + 4 * lam)
         except OverflowError:  # no float alpha could hold it either
-            raise InputError(f"exponents of {lam} at m = {m} exceed the float range") from None
+            msg = f"exponents of {shown(lam)} at m = {shown(m)} exceed the float range"
+            raise InputError(msg) from None
         out.append(ExponentEntry((-c - disc) / 2, lam, -1, mult))
         out.append(ExponentEntry((-c + disc) / 2, lam, +1, mult))
     out.sort(key=lambda e: (e.alpha, e.branch))
@@ -329,8 +328,8 @@ def n_sigma(data: ExponentData, delta) -> int:
     lam_needed = d * (d + m - 2)
     if lam_needed > data.cutoff:
         raise IncompleteSpectrumError(
-            f"n_sigma({delta}) needs eigenvalues up to {lam_needed} but the "
-            f"table is only complete up to {data.cutoff}"
+            f"n_sigma({shown(delta)}) needs eigenvalues up to {shown(lam_needed)} but the "
+            f"table is only complete up to {shown(data.cutoff)}"
         )
     seen: dict[Fraction, int] = {}
     for e in data.entries:

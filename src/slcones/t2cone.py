@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InputError, NumericError, as_finite, as_int, as_tuple, read_rational
+from .errors import InputError, NumericError, as_finite, as_int, as_tuple, read_rational, shown
 
 __all__ = [
     "T2Singularity",
@@ -48,12 +48,12 @@ class T2Singularity(NamedTuple("T2Singularity", [("k", tuple)])):
     def __new__(cls, k):
         k = tuple(as_int(x, "k entry") for x in as_tuple(k, "k"))
         if len(k) != 3:
-            raise InputError(f"need a triple, got {k}")
+            raise InputError(f"need a triple, got {shown(k)}")
         if sum(k) != 0:
-            raise InputError(f"entries must sum to zero, got {k}")
+            raise InputError(f"entries must sum to zero, got {shown(k)}")
         if math.gcd(k[0], k[1]) != 1:
             raise InputError(
-                f"(k1, k2) must be coprime (the class is a generator), got {k}"
+                f"(k1, k2) must be coprime (the class is a generator), got {shown(k)}"
             )
         gen = (k[1], -k[0])
         first = next(x for x in gen if x != 0)
@@ -69,7 +69,7 @@ def k_from_generator(p: int, q: int) -> T2Singularity:
     if (p, q) == (0, 0):
         raise InputError("generator cannot be zero")
     if math.gcd(p, q) != 1:
-        raise InputError(f"generator must be primitive, got ({p}, {q})")
+        raise InputError(f"generator must be primitive, got {shown((p, q))}")
     return T2Singularity((-q, p, q - p))
 
 
@@ -86,7 +86,7 @@ def h1_order(s: T2Singularity, h1X: int, j: int) -> Optional[int]:
     h1X = as_int(h1X, "group order h1X", least=1)
     j = as_int(j, "neck index j")
     if j not in (1, 2, 3):
-        raise InputError(f"neck index must be 1, 2, or 3, got {j}")
+        raise InputError(f"neck index must be 1, 2, or 3, got {shown(j)}")
     kj = s.k[j - 1]
     if kj == 0:
         return None
@@ -137,7 +137,7 @@ class T2PairBasis(NamedTuple("T2PairBasis", [("B1", tuple), ("B2", tuple)])):
         if pairing != 0:
             raise InputError(
                 f"basis violates the pairing identity: "
-                f"u1 v2 - u2 v1 + y1 z2 - y2 z1 = {pairing} != 0"
+                f"u1 v2 - u2 v1 + y1 z2 - y2 z1 = {shown(pairing)} != 0"
             )
         return tuple.__new__(cls, (
             ((b1[0], b1[1]), (b1[2], b1[3])),

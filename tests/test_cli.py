@@ -261,7 +261,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--m", "3", "--cutoff", "100000000"],
-        ["stability", "--m", "136"],
+        ["stability", "--m", "10000000"],
     ])
     def test_oversized_dp_exits_2(self, args, monkeypatch, capsys):
         start = time.perf_counter()
@@ -272,7 +272,7 @@ class TestSpectrum:
         doc = json.loads(err)
         _validate(doc, "error")
         assert doc["error"]["type"] == "InputError"
-        assert "DP cells" in doc["error"]["message"]
+        assert "units of work" in doc["error"]["message"]
 
 
 class TestLawlor:
@@ -312,6 +312,26 @@ class TestLawlor:
         err = json.loads(err)
         _validate(err, "error")
         assert err["error"]["type"] == "NumericError"
+
+    # Gamma(m/2) passes the float range from m = 344, and the sphere's area
+    # underflows from m = 456: each answers or is a typed numeric failure
+    @pytest.mark.parametrize("args", [
+        ["--a", ",".join(["1"] * 344)],
+        ["--a", ",".join(["1"] * 460)],
+        ["--phi", ",".join([repr(math.pi / 400)] * 400), "--area", "1.0"],
+        ["--phi", ",".join([repr(math.pi / 500)] * 500), "--area", "1.0"],
+    ], ids=["a 344", "a 460", "phi 400", "phi 500"])
+    def test_many_dimensions_answer_or_exit_3(self, args, monkeypatch, capsys):
+        code, out, err = _main(["lawlor", *args], "", monkeypatch, capsys)
+        assert code in (0, 3)
+        if code == 0:
+            _validate(json.loads(out), "lawlor")
+            assert err == ""
+        else:
+            assert out == ""
+            doc = json.loads(err)
+            _validate(doc, "error")
+            assert doc["error"]["type"] == "NumericError"
 
     def test_phi_without_area_is_input_error(self):
         r = _run(["lawlor", "--phi", "1.0,1.0,1.1415926535897931"])

@@ -979,6 +979,15 @@ class TestCheckBalance:
                                  for _ in g.edges])
             assert check_balance(g, A) == fraction_check_balance(g, A)
 
+    @pytest.mark.parametrize("q", [10**10, 10**400], ids=["q 10**10", "q 10**400"])
+    def test_work_depends_on_the_edges_not_on_q(self, q):
+        # components that no edge touches have net flow 0 and take no memory
+        start = time.perf_counter()
+        g = IntersectionGraph(q, [(1, 2, 1), (2, 1, 1)])
+        assert check_balance(g, BalanceSolution((1, 1))) is True
+        assert check_balance(g, BalanceSolution((1, 2))) is False
+        assert time.perf_counter() - start < 1.0
+
 
 class TestLibraryRationals:
     """Edge weights and areas are read by ``errors.as_rational``, the CLI's

@@ -52,6 +52,7 @@ from slcones.errors import (
     as_finite,
     as_int,
     read_rational,
+    shown,
 )
 from slcones.lawlor import (
     AngleSpec,
@@ -88,7 +89,8 @@ from slcones.t2cone import (
     two_singularity_gluings,
 )
 
-HOSTILE = (True, "1", None, math.nan, math.inf, -math.inf, 10**400, 1j, [1], np.bool_(True))
+HOSTILE = (True, "1", None, math.nan, math.inf, -math.inf, 10**400, 10**5000, -(10**5000), 1j,
+           [1], np.bool_(True))
 NOT_INT = tuple(v for v in HOSTILE if type(v) is not int)
 
 
@@ -244,7 +246,7 @@ ROWS = [
     ("IntersectionGraph -> feasible, solve_areas, bipartition_oracle", _graph,
      (Int(2), _cycle())),
     ("BalanceSolution -> check_balance", _balance,
-     (Count(2), _cycle(), [Rational(1), Rational(2)])),
+     (Int(2), _cycle(), [Rational(1), Rational(2)])),
     ("family_balance_region, exact", _family,
      (Count(2), _cycle(), [Rational(1), Rational(-1)], Real(0.5), Int(3))),
     ("family_balance_region, with areas", _family_with_areas,
@@ -292,11 +294,19 @@ def test_every_value_answers_or_is_an_slcones_error(name, fn, args):
         except SLConesError:
             continue
         except Exception as exc:  # the table reports every escape
-            wrong.append(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
+            wrong.append(f"{path} = {shown(value)!r}: {type(exc).__name__}: {exc}")
             continue
         if not accepted:
-            wrong.append(f"{path} = {value!r}: answered, but its reader rejects it")
+            wrong.append(f"{path} = {shown(value)!r}: answered, but its reader rejects it")
     assert not wrong, "\n".join(wrong)
+
+
+def test_shown_replaces_only_over_long_numbers():
+    assert shown(10**50 - 1) == 10**50 - 1
+    assert f"{shown(-(10**5000))!r}" == "<-int of 5001 digits>"
+    assert str(shown(Fraction(1, 3 * 10**60))) == "<fraction of 1/61 digits>"
+    assert str(shown((1, 10**400))) == "(1, <int of 401 digits>)"
+    assert shown(True) is True and shown("1") == "1"
 
 
 _S = T2Singularity((-1, 0, 1))

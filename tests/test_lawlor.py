@@ -585,6 +585,22 @@ def test_sphere_area_known_values():
     assert sphere_area(4) == pytest.approx(2 * math.pi**2)
 
 
+def test_sphere_area_against_mpmath_up_to_m_2000():
+    # Gamma(m/2) passes the float range from m = 344, the area falls below
+    # the normal floats from m = 439 and underflows to 0.0 from m = 456;
+    # within one subnormal step of the exact value there
+    mp = pytest.importorskip("mpmath").mp
+    old = mp.dps
+    mp.dps = 30
+    try:
+        for m in range(1, 2001):
+            exact = 2 * mp.pi ** (mp.mpf(m) / 2) / mp.gamma(mp.mpf(m) / 2)
+            assert abs(sphere_area(m) - exact) <= 1e-12 * exact + 1e-323, m
+    finally:
+        mp.dps = old
+    assert sphere_area(10**400) == 0.0
+
+
 def test_z_invariant_is_plus_minus_area():
     spec = angles_from_a(NeckParams((1, 2, 3)))
     lo, hi = sorted(z_invariant(spec))

@@ -6,13 +6,15 @@ deliberately ignores the package's ball bound: it scans the full cube
 The ball oracle walks the ball sum n_i^2 <= cutoff depth first; it
 reaches the larger m where the DP's band on the digit sum binds.  The
 DP oracle is the (sum n_i, sum n_i^2) dynamic program the package counted
-with before its multiset walk; it reaches the admission frontier.
+with before its multiset walk; it reaches the largest cutoffs that the
+package served while it admitted requests by that program's size.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -223,31 +225,60 @@ class TestEnumerate:
         assert spec.entries == enumerate_spectrum(3, 6).entries
         assert spec.m == 3 and type(spec.m) is int
 
+    # the table's cutoff + 1 cells alone pass the budget: refused at once,
+    # before the table is allocated
     @pytest.mark.parametrize("call", [
         lambda: enumerate_spectrum(3, 10**8),
-        lambda: enumerate_spectrum(10**9, 0),
-        lambda: stability_index(136),
-    ], ids=["cutoff", "m", "stability"])
+        lambda: stability_index(10**7),
+    ], ids=["cutoff", "stability"])
     def test_oversized_dp_is_input_error(self, call):
         start = time.perf_counter()
-        with pytest.raises(InputError, match="DP cells"):
-            call()
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="units of work"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert time.perf_counter() - start < 1.0
+        assert peak < 10**6
 
     def test_guard_admits_what_the_banded_dp_serves(self):
-        # m = 76..135 fit the banded table, though not the unbanded one
-        # the guard once counted; values from the DP with the guard lifted
-        assert spectrum._dp_cells(135, 270) <= spectrum.MAX_DP_CELLS
+        # m = 76..135 fit the banded table of the retired DP's bound;
+        # values from that DP with its bound lifted
         assert stability_index(76).s_ind == 5700
         assert stability_index(100).s_ind == 9900
 
+    # requests the retired DP-cell bound refused, now served
+    @pytest.mark.parametrize("m, cutoff", [(3, 10**5), (10**9, 0)])
+    def test_served_past_the_retired_bound(self, m, cutoff):
+        spec = enumerate_spectrum(m, cutoff)
+        assert {int(lam): mult for lam, mult in spec.entries} == ball_oracle(m, cutoff)
+
+    def test_stability_past_the_retired_bound(self):
+        rep = stability_index(136)
+        counts = dp_oracle(136, 272)
+        assert (rep.n_sigma2, rep.m_sigma2) == (int(counts.sum()), int(counts[272]))
+        assert rep.s_ind == 136 * 135 and not rep.stable and rep.rigid
+
     def test_dp_size_limit_is_inclusive(self, monkeypatch):
-        # (m, cutoff) = (4, 9): 3 layers of a 19 x 10 table
-        monkeypatch.setattr(spectrum, "MAX_DP_CELLS", 3 * 19 * 10)
+        # the work of (m, cutoff) = (4, 9): 10 table cells, 4 walk nodes
+        # and 8 values in the ranges it scans
+        work = 10 + 15 * 4 + 8
+        monkeypatch.setattr(spectrum, "MAX_WALK_WORK", work)
         assert enumerate_spectrum(4, 9).entries[0] == (0, 1)
-        monkeypatch.setattr(spectrum, "MAX_DP_CELLS", 3 * 19 * 10 - 1)
-        with pytest.raises(InputError, match="DP cells"):
+        monkeypatch.setattr(spectrum, "MAX_WALK_WORK", work - 1)
+        with pytest.raises(InputError, match="units of work"):
             enumerate_spectrum(4, 9)
+
+    # the table fits the budget with 100 units to spare, and the walk's
+    # count passes it at a node (m = 11), at a range of the rem coordinates
+    # at one value (m = 3) or at an inlined range of the last one (m = 4)
+    @pytest.mark.parametrize("m, cutoff", [(11, 200), (3, 5000), (4, 1000)])
+    def test_refused_mid_walk(self, m, cutoff, monkeypatch):
+        monkeypatch.setattr(spectrum, "MAX_WALK_WORK", cutoff + 101)
+        with pytest.raises(InputError, match="units of work"):
+            enumerate_spectrum(m, cutoff)
 
     @pytest.mark.parametrize("m, cutoff", GRID + [
         (m, 2 * m) for m in range(3, 41)
@@ -257,12 +288,11 @@ class TestEnumerate:
     def test_against_dp_oracle(self, m, cutoff):
         assert spectrum._counts(m, cutoff) == dp_oracle(m, cutoff).tolist()
 
-    # the largest cutoff the admission bound lets through at these m; the
-    # walk is fastest here, and the DP oracle takes about a second each
+    # the largest cutoffs the retired DP-cell bound let through at these
+    # m, where the DP oracle takes about a second each; the walk's budget
+    # admits larger ones
     @pytest.mark.parametrize("m, cutoff", [(60, 410), (135, 272)])
     def test_against_dp_oracle_on_the_admission_frontier(self, m, cutoff):
-        assert spectrum._dp_cells(m, cutoff) <= spectrum.MAX_DP_CELLS
-        assert spectrum._dp_cells(m, cutoff + 1) > spectrum.MAX_DP_CELLS
         assert spectrum._counts(m, cutoff) == dp_oracle(m, cutoff).tolist()
 
     def test_counts_are_python_ints(self):
