@@ -371,29 +371,26 @@ def _cmd_t2cone(args):
 # Golden verification suites
 
 
-_STABILITY_TABLE = {
-    3: (13, 6, 0),
-    4: (27, 12, 6),
-    5: (51, 20, 20),
-    6: (93, 30, 50),
-    7: (169, 42, 112),
-    8: (311, 126, 238),
-    9: (331, 240, 240),
-    10: (201, 90, 90),
-    11: (243, 110, 110),
-    12: (289, 132, 132),
-}
+def _goldens(section: str):
+    """A section of ``goldens.json``, the package's one copy of its golden
+    results: the CLI documents with their inputs, the stability table and
+    the two-singularity gluing cases."""
+    from pathlib import Path
+
+    with open(Path(__file__).with_name("goldens.json"), encoding="utf-8") as fh:
+        return json.load(fh)[section]
 
 
 def _suite_table1() -> list:
     from .spectrum import stability_index
 
     failures = []
-    for m, (n2, m2, s_ind) in _STABILITY_TABLE.items():
+    for key, row in _goldens("stability").items():
+        m, want = int(key), tuple(row)
         rep = stability_index(m)
         got = (rep.n_sigma2, rep.m_sigma2, rep.s_ind)
-        if got != (n2, m2, s_ind):
-            failures.append(f"stability m={m}: got {got}, want {(n2, m2, s_ind)}")
+        if got != want:
+            failures.append(f"stability m={m}: got {got}, want {want}")
         if rep.rigid != (m not in (8, 9)):
             failures.append(f"rigidity m={m}: got {rep.rigid}")
         if rep.stable != (m == 3):
@@ -404,40 +401,14 @@ def _suite_table1() -> list:
 
 
 def _suite_gluings() -> list:
-    from .t2cone import GluingSolution, T2PairBasis, two_singularity_gluings
+    from .t2cone import T2PairBasis, two_singularity_gluings
 
-    one = Fraction(1)
-    r23 = Fraction(2, 3)
-    r32 = Fraction(3, 2)
-    cases = [
-        (
-            (((1, 0), (0, 0)), ((0, 0), (1, 0))),
-            [GluingSolution(1, 1, None, 2)],
-        ),
-        (
-            (((1, 0), (r23, 0)), ((2, -2), (5, 3))),
-            [GluingSolution(1, 1, r23, 1)],
-        ),
-        (
-            (((1, 0), (0, r32)), ((0, r32), (1, 0))),
-            [GluingSolution(1, 2, r32, 1), GluingSolution(2, 1, 1 / r32, 1)],
-        ),
-        (
-            (((1, 0), (0, 1)), ((0, 1), (1, 0))),
-            [
-                GluingSolution(1, 2, one, 1),
-                GluingSolution(2, 1, one, 1),
-                GluingSolution(3, 3, one, 1),
-            ],
-        ),
-    ]
     failures = []
-    for i, ((b1, b2), expected) in enumerate(cases):
-        got = two_singularity_gluings(T2PairBasis(b1, b2))
-        if sorted(got, key=lambda s: (s.j1, s.j2)) != sorted(
-            expected, key=lambda s: (s.j1, s.j2)
-        ):
-            failures.append(f"gluing case {i}: got {got}, want {expected}")
+    for i, ((b1, b2), want) in enumerate(_goldens("gluings")):
+        sols = sorted(two_singularity_gluings(T2PairBasis(b1, b2)), key=lambda s: (s.j1, s.j2))
+        got = [[s.j1, s.j2, None if s.ratio is None else str(s.ratio), s.dimY] for s in sols]
+        if got != want:
+            failures.append(f"gluing case {i}: got {got}, want {want}")
     return failures
 
 

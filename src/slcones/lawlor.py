@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tolerances import LAWLOR_TOL as DEFAULT_TOL
-from .errors import InputError, NumericError, as_finite, as_int, as_positive, as_tuple
+from .errors import InputError, NumericError, as_finite, as_int, as_positive, as_tuple, shown
 
 __all__ = [
     "NeckParams",
@@ -545,9 +545,12 @@ def verify_sl_hl_cone(m: int, sample_count: int = 1000) -> SLResidual:
     """
     m = as_int(m, "dimension m", least=3)
     sample_count = as_int(sample_count, "sample_count", least=1)
+    try:
+        torus = np.arange(m - 1)
+    except ValueError:  # m past numpy's largest size
+        raise InputError(f"dimension m = {shown(m)} is too large for an array") from None
     gamma = -(m + 1) * math.pi / (2.0 * m)
     phase = complex(math.cos(gamma), math.sin(gamma))
-    torus = np.arange(m - 1)
     max_om = max_ph = 0.0
     for r, theta in _draw_blocks(
         sample_count,

@@ -110,7 +110,12 @@ class PlanePairReport(NamedTuple):
 
 def identity_plane(m: int) -> SLPlane:
     """The reference plane R^m itself."""
-    return SLPlane(np.eye(as_int(m, "dimension m", least=1)))
+    m = as_int(m, "dimension m", least=1)
+    try:
+        frame = np.eye(m)
+    except ValueError:  # m past numpy's largest dimension
+        raise InputError(f"dimension m = {shown(m)} is too large for an array") from None
+    return SLPlane(frame)
 
 
 def phi_frame(phi) -> SLPlane:

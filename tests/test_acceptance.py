@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group, unitary_group
 
+from slcones.cli import _goldens
 from slcones.consum import (
     IntersectionGraph,
     bipartition_oracle,
@@ -63,24 +64,13 @@ def _verdict(capsys, name: str, ok: bool, detail: str) -> None:
 # Link spectrum and stability
 
 
-STABILITY_TABLE = {
-    3: (13, 6, 0),
-    4: (27, 12, 6),
-    5: (51, 20, 20),
-    6: (93, 30, 50),
-    7: (169, 42, 112),
-    8: (311, 126, 238),
-    9: (331, 240, 240),
-    10: (201, 90, 90),
-    11: (243, 110, 110),
-    12: (289, 132, 132),
-}
+GOLDEN_STABILITY = {int(m): tuple(row) for m, row in _goldens("stability").items()}
 
 
 @lru_cache(maxsize=1)
 def _stability_reports():
     t0 = time.perf_counter()
-    reps = {m: stability_index(m) for m in STABILITY_TABLE}
+    reps = {m: stability_index(m) for m in GOLDEN_STABILITY}
     return reps, time.perf_counter() - t0
 
 
@@ -88,7 +78,7 @@ def test_stability_table(capsys):
     reps, elapsed = _stability_reports()
     bad = [
         m
-        for m, want in STABILITY_TABLE.items()
+        for m, want in GOLDEN_STABILITY.items()
         if (reps[m].n_sigma2, reps[m].m_sigma2, reps[m].s_ind) != want
     ]
     ok = not bad and elapsed <= 10.0
@@ -96,29 +86,34 @@ def test_stability_table(capsys):
         capsys,
         "stability table m=3..12 exact",
         ok,
-        f"{len(STABILITY_TABLE) - len(bad)}/{len(STABILITY_TABLE)} rows, "
+        f"{len(GOLDEN_STABILITY) - len(bad)}/{len(GOLDEN_STABILITY)} rows, "
         f"{elapsed:.2f} s (budget 10 s)" + (f", wrong: {bad}" if bad else ""),
     )
 
 
+# From m = 10 on, the closed form holds; 1699980 is the largest m that
+# spectrum.MAX_WALK_WORK admits.
+ASYMPTOTIC_M = (*range(10, 41), 100, 1000, 10**5, 1699980)
+
+
 def test_asymptotic_counts(capsys):
-    reps, _ = _stability_reports()
-    bad = [
-        m
-        for m in (10, 11, 12)
-        if (reps[m].n_sigma2, reps[m].m_sigma2) != (2 * m * m + 1, m * m - m)
-    ]
+    bad = []
+    for m in ASYMPTOTIC_M:
+        rep = stability_index(m)
+        got = (rep.n_sigma2, rep.m_sigma2, rep.s_ind, rep.rigid, rep.stable)
+        if got != (2 * m * m + 1, m * m - m, m * (m - 1), True, False):
+            bad.append(m)
     _verdict(
         capsys,
-        "large-m count identities (2m^2+1, m^2-m)",
+        "large-m count identities (2m^2+1, m^2-m, m(m-1)), rigid, not stable",
         not bad,
-        "m=10,11,12 exact" if not bad else f"wrong at {bad}",
+        "m=10..40, 100, 1000, 10^5, 1699980 exact" if not bad else f"wrong at {bad}",
     )
 
 
 def test_rigidity_window(capsys):
     reps, _ = _stability_reports()
-    bad = [m for m in STABILITY_TABLE if reps[m].rigid != (m not in (8, 9))]
+    bad = [m for m in GOLDEN_STABILITY if reps[m].rigid != (m not in (8, 9))]
     _verdict(
         capsys,
         "rigidity exactly outside m=8,9",
@@ -361,43 +356,21 @@ def test_graph_oracle_equivalence(capsys):
 
 
 def test_torus_gluing_goldens(capsys):
-    one = Fraction(1)
-    r23 = Fraction(2, 3)
-    r32 = Fraction(3, 2)
-    cases = [
-        (
-            (((1, 0), (0, 0)), ((0, 0), (1, 0))),
-            [GluingSolution(1, 1, None, 2)],
-        ),
-        (
-            (((1, 0), (r23, 0)), ((2, -2), (5, 3))),
-            [GluingSolution(1, 1, r23, 1)],
-        ),
-        (
-            (((1, 0), (0, r32)), ((0, r32), (1, 0))),
-            [GluingSolution(1, 2, r32, 1), GluingSolution(2, 1, 1 / r32, 1)],
-        ),
-        (
-            (((1, 0), (0, 1)), ((0, 1), (1, 0))),
-            [
-                GluingSolution(1, 2, one, 1),
-                GluingSolution(2, 1, one, 1),
-                GluingSolution(3, 3, one, 1),
-            ],
-        ),
-    ]
     key = lambda s: (s.j1, s.j2)
+    cases = _goldens("gluings")
     bad = [
         i
         for i, ((b1, b2), want) in enumerate(cases)
         if sorted(two_singularity_gluings(T2PairBasis(b1, b2)), key=key)
-        != sorted(want, key=key)
+        != [GluingSolution(j1, j2, None if r is None else Fraction(r), dim_y)
+            for j1, j2, r, dim_y in want]
     ]
     _verdict(
         capsys,
         "two-singularity gluing goldens (free / ray / double / triple)",
         not bad,
-        "4/4 exact rational matches" if not bad else f"mismatch in cases {bad}",
+        f"{len(cases)}/{len(cases)} exact rational matches" if not bad
+        else f"mismatch in cases {bad}",
     )
 
 

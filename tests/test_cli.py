@@ -94,6 +94,22 @@ class TestDispatch:
         assert "1e-10" in r.stdout
 
 
+GOLDENS = cli._goldens("cli")
+
+
+class TestGoldens:
+    """Every golden of ``goldens.json``, run in process: the exit code and
+    the stdout bytes are the golden ones, and the document fits its
+    schema."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_exit_code_and_stdout_bytes(self, name, monkeypatch, capsys):
+        golden = GOLDENS[name]
+        code, out, err = _main(golden["argv"], golden["stdin"] or "", monkeypatch, capsys)
+        assert (code, out) == (golden["exit"], golden["stdout"]), err
+        _validate(json.loads(out), golden["argv"][0])
+
+
 class TestImportGraph:
     """scipy serves only the Lawlor quadrature and is imported at the first
     one, so no module, the CLI included, loads it at import time.  Records
@@ -209,19 +225,6 @@ class TestImportGraph:
 
 
 class TestStability:
-    def test_m3_golden_document(self):
-        r = _run(["stability", "--m", "3"])
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
-        assert doc == {
-            "m": 3,
-            "nSigma2": 13,
-            "mSigma2": 6,
-            "sInd": 0,
-            "stable": True,
-        }
-        _validate(doc, "stability")
-
     def test_deterministic_bytes(self):
         a = _run(["stability", "--m", "7"])
         b = _run(["stability", "--m", "7"])
@@ -238,15 +241,6 @@ class TestStability:
 
 
 class TestSpectrum:
-    def test_table_with_exponent_count(self):
-        r = _run(["spectrum", "--m", "3", "--cutoff", "8", "--delta", "2"])
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
-        _validate(doc, "spectrum")
-        assert doc["entries"][0] == {"lambda": 0, "multiplicity": 1}
-        assert {"lambda": 2, "multiplicity": 6} in doc["entries"]
-        assert doc["nSigma"] == 13
-
     def test_rational_delta(self):
         r = _run(["spectrum", "--m", "3", "--cutoff", "9", "--delta", "5/2"])
         assert r.returncode == 0, r.stderr
@@ -263,7 +257,7 @@ class TestSpectrum:
         ["spectrum", "--m", "3", "--cutoff", "100000000"],
         ["stability", "--m", "10000000"],
     ])
-    def test_oversized_dp_exits_2(self, args, monkeypatch, capsys):
+    def test_over_budget_exits_2(self, args, monkeypatch, capsys):
         start = time.perf_counter()
         code, out, err = _main(args, "", monkeypatch, capsys)
         assert time.perf_counter() - start < 1.0
@@ -276,25 +270,6 @@ class TestSpectrum:
 
 
 class TestLawlor:
-    def test_forward_then_inverse_round_trip(self, monkeypatch, capsys):
-        code, out, err = _main(["lawlor", "--a", "4,1,1"], "", monkeypatch, capsys)
-        assert code == 0, err
-        doc = json.loads(out)
-        _validate(doc, "lawlor")
-        assert sum(doc["phi"]) == pytest.approx(math.pi, abs=1e-10)
-        code, out, err = _main(
-            [
-                "lawlor",
-                "--phi", ",".join(repr(p) for p in doc["phi"]),
-                "--area", repr(doc["area"]),
-            ],
-            "", monkeypatch, capsys,
-        )
-        assert code == 0, err
-        back = json.loads(out)
-        _validate(back, "lawlor")
-        assert back["a"] == pytest.approx([4.0, 1.0, 1.0], rel=1e-8)
-
     def test_unattainable_tolerance_exits_3(self, monkeypatch, capsys):
         code, out, err = _main(["lawlor", "--a", "4,1,1", "--tol", "1e-30"], "",
                                monkeypatch, capsys)
@@ -359,23 +334,6 @@ class TestLawlor:
 
 
 class TestPlanes:
-    def test_model_pair_classification(self):
-        angles = (math.pi / 4, math.pi / 4, math.pi / 2)
-        payload = json.dumps(
-            {
-                "p1": _encode_frame(np.eye(3, dtype=complex)),
-                "p2": _encode_frame(phi_frame(angles).frame),
-            }
-        )
-        r = _run(["planes"], stdin=payload)
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
-        _validate(doc, "planes")
-        assert doc["k"] == 1
-        assert doc["transverse"] is True
-        assert doc["lawlorExists"] is True
-        assert doc["angles"] == pytest.approx(list(angles), abs=1e-9)
-
     def test_non_unitary_frame_exits_2(self):
         bad = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         eye = _encode_frame(np.eye(2, dtype=complex))
@@ -435,23 +393,6 @@ class TestPlanes:
 
 
 class TestConsum:
-    def test_feasible_two_cycle(self):
-        payload = json.dumps(
-            {
-                "q": 2,
-                "edges": [
-                    {"tail": 1, "head": 2, "weight": 1},
-                    {"tail": 2, "head": 1, "weight": 8},
-                ],
-            }
-        )
-        r = _run(["consum"], stdin=payload)
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
-        _validate(doc, "consum")
-        assert doc["feasible"] is True
-        assert doc["areas"] == [1, "1/8"]
-
     def test_infeasible_graph_reports_null_areas(self):
         payload = json.dumps(
             {
@@ -551,15 +492,6 @@ class TestInternalGuards:
 
 
 class TestT2Cone:
-    def test_generator_mode_with_h1(self):
-        r = _run(["t2cone"], stdin=json.dumps({"generator": [1, 1], "h1X": 2}))
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
-        _validate(doc, "t2cone")
-        assert doc["k"] == [-1, 1, 0]
-        assert doc["candidates"] == [3]
-        assert doc["h1"] == [2, 2, None]
-
     def test_basis_mode_locked_ratio(self):
         payload = json.dumps(
             {"basis": {"B1": [[1, 0], [0, "3/2"]], "B2": [[0, "3/2"], [1, 0]]}}
@@ -625,14 +557,6 @@ class TestDims:
         "necks": [{"b0L": 1, "b1L": 1, "b1csL": 0}],
         "dimY": 1,
     }
-
-    def test_report_document(self):
-        r = _run(["dims"], stdin=json.dumps(self.PROFILE))
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
-        _validate(doc, "dims")
-        assert doc["dimF"] == doc["b1N"] - doc["dimI"]
-        assert doc["nonRigidWarning"] is False
 
     @pytest.mark.parametrize("change", [
         {"m": "3"},

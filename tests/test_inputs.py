@@ -13,7 +13,9 @@ then raise an ``SLConesError``, or return where the node's reader
 accepts the value (``10**400`` is a valid integer, ``"1"`` a valid exact
 rational, ``1j`` a valid frame entry).  Count-like leaves (sample counts
 and dimensions that set the work) draw only the values that are not
-integers: a huge valid count is a slow request, not a bad input.
+integers: a huge valid count is a slow request, not a bad input.  The
+dimension of ``identity_plane`` and ``verify_sl_hl_cone`` is an ``Int``
+leaf: an m beyond numpy's largest array is refused at once.
 """
 import math
 from fractions import Fraction
@@ -230,12 +232,12 @@ ROWS = [
      ([Real(1.0), Real(2.0), Real(3.0)], Real(0.5), [Real(1.0), Real(0.0), Real(0.0)])),
     ("verify_sl_neck", lambda a, n: verify_sl_neck(NeckParams(a), n),
      ([Real(1.0), Real(2.0), Real(3.0)], Count(4))),
-    ("verify_sl_hl_cone", verify_sl_hl_cone, (Count(3), Count(4))),
+    ("verify_sl_hl_cone", verify_sl_hl_cone, (Int(3), Count(4))),
     ("sphere_area", sphere_area, (Count(3),)),
     # planes
     ("SLPlane", SLPlane,
      ([[Entry(1.0), Entry(0.0)], [Entry(0.0), Entry(1.0)]],)),
-    ("identity_plane", identity_plane, (Count(3),)),
+    ("identity_plane", identity_plane, (Int(3),)),
     ("phi_frame -> characteristic_angles, canonical_transform",
      lambda phi, tol: (lambda p1, p2: (characteristic_angles(p1, p2, tol),
                                        canonical_transform(p1, p2, tol)))(

@@ -243,15 +243,11 @@ class TestAFromAngles:
 
 # ---------------------------------------------------------------------------
 # bit identity: frozen exact floats of both maps, compared with == so a
-# change to the quadrature cannot drift in the last digits unnoticed (the
-# CLI output bytes for the README inputs are part of the contract).
+# change to the quadrature cannot drift in the last digits unnoticed.  The
+# README inputs (4, 1, 1) are goldens of goldens.json, whose CLI bytes
+# test_cli.py::TestGoldens compares.
 
 EXACT_ROUND_TRIPS = {
-    (4.0, 1.0, 1.0): (
-        (1.7804300632948424, 0.6805812951474753, 0.6805812951474753),
-        6.283185307179586,
-        (4.000000000000113, 1.0000000000000064, 1.0000000000000067),
-    ),
     (0.7, 1.9, 3.1, 0.4, 2.2): (
         (0.32685818012993234, 0.7328359332154417, 1.0601521023799763,
          0.20171767581633826, 0.8200287620481046),
@@ -284,16 +280,6 @@ class TestBitIdentity:
         assert spec.phi == phi
         assert spec.A == A
         assert a_from_angles(spec).a == back
-
-    def test_cli_golden_inverse_exact(self):
-        # the README `lawlor --phi ... --area ...` example
-        spec = AngleSpec(
-            (1.7804300632948424, 0.6805812951474753, 0.6805812951474753),
-            6.283185307179586,
-        )
-        assert a_from_angles(spec).a == (
-            4.000000000000113, 1.0000000000000064, 1.0000000000000067
-        )
 
     def test_repeated_parameters_inverse_exact(self):
         # equal a_k share one integral in the Newton residual

@@ -1,8 +1,14 @@
 """The README's Layout block lists exactly the modules of the package,
-and every module attribute the README names exists."""
+every module attribute the README names exists, and every example output
+the README shows is a golden of ``goldens.json``."""
 import importlib
+import importlib.util
+import json
 import re
+import shlex
 from pathlib import Path
+
+from slcones.cli import _goldens
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -24,3 +30,47 @@ def test_readme_names_only_attributes_that_exist():
     missing = [f"{mod}.{attr}" for mod, attr in sorted(named)
                if not hasattr(importlib.import_module(f"slcones.{mod}"), attr)]
     assert not missing, f"README names attributes that do not exist: {missing}"
+
+
+def test_readme_example_outputs_are_goldens():
+    # each "# {...}" line of the Command line block is the stdout of the
+    # golden whose argv and stdin are the command above it
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    goldens = _goldens("cli").values()
+    command, checked = "", 0
+    for line in block.replace("\\\n", " ").splitlines():
+        if not line.startswith("# {"):
+            command = line if line.strip() else command
+            continue
+        words, stdin = shlex.split(command, comments=True), None
+        if words[0] == "echo":
+            assert words[2] == "|", command
+            stdin, words = words[1], words[3:]
+        golden = [g for g in goldens if (g["argv"], g["stdin"]) == (words[1:], stdin)]
+        assert golden, f"no golden runs {command!r}"
+        assert line[2:] + "\n" == golden[0]["stdout"], command
+        checked += 1
+    assert checked  # the block shows outputs, and each was compared
+
+
+def test_perfbench_goldens_equal_the_package_file():
+    """The benchmark keeps its own copy of the goldens and of their inputs
+    (``perfbench/goldens.json`` and ``perfbench/cli_layer.py:CATALOG``);
+    both must equal ``goldens.json``, so a golden moved in the package
+    fails here rather than in a traced benchmark run.  ROADMAP item 1
+    deletes this test when perfbench reads the package file itself."""
+    bench = json.loads((REPO / "perfbench" / "goldens.json").read_text(encoding="utf-8"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cli_layer", REPO / "perfbench" / "cli_layer.py")
+    cli_layer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_layer)
+    package = _goldens("cli")
+    assert bench["cli"] == {
+        name: {"exit": g["exit"], "stdout": g["stdout"]} for name, g in package.items()
+    }
+    assert {name: (argv, stdin) for name, argv, stdin in cli_layer.CATALOG} == {
+        name: (g["argv"], g["stdin"]) for name, g in package.items()
+    }
+    assert bench["stability"] == _goldens("stability")
+    assert bench["gluings"] == _goldens("gluings")

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slcones import spectrum
+from slcones.cli import _goldens
 from slcones.errors import IncompleteSpectrumError, InputError
 from slcones.spectrum import (
     ConeSpectrum,
@@ -31,20 +32,6 @@ from slcones.spectrum import (
     n_sigma,
     stability_index,
 )
-
-# Table of (m, n_sigma2, m_sigma2, s_ind) for m = 3..12
-TABLE1 = [
-    (3, 13, 6, 0),
-    (4, 27, 12, 6),
-    (5, 51, 20, 20),
-    (6, 93, 30, 50),
-    (7, 169, 42, 112),
-    (8, 311, 126, 238),
-    (9, 331, 240, 240),
-    (10, 201, 90, 90),
-    (11, 243, 110, 110),
-    (12, 289, 132, 132),
-]
 
 
 def box_oracle(m: int, cutoff: int) -> dict[int, int]:
@@ -231,7 +218,7 @@ class TestEnumerate:
         lambda: enumerate_spectrum(3, 10**8),
         lambda: stability_index(10**7),
     ], ids=["cutoff", "stability"])
-    def test_oversized_dp_is_input_error(self, call):
+    def test_over_budget_is_input_error(self, call):
         start = time.perf_counter()
         tracemalloc.start()
         try:
@@ -243,7 +230,7 @@ class TestEnumerate:
         assert time.perf_counter() - start < 1.0
         assert peak < 10**6
 
-    def test_guard_admits_what_the_banded_dp_serves(self):
+    def test_work_budget_admits_mid_m_stability(self):
         # m = 76..135 fit the banded table of the retired DP's bound;
         # values from that DP with its bound lifted
         assert stability_index(76).s_ind == 5700
@@ -261,7 +248,7 @@ class TestEnumerate:
         assert (rep.n_sigma2, rep.m_sigma2) == (int(counts.sum()), int(counts[272]))
         assert rep.s_ind == 136 * 135 and not rep.stable and rep.rigid
 
-    def test_dp_size_limit_is_inclusive(self, monkeypatch):
+    def test_work_budget_is_inclusive(self, monkeypatch):
         # the work of (m, cutoff) = (4, 9): 10 table cells, 4 walk nodes
         # and 8 values in the ranges it scans
         work = 10 + 15 * 4 + 8
@@ -292,7 +279,7 @@ class TestEnumerate:
     # m, where the DP oracle takes about a second each; the walk's budget
     # admits larger ones
     @pytest.mark.parametrize("m, cutoff", [(60, 410), (135, 272)])
-    def test_against_dp_oracle_on_the_admission_frontier(self, m, cutoff):
+    def test_against_dp_oracle_at_large_cutoffs(self, m, cutoff):
         assert spectrum._counts(m, cutoff) == dp_oracle(m, cutoff).tolist()
 
     def test_counts_are_python_ints(self):
@@ -454,7 +441,9 @@ class TestNSigma:
 
 
 class TestStability:
-    @pytest.mark.parametrize("m,n2,m2,sind", TABLE1)
+    @pytest.mark.parametrize("m,n2,m2,sind", [
+        (int(m), *row) for m, row in _goldens("stability").items()
+    ])
     def test_table1(self, m, n2, m2, sind):
         rep = stability_index(m)
         assert (rep.n_sigma2, rep.m_sigma2, rep.s_ind) == (n2, m2, sind)
