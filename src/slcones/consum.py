@@ -14,7 +14,11 @@ edge closes into a walk through component 1, and subtree counts sum the
 walks' unit circulations in O(q + n) for q components and n edges.
 Each edge is validated once, into a ``(tail, head, weight)`` tuple that
 every kernel unpacks, and both trees are built once per graph, on first
-use, and shared by :func:`feasible` and :func:`solve_areas`.
+use, and shared by :func:`feasible` and :func:`solve_areas`.  The areas
+are certified in Python ints as they are built: each edge's w_i A_i
+equals its integer flow over the least flow, and the integer flows
+balance at every component, which together are what
+:func:`check_balance` decides.
 
 All feasibility and balance arithmetic here is exact over the rationals;
 floating point enters only through the phase-region classifier, whose
@@ -254,6 +258,15 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     walk per edge head (in-tree) or edge tail (out-tree) in the subtree
     below it, so the flows are subtree counts summed in each tree's visit
     order reversed: O(q + n) time and memory.
+
+    The areas are certified in Python ints in the same pass that builds
+    them.  With w = wn/wd and the returned A = an/ad in lowest terms,
+    wn * an * lo == f * wd * ad says that w * A = f / lo exactly, for lo
+    the least flow; and the integer flows f must balance at every
+    component.  Together these prove what :func:`check_balance` proves:
+    the weighted flow w * A balances.  Positivity holds by construction,
+    since f >= 1, lo >= 1 and w > 0.  If either check fails,
+    :class:`NumericError` is raised.
     """
     flows = [1] * g.n
     for order, parent, via, below in g._trees:
@@ -269,14 +282,20 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     if g.n == 0:
         return BalanceSolution(())
     lo = min(flows)
-    areas = [
-        Fraction(f * w.denominator, lo * w.numerator)
-        for f, (_, _, w) in zip(flows, g.edges)
-    ]
-    sol = BalanceSolution(areas)
-    if not check_balance(g, sol):
+    areas = []
+    net = [0] * (g.q + 1)
+    for f, (u, v, w) in zip(flows, g.edges):
+        wn, wd = w.as_integer_ratio()
+        a = Fraction(f * wd, lo * wn)
+        an, ad = a.as_integer_ratio()
+        if wn * an * lo != f * wd * ad:  # w * A == f / lo
+            raise NumericError("computed areas do not balance the weighted flow")
+        areas.append(a)
+        net[u] += f
+        net[v] -= f
+    if any(net):
         raise NumericError("computed areas do not balance the weighted flow")
-    return sol
+    return BalanceSolution._make((tuple(areas),))
 
 
 def _scaled_net(g: IntersectionGraph, A: Sequence) -> tuple:
@@ -284,8 +303,10 @@ def _scaled_net(g: IntersectionGraph, A: Sequence) -> tuple:
     as integers over one common denominator: returns ``(net, d)`` with
     ``net[k] / d`` the net flow at component k, a dict holding only the
     components that some edge touches (the net flow is 0 elsewhere)."""
-    terms = [(w.numerator * a.numerator, w.denominator * a.denominator)
-             for (_, _, w), a in zip(g.edges, A)]
+    terms = []
+    for (_, _, w), a in zip(g.edges, A):
+        (wn, wd), (an, ad) = w.as_integer_ratio(), a.as_integer_ratio()
+        terms.append((wn * an, wd * ad))
     d = math.lcm(*(den for _, den in terms))
     net = {}
     for (u, v, _), (num, den) in zip(g.edges, terms):

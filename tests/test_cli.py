@@ -147,11 +147,8 @@ class TestImportGraph:
 
     # the README examples of the two pure-Fraction subcommands
     @pytest.mark.parametrize("sub, stdin", [
-        ("dims", '{"m":3,"q":2,"b1csX":0,"cones":[{"l":2,"sInd":0}],'
-                 '"necks":[{"b0L":1,"b1L":1,"b1csL":0}],"dimY":1}'),
-        ("t2cone", '{"generator":[1,1],"h1X":2}'),
-        ("t2cone", '{"basis":{"B1":[[1,0],[0,1]],"B2":[[0,1],[1,0]]}}'),
-        ("t2cone", '{"pairing":1.5,"kJ":1}'),
+        (GOLDENS[name]["argv"][0], GOLDENS[name]["stdin"])
+        for name in ("dims", "t2cone_generator", "t2cone_basis", "t2cone_pairing")
     ])
     def test_pure_fraction_subcommands_load_no_numpy(self, sub, stdin):
         code = (
@@ -181,20 +178,19 @@ class TestImportGraph:
         assert r.stdout.strip() == "[] None"
 
     def test_consum_readme_example_loads_no_numpy(self):
-        stdin = ('{"q":2,"edges":[{"tail":1,"head":2,"weight":1},'
-                 '{"tail":2,"head":1,"weight":8}]}')
+        golden = GOLDENS["consum"]
         code = (
             "import io, sys\n"
             "from slcones import cli\n"
-            f"sys.stdin = io.StringIO({stdin!r})\n"
-            "code = cli.main(['consum'])\n"
+            f"sys.stdin = io.StringIO({golden['stdin']!r})\n"
+            f"code = cli.main({golden['argv']!r})\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),"
             " file=sys.stderr)\n"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=_ENV, check=True)
         assert r.stderr.strip() == "0 []"
-        assert json.loads(r.stdout) == {"areas": [1, "1/8"], "feasible": True, "n": 2, "q": 2}
+        assert r.stdout == golden["stdout"]
 
     def test_spectrum_import_loads_no_numpy(self):
         code = (
@@ -206,11 +202,9 @@ class TestImportGraph:
         assert r.stdout.strip() == "[]"
 
     # the README examples of the spectrum subcommands
-    @pytest.mark.parametrize("args", [
-        ["stability", "--m", "3"],
-        ["spectrum", "--m", "3", "--cutoff", "8", "--delta", "2"],
-    ], ids=["stability", "spectrum"])
-    def test_spectrum_readme_examples_load_no_numpy(self, args):
+    @pytest.mark.parametrize("name", ["stability", "spectrum"])
+    def test_spectrum_readme_examples_load_no_numpy(self, name):
+        args = GOLDENS[name]["argv"]
         code = (
             "import sys\n"
             "from slcones import cli\n"
@@ -466,10 +460,17 @@ class TestInternalGuards:
     under ``python -O``."""
 
     def test_unbalanced_areas_exit_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(consum, "check_balance", lambda g, sol: False)
-        payload = '{"q":2,"edges":[{"tail":1,"head":2,"weight":1},' \
-                  '{"tail":2,"head":1,"weight":8}]}'
-        code, out, err = _main(["consum"], payload, monkeypatch, capsys)
+        prop = consum.IntersectionGraph.__dict__["_trees"]
+
+        def miscounted(g, build=prop.func):
+            # one subtree count too high: one more walk into component 1
+            (order, parent, via, below), out_tree = build(g)
+            below[order[-1]] += 1
+            return [(order, parent, via, below), out_tree]
+
+        monkeypatch.setattr(prop, "func", miscounted)
+        golden = GOLDENS["consum"]
+        code, out, err = _main(golden["argv"], golden["stdin"], monkeypatch, capsys)
         assert code == 3
         assert out == ""
         doc = json.loads(err)
@@ -549,14 +550,7 @@ class TestT2Cone:
 
 
 class TestDims:
-    PROFILE = {
-        "m": 3,
-        "q": 2,
-        "b1csX": 0,
-        "cones": [{"l": 2, "sInd": 0}],
-        "necks": [{"b0L": 1, "b1L": 1, "b1csL": 0}],
-        "dimY": 1,
-    }
+    PROFILE = json.loads(GOLDENS["dims"]["stdin"])
 
     @pytest.mark.parametrize("change", [
         {"m": "3"},
@@ -662,14 +656,8 @@ def _contract(sub: str, args, stdin: str = "") -> int:
 # the README documents, and a planes pair, whose every node the fuzz
 # replaces in turn
 _DOCUMENTS = [
-    ("consum", {"q": 2, "edges": [{"tail": 1, "head": 2, "weight": 1},
-                                  {"tail": 2, "head": 1, "weight": 8}]}),
-    ("dims", TestDims.PROFILE),
-    ("t2cone", {"generator": [1, 1], "h1X": 2}),
-    ("t2cone", {"basis": {"B1": [[1, 0], [0, 1]], "B2": [[0, 1], [1, 0]]}}),
-    ("t2cone", {"pairing": 1.5, "kJ": 1}),
-    ("planes", {"p1": _encode_frame(np.eye(3, dtype=complex)),
-                "p2": _encode_frame(phi_frame((math.pi / 4, math.pi / 4, math.pi / 2)).frame)}),
+    (GOLDENS[name]["argv"][0], json.loads(GOLDENS[name]["stdin"]))
+    for name in ("consum", "dims", "t2cone_generator", "t2cone_basis", "t2cone_pairing", "planes")
 ]
 
 

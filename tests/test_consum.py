@@ -46,6 +46,7 @@ from slcones.errors import (
     DegeneratePhaseError,
     InfeasibleGraphError,
     InputError,
+    NumericError,
     PreconditionError,
     as_finite,
     as_int,
@@ -632,6 +633,18 @@ class TestSolveAreas:
                 assert solve_areas(g).A == want, g
                 solved += 1
         assert solved >= 1000
+
+    def test_unbalanced_flows_are_a_numeric_error(self, monkeypatch):
+        # one subtree count of the in-tree one too high sends one more walk
+        # from its vertex to component 1, so the flows no longer balance
+        g = chorded_cycle(3, 12)
+        (order, parent, via, below), out_tree = g._trees
+        below = below[:]
+        below[order[-1]] += 1
+        monkeypatch.setitem(g.__dict__, "_trees", [(order, parent, via, below), out_tree])
+        with pytest.raises(NumericError) as exc:
+            solve_areas(g)
+        assert str(exc.value) == "computed areas do not balance the weighted flow"
 
     @pytest.mark.parametrize("chords", [0, 3000])
     def test_directed_cycle_of_3000(self, chords):
