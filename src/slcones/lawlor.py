@@ -22,14 +22,14 @@ is 0/0, with P(0) = a_1 + ... + a_m.  The integrand Horner-evaluates P
 in straight-line code that is compiled once per m and then reused for
 every neck of that dimension.
 
-The neck check needs no quadrature beyond the m waist phases.  Its
-tangents are analytic: d/dy of z_k(y) is (y / r_k + i r_k a_k f_k(y))
-e^(i psi_k(y)) with f_k the angle integrand in closed form, and the
-sphere directions are an exact Householder basis.  The partial phases
-psi_k(y) of all samples come from one cumulative pass of a fixed
-10-point Gauss-Legendre rule over panels that end at every |y| and stay
-narrower than a quarter of max(1 / sqrt(a_1 + ... + a_m), t), which
-keeps them clear of the poles and branch points of f_k.  The samples
+The neck and its check call no scipy.  Their tangents are analytic:
+d/dy of z_k(y) is (y / r_k + i r_k a_k f_k(y)) e^(i psi_k(y)) with f_k
+the angle integrand in closed form, and the sphere directions are an
+exact Householder basis.  The phases psi_k(y), the waist psi_k(0) =
+phi_k / 2 included, come from one pass of a fixed 10-point
+Gauss-Legendre rule over panels narrower than a quarter of
+max(1 / sqrt(a_1 + ... + a_m), t), which keeps them clear of the poles
+and branch points of f_k.  The samples
 are drawn from one seeded stream and checked in blocks of 1024, over
 stacked frames with one batched Gram product and one batched det.
 """
@@ -59,8 +59,8 @@ __all__ = [
 
 #: tolerance on sum(phi) - pi accepted when constructing an AngleSpec
 ANGLE_SUM_TOL = 1e-6
-#: residual bounds the verification suites assert against; the neck's is
-#: what its waist phases certify, (m/2) * LAWLOR_TOL, plus rounding
+#: residual bounds the verification suites assert against; the neck's
+#: waist phases are guarded to (m/2) * LAWLOR_TOL, and the rest is rounding
 HL_CONE_RESIDUAL_BOUND = 1e-10
 NECK_RESIDUAL_BOUND = 1e-9
 #: Newton iteration cap and positivity floor for the inverse map
@@ -83,7 +83,8 @@ def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float):
     """scipy's adaptive quadrature of f over [lo, hi], as (value, error).
 
     scipy is imported here, at the first quadrature, so that importing
-    this module (and with it the CLI) loads no scipy module.  With
+    this module (and with it the CLI) loads no scipy module; only
+    :func:`angles_from_a` and :func:`a_from_angles` call it.  With
     ``full_output`` scipy returns its failure notice instead of warning
     it, and the notice is dropped: :func:`angles_from_a` certifies every
     angle from the error estimate, and the Newton residual of
@@ -361,11 +362,6 @@ def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:
     )
 
 
-def _half_phases(p: NeckParams, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """phi_k / 2 = psi_k(0), the phase at the neck waist."""
-    return np.array(angles_from_a(p, tol).phi) / 2.0
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre():
     """The fixed Gauss-Legendre rule on [0, 1] as (nodes, weights), built
@@ -392,38 +388,54 @@ def _angle_integrands(coeffs, a: np.ndarray, t: np.ndarray) -> np.ndarray:
         return 1.0 / ((1.0 + a * u[..., None]) * np.sqrt(v)[..., None])
 
 
-def _partial_phases(p: NeckParams, half: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """psi_k(y) = phi_k/2 + sign(y) a_k int_0^|y| f_k for every y, as an
-    array of shape (len(y), m), with the waist phases ``half`` from
-    :func:`_half_phases`.
+def _partial_phases(p: NeckParams, y: np.ndarray) -> np.ndarray:
+    """psi_k(y) = psi_k(0) + sign(y) a_k int_0^|y| f_k for every y, as an
+    array of shape (len(y), m).
 
-    All the integrals come from one cumulative pass of the fixed
-    Gauss-Legendre rule: [0, max |y|] is cut into panels that end at
-    every |y|, and the panel sums are added up outward from 0.  No panel
-    is wider than _PANEL_FRACTION * max(s, t), with t its left end and
+    All the integrals come from one pass of the fixed Gauss-Legendre rule
+    over a grid of panels that depends on p alone.  The waist phases
+    psi_k(0) = phi_k / 2 sum its panels up to X: P(x) >= (prod a)
+    x^(2(m-1)), so the tail a_k int_X^inf f_k <= 1 / (m sqrt(prod a) X^m)
+    is 2^-53.  Up to max |y| the grid is also cut at every |y|, and those
+    panel sums are added up outward from 0.  No panel is wider
+    than _PANEL_FRACTION * max(s, t), with t its left end and
     s = 1 / sqrt(a_1 + ... + a_m).  That keeps the rule's Bernstein
     ellipse clear of every singularity of f_k: the poles sit at
     +-i / sqrt(a_k), and a branch point x of sqrt(P) has x^2 = w with
     prod_k (1 + a_k w) = 1.  Every such w has Re w < 0 (otherwise each
     factor has modulus > 1), so |arg x| lies in (pi/4, 3pi/4), and
     |w| >= min(1 / (2 max a), 4.5 / sum a), so every singularity lies at
-    least max(s / 2, t / sqrt(2)) from the panel.
+    least max(s / 2, t / sqrt(2)) from the panel.  Raises
+    :class:`NumericError` where a coefficient of P leaves the float range
+    or the waist fails the angle check of :func:`angles_from_a`.
     """
     a = np.array(p.a)
     coeffs = _poly_coeffs(p.a)
+    if not 0.0 < min(coeffs) <= max(coeffs) < math.inf:
+        raise NumericError(f"a coefficient of P leaves the float range at a = {p.a}")
     s = np.abs(y)
-    top = float(s.max())
+    X = math.exp((53 * math.log(2) - math.log(p.m) - math.fsum(map(math.log, p.a)) / 2) / p.m)
+    top = max(X, float(s.max()))
     scale = 1.0 / math.sqrt(coeffs[0])
     grid = [0.0]
     while grid[-1] < top:
-        grid.append(grid[-1] + _PANEL_FRACTION * max(scale, grid[-1]))
-    ends = np.sort(np.concatenate([grid[:-1], s]))
-    width = np.diff(ends)
+        grid.append(min(top, grid[-1] + _PANEL_FRACTION * max(scale, grid[-1])))
+    grid = np.array(grid)
+    waist = np.append(grid[grid < X], X)
+    ends = np.sort(np.concatenate([grid[grid < s.max()], s]))
+    lefts = np.concatenate([waist[:-1], ends[:-1]])
+    width = np.concatenate([np.diff(waist), np.diff(ends)])
     nodes, weights = _gauss_legendre()
-    f = _angle_integrands(coeffs, a, ends[:-1, None] + width[:, None] * nodes)
+    f = _angle_integrands(coeffs, a, lefts[:, None] + width[:, None] * nodes)
     panels = np.einsum("pnk,n->pk", f, weights) * width[:, None]
-    cumulative = np.concatenate([np.zeros((1, p.m)), np.cumsum(panels, axis=0)])
-    return half + np.sign(y)[:, None] * a * cumulative[np.searchsorted(ends, s)]
+    n = len(waist) - 1
+    phi = 2.0 * a * np.sum(panels[:n], axis=0)
+    dev = abs(math.fsum(phi) - math.pi)
+    if not (all(0.0 < x < math.pi for x in phi) and dev <= p.m * DEFAULT_TOL):
+        raise NumericError(f"waist angles {phi.tolist()} are not inside (0, pi) with sum "
+                           f"pi within {p.m * DEFAULT_TOL:.3e}: deviation {dev:.3e}", achieved=dev)
+    cumulative = np.concatenate([np.zeros((1, p.m)), np.cumsum(panels[n:], axis=0)])
+    return phi / 2.0 + np.sign(y)[:, None] * a * cumulative[np.searchsorted(ends, s)]
 
 
 def neck_point(p: NeckParams, y: float, x) -> np.ndarray:
@@ -437,10 +449,10 @@ def neck_point(p: NeckParams, y: float, x) -> np.ndarray:
     x = np.array([as_finite(v, "direction entry") for v in as_tuple(x, "direction")])
     if x.shape != (p.m,):
         raise InputError(f"direction must have shape ({p.m},), got {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise InputError(f"direction must be a unit vector, |x| = {np.linalg.norm(x)}")
-    psi = _partial_phases(p, _half_phases(p), np.array([y]))[0]
-    z = np.sqrt(1.0 / np.array(p.a) + y * y) * np.exp(1j * psi)
+    if abs(math.hypot(*x) - 1.0) > 1e-9:
+        raise InputError(f"direction must be a unit vector, |x| = {math.hypot(*x)}")
+    psi = _partial_phases(p, np.array([y]))[0]
+    z = np.hypot(1.0 / np.sqrt(p.a), y) * np.exp(1j * psi)
     return z * x
 
 
@@ -508,22 +520,20 @@ def verify_sl_neck(p: NeckParams, sample_count: int = 1000) -> SLResidual:
     column is dz/dy = (y / r_k + i r_k a_k f_k(y)) e^(i psi_k(y)) x_k,
     with f_k in closed form, and the others are z(y) * tau_j for the
     sphere tangent basis tau_j at x.  The phases psi_k come from
-    :func:`_partial_phases`, so the only quadratures are the m waist
-    phases.  The symplectic form is evaluated on every frame 2-plane and
-    the volume-form phase on the full frame, in blocks of _BLOCK samples
-    so that memory stays bounded for any ``sample_count`` (an integer
-    >= 1).  The waist phases certify a phase residual of (m/2) times
-    their tolerance, and the rest is rounding.
+    :func:`_partial_phases`, waist included.  The symplectic form is
+    evaluated on every frame 2-plane and the volume-form phase on the
+    full frame, in blocks of _BLOCK samples so that memory stays bounded
+    for any ``sample_count`` (an integer >= 1).  The waist's check allows
+    a phase residual of (m/2) * LAWLOR_TOL; the rest is rounding.
     """
     sample_count = as_int(sample_count, "sample_count", least=1)
     m = p.m
     a = np.array(p.a)
     coeffs = _poly_coeffs(p.a)
-    half = _half_phases(p)
     max_om = max_ph = 0.0
     for y, x in _neck_samples(m, sample_count):
-        r = np.sqrt(1.0 / a + (y * y)[:, None])
-        rot = np.exp(1j * _partial_phases(p, half, y))
+        r = np.hypot(1.0 / np.sqrt(a), y[:, None])
+        rot = np.exp(1j * _partial_phases(p, y))
         dz = (y[:, None] / r + 1j * r * a * _angle_integrands(coeffs, a, y)) * rot
         frames = np.empty((len(y), m, m), dtype=complex)
         frames[:, :, 0] = dz * x

@@ -38,10 +38,18 @@ from slcones.lawlor import (
     NeckParams,
     a_from_angles,
     angles_from_a,
+    neck_point,
     verify_sl_hl_cone,
     verify_sl_neck,
+    z_invariant,
 )
-from slcones.planes import SLPlane, canonical_transform, characteristic_angles, phi_frame
+from slcones.planes import (
+    SLPlane,
+    canonical_transform,
+    characteristic_angles,
+    phi_frame,
+    z_pairing_signs,
+)
 from slcones.spectrum import stability_index
 from slcones.t2cone import (
     GluingSolution,
@@ -266,6 +274,47 @@ def test_plane_pair_invariances(capsys):
         f"200 pairs m=3..6: swap {worst_swap:.2e}, left-SU {worst_su:.2e}, "
         f"right-SO {worst_so:.2e} (tol 1e-9), type mismatches {k_bad}, "
         f"reconstruction {worst_rec:.2e} (tol 1e-8)",
+    )
+
+
+def _end_frame(p, y):
+    """The frame with columns z(y) e_k / |z_k(y)|: the tangent plane of the
+    neck's end at y -> +-inf, up to the normalisation."""
+    f = np.array([neck_point(p, y, e) for e in np.eye(p.m)]).T
+    return f / np.linalg.norm(f, axis=0)
+
+
+def test_neck_ends_are_a_type_one_pair(capsys):
+    """A Lawlor neck with angles phi joins R^m (its end at y -> -inf) to
+    the model plane of phi (its end at y -> +inf), a transverse pair of
+    type 1.  The end frame at +inf is diag(e^(i phi_k)), whose det is
+    e^(i pi) = -1; its last column is negated, as :func:`phi_frame` does
+    for odd type, so that both frames are special unitary."""
+    rng = np.random.default_rng(1989)
+    worst = 0.0
+    bad = []
+    for m in (3, 5, 8):
+        for _ in range(5):
+            p = NeckParams(tuple(rng.uniform(0.2, 5.0, size=m)))
+            spec = angles_from_a(p)
+            lower, upper = _end_frame(p, -1e8), _end_frame(p, 1e8)
+            upper[:, -1] *= -1.0
+            rep = characteristic_angles(SLPlane(lower), SLPlane(upper))
+            worst = max(worst, max(abs(g - w) for g, w in zip(rep.angles, sorted(spec.phi))))
+            signs = z_pairing_signs(rep) if rep.transverse else None
+            if (
+                rep.k != 1
+                or not rep.lawlor_exists
+                or signs != (1, -1)
+                or tuple(s * spec.A for s in signs) != z_invariant(spec)
+            ):
+                bad.append(p.a)
+    _verdict(
+        capsys,
+        "Lawlor neck ends -> plane pair of type 1",
+        worst <= 1e-14 and not bad,
+        f"15 necks m=3,5,8: angles vs angles_from_a {worst:.2e} (tol 1e-14), "
+        f"pairs not of type 1 with signs (1, -1) = z_invariant / A: {len(bad)}",
     )
 
 

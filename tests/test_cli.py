@@ -111,12 +111,12 @@ class TestGoldens:
 
 
 class TestImportGraph:
-    """scipy serves only the Lawlor quadrature and is imported at the first
-    one, so no module, the CLI included, loads it at import time.  Records
-    are named tuples, so no module loads ``dataclasses``, and the modules
-    that do not import numpy load no ``inspect`` either.  Nothing logs, and
-    only ``--record`` hashes, so no module loads ``logging`` or
-    ``hashlib``."""
+    """scipy serves only the Lawlor angle maps and is imported at their
+    first quadrature, so no module, the CLI included, loads it at import
+    time, and the neck and its check never load it.  Records are named
+    tuples, so no module loads ``dataclasses``, and the modules that do
+    not import numpy load no ``inspect`` either.  Nothing logs, and only
+    ``--record`` hashes, so no module loads ``logging`` or ``hashlib``."""
 
     @pytest.mark.parametrize("module", [
         "slcones.cli", "slcones.lawlor", "slcones.spectrum", "slcones.planes",
@@ -135,6 +135,19 @@ class TestImportGraph:
         assert (scipy, dataclasses, logging, hashlib) == ("[]", "False", "False", "False")
         if module not in ("slcones.lawlor", "slcones.planes"):  # numpy loads inspect
             assert inspect == "False"
+
+    def test_neck_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from slcones.lawlor import NeckParams, neck_point, verify_sl_neck\n"
+            "p = NeckParams((4, 1, 1))\n"
+            "verify_sl_neck(p, 8)\n"
+            "neck_point(p, 0.5, (1.0, 0.0, 0.0))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stdout.strip() == "[]"
 
     def test_cli_import_loads_no_numpy(self):
         code = (

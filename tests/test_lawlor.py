@@ -29,7 +29,6 @@ from slcones.lawlor import (
     z_invariant,
 )
 from slcones.lawlor import (
-    _half_phases,
     _integrand,
     _max_residuals,
     _neck_samples,
@@ -293,8 +292,8 @@ class TestBitIdentity:
 
     def test_neck_residuals_exact(self):
         res = verify_sl_neck(NeckParams((0.7, 1.9, 3.1, 0.4, 2.2)), sample_count=8)
-        assert res.max_omega_residual == 1.6042592486329407e-16
-        assert res.max_phase_residual == 3.33066907387547e-16
+        assert res.max_omega_residual == 1.8716357900717643e-16
+        assert res.max_phase_residual == 9.43689570931383e-16
         assert max(res.max_omega_residual, res.max_phase_residual) <= 1e-14
 
 
@@ -370,18 +369,18 @@ class TestNeckPoint:
 
     def test_frozen_phases_positive_y(self):
         p = NeckParams((1, 2, 3))
-        psi = _partial_phases(p, _half_phases(p), np.array([1.0]))[0]
+        psi = _partial_phases(p, np.array([1.0]))[0]
         assert psi == pytest.approx(ORACLE_PSI_123_AT_1, abs=1e-13)
 
     def test_frozen_phases_negative_y(self):
         p = NeckParams((1, 1, 1))
-        psi = _partial_phases(p, _half_phases(p), np.array([-0.75]))[0]
+        psi = _partial_phases(p, np.array([-0.75]))[0]
         assert psi == pytest.approx([ORACLE_PSI_111_AT_M075] * 3, abs=1e-13)
 
     def test_live_oracle_phases_wide_ratio(self):
         p = NeckParams((50.0, 0.03, 1.0))
         y = np.array([0.7, -1.2, 2.5])
-        psi = _partial_phases(p, _half_phases(p), y)
+        psi = _partial_phases(p, y)
         for yi, row in zip(y, psi):
             assert row == pytest.approx(mp_psi(p.a, float(yi)), abs=1e-13)
 
@@ -396,10 +395,25 @@ class TestNeckPoint:
         # psi_k(y) -> 0 as y -> -inf and -> phi_k as y -> +inf
         p = NeckParams((1, 2, 3))
         spec = angles_from_a(p)
-        far, near = _partial_phases(p, _half_phases(p), np.array([60.0, -60.0]))
+        far, near = _partial_phases(p, np.array([60.0, -60.0]))
         assert far == pytest.approx(spec.phi, abs=1e-3)
         assert near == pytest.approx([0.0] * 3, abs=1e-3)
         assert np.all(near > 0)
+
+    @pytest.mark.parametrize("y", [1e200, -1e300, 1.7976931348623157e308])
+    def test_huge_y_is_finite(self, y):
+        # y * y overflows from |y| ~ 1.3e154 on; the modulus must not
+        p = NeckParams((1.0, 2.0, 3.0))
+        phi = ORACLE_ANGLES[p.a][0]
+        for k in range(3):
+            z = neck_point(p, y, np.eye(3)[k])
+            assert np.all(np.isfinite(z))
+            assert abs(abs(z[k]) / abs(y) - 1.0) <= 1e-15
+            assert abs(np.angle(z[k]) - (phi[k] if y > 0 else 0.0)) <= 1e-15
+
+    def test_huge_direction_is_input_error_without_a_warning(self):
+        with pytest.raises(InputError, match="unit vector"):
+            neck_point(NeckParams((1, 2, 3)), 0.5, [1e200, 0.0, 0.0])
 
     def test_rejects_non_unit_direction(self):
         p = NeckParams((1, 2, 3))
@@ -452,9 +466,9 @@ class TestPartialPhases:
             else:
                 a = rng.uniform(0.2, 5.0, size=m)
             p = NeckParams(a)
-            half = _half_phases(p)
+            half = _partial_phases(p, np.zeros(1))[0]
             y = rng.uniform(-3.0, 3.0, size=5)
-            for yi, row in zip(y, _partial_phases(p, half, y)):
+            for yi, row in zip(y, _partial_phases(p, y)):
                 ref = quad_phase_oracle(p.a, float(yi), half)
                 assert np.max(np.abs(row - ref)) <= 1e-13, (p.a, yi)
                 pairs += 1
@@ -462,8 +476,8 @@ class TestPartialPhases:
 
     def test_zero_and_repeated_y(self):
         p = NeckParams((0.5, 1.0, 2.0, 4.0))
-        half = _half_phases(p)
-        psi = _partial_phases(p, half, np.array([0.0, 1.1, -1.1, 1.1, 0.0]))
+        half = _partial_phases(p, np.zeros(1))[0]
+        psi = _partial_phases(p, np.array([0.0, 1.1, -1.1, 1.1, 0.0]))
         assert np.array_equal(psi[0], half) and np.array_equal(psi[4], half)
         assert np.array_equal(psi[1], psi[3])
         assert psi[1] + psi[2] == pytest.approx(2 * half, abs=1e-15)
@@ -485,21 +499,44 @@ class TestPartialPhases:
 
     @pytest.mark.parametrize("a", [(1.0, 2.0, 3.0), (0.7, 1.9, 3.1, 0.4, 2.2),
                                    (0.5, 1.3, 2.0, 4.4, 0.9, 1.7, 3.3, 0.6)])
-    def test_only_waist_phases_are_quadratures(self, a, monkeypatch):
+    def test_neck_makes_no_quadrature(self, a, monkeypatch):
         calls = []
-        quad = lawlor._quad
 
-        def counted(*args, **kwargs):
+        def refused(*args, **kwargs):
             calls.append(args)
-            return quad(*args, **kwargs)
+            raise AssertionError("the neck called _quad")
 
-        monkeypatch.setattr(lawlor, "_quad", counted)
-        verify_sl_neck(NeckParams(a), 1000)
-        assert len(calls) == len(a)
+        monkeypatch.setattr(lawlor, "_quad", refused)
+        p = NeckParams(a)
+        verify_sl_neck(p, 1000)
+        neck_point(p, 0.3, np.eye(p.m)[0])
+        assert calls == []
+
+    def test_waist_against_mpmath(self):
+        # ratios up to 10^12, where quad's angles were off by up to 7e-13,
+        # and (1e12, 1e-12, 1), where angles_from_a raises
+        rng = np.random.default_rng(20261020)
+        cases = [tuple(10.0 ** rng.uniform(-6.0, 6.0, size=m)) for m in (3, 4, 5, 6, 8)]
+        for a in [*cases, (1e12, 1e-12, 1.0)]:
+            half = _partial_phases(NeckParams(a), np.zeros(1))[0]
+            assert half == pytest.approx(mp_psi(a, 0.0), abs=4e-15), a
+
+    def test_waist_check_is_numeric_error(self, monkeypatch):
+        # a rule that halves every panel misses the angle sum by pi / 2
+        nodes, weights = lawlor._gauss_legendre()
+        monkeypatch.setattr(lawlor, "_gauss_legendre", lambda: (nodes, weights / 2.0))
+        with pytest.raises(NumericError, match="waist angles") as exc:
+            neck_point(NeckParams((1, 2, 3)), 0.0, (1.0, 0.0, 0.0))
+        assert exc.value.achieved == pytest.approx(math.pi / 2.0, rel=1e-12)
+        monkeypatch.undo()
+        # an overflowing or an underflowing coefficient of P, without a warning
+        for a in [(1e200, 1e200, 1e-100), (5e-324,) * 3]:
+            with pytest.raises(NumericError, match="coefficient of P"):
+                verify_sl_neck(NeckParams(a), 8)
 
     def test_memory_bounded_in_sample_count(self):
         p = NeckParams((0.5, 1.3, 2.0, 4.4, 0.9, 1.7, 3.3, 0.6))
-        verify_sl_neck(p, 8)  # quadrature and Gauss-Legendre set-up
+        verify_sl_neck(p, 8)  # Gauss-Legendre set-up
         tracemalloc.start()
         try:
             verify_sl_neck(p, 5000)
