@@ -189,35 +189,37 @@ def dim_F_and_index(p: TopologyProfile) -> IndexReport:
     """Family dimension dimF = dimY + 1 - q + sum b1_cs(L_i) and the
     singularity index indX = dimF + sum s-ind(C_i).
 
-    The identity dimF = b1(N) - dim I is rechecked; a profile carrying a
-    non-rigid cone gets the warning flag (the index formula needs a
-    correction the profile cannot express)."""
+    dimF = b1(N) - dim I for every profile, as both sides reduce to the
+    sum above; a profile whose b1(N) or dim I is negative raises through
+    them, in that order.  A profile carrying a non-rigid cone gets the
+    warning flag (the index formula needs a correction the profile
+    cannot express)."""
+    return _family(p)[0]
+
+
+def _family(p: TopologyProfile) -> tuple:
+    """(IndexReport, b1(N), dim I) of p, each computed once."""
     if p.dimY is None:
         raise InputError("profile must carry dimY to compute dimF")
     dim_f = p.dimY + 1 - p.q + sum(n.b1csL for n in p.necks)
     if dim_f < 0:
         raise InconsistentProfileError(f"dim F = {shown(dim_f)} < 0")
-    if dim_f != b1_N(p) - dim_I(p):
-        raise InconsistentProfileError(
-            f"identity dimF = b1(N) - dimI violated: "
-            f"{shown(dim_f)} != {shown(b1_N(p))} - {shown(dim_I(p))}"
-        )
+    b1n, dimi = b1_N(p), dim_I(p)
     ind_x = dim_f + sum(c.s_ind for c in p.cones)
-    warn = any(not c.rigid for c in p.cones)
-    return IndexReport(dim_f, ind_x, warn)
+    return IndexReport(dim_f, ind_x, any(not c.rigid for c in p.cones)), b1n, dimi
 
 
 def full_report(p: TopologyProfile) -> DimensionReport:
     """All dimension formulas evaluated on one profile."""
     per = [ac_moduli_dims(n, c.l) for n, c in zip(p.necks, p.cones)]
-    idx = dim_F_and_index(p)
+    idx, b1n, dimi = _family(p)
     return DimensionReport(
-        dimI=dim_I(p),
+        dimI=dimi,
         dimZ=dim_Z(p),
         dimYi=tuple(a.dimY for a in per),
         dimZi=tuple(a.dimZ for a in per),
         dimML0=tuple(a.dimM0 for a in per),
-        b1N=b1_N(p),
+        b1N=b1n,
         dimF=idx.dimF,
         indX=idx.indX,
         non_rigid_warning=idx.non_rigid_warning,

@@ -30,8 +30,8 @@ phi_k / 2 included, come from one pass of a fixed 10-point
 Gauss-Legendre rule over panels narrower than a quarter of
 max(1 / sqrt(a_1 + ... + a_m), t), which keeps them clear of the poles
 and branch points of f_k.  The samples
-are drawn from one seeded stream and checked in blocks of 1024, over
-stacked frames with one batched Gram product and one batched det.
+come from two seeded streams and are checked in blocks of at most 2^16
+array entries, with one batched Gram product and one batched det.
 """
 from __future__ import annotations
 
@@ -69,10 +69,10 @@ _POSITIVITY_EPS = 1e-12
 
 _QUAD_LIMIT = 200
 
-#: seed of the sample stream of both SL checks
+#: seed of the two sample streams of both SL checks
 _SAMPLE_SEED = 20250821
-#: samples per batched block of the SL checks, which bounds their memory
-_BLOCK = 1024
+#: array entries per sample block of the SL checks, bounding their memory
+_BLOCK_ENTRIES = 2**16
 #: Gauss-Legendre points per panel of the partial phases, and the largest
 #: panel width as a fraction of max(1 / sqrt(a_1 + ... + a_m), t)
 _GL_POINTS = 10
@@ -456,31 +456,24 @@ def neck_point(p: NeckParams, y: float, x) -> np.ndarray:
     return z * x
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of x, each equal to np.linalg.norm of
-    that row (a dot product, which an axis reduction does not round
-    alike)."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
-def _draw_blocks(sample_count: int, scalar, vector):
-    """The samples of a check in blocks of at most _BLOCK, as arrays
-    (scalars, vectors): per sample one ``scalar(rng)`` and then one
-    ``vector(rng)`` from a single default_rng(_SAMPLE_SEED) stream, so the
-    samples do not depend on the block size."""
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    for start in range(0, sample_count, _BLOCK):
-        draws = [(scalar(rng), vector(rng)) for _ in range(min(_BLOCK, sample_count - start))]
-        yield np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
+def _sample_blocks(m: int, sample_count: int):
+    """The streams of a check's scalar and vector coordinates, seeded
+    [_SAMPLE_SEED, 0] and [_SAMPLE_SEED, 1], with each block's size: at
+    least one sample, and at most _BLOCK_ENTRIES entries in its largest
+    array, m^2 per sample in a frame and _GL_POINTS * m in the phase
+    pass.  Drawn in order, the samples do not depend on the block size."""
+    block = max(1, _BLOCK_ENTRIES // (m * max(m, _GL_POINTS)))
+    scalars, vectors = (np.random.default_rng([_SAMPLE_SEED, i]) for i in (0, 1))
+    for start in range(0, sample_count, block):
+        yield scalars, vectors, min(block, sample_count - start)
 
 
 def _neck_samples(m: int, sample_count: int):
     """Blocks (y, x) of the neck check: y uniform in [-1.5, 1.5], x a unit
     vector normalized from a standard normal draw."""
-    for y, x in _draw_blocks(
-        sample_count, lambda rng: rng.uniform(-1.5, 1.5), lambda rng: rng.normal(size=m)
-    ):
-        yield y, x / _row_norms(x)[:, None]
+    for ys, xs, n in _sample_blocks(m, sample_count):
+        x = xs.normal(size=(n, m))
+        yield ys.uniform(-1.5, 1.5, size=n), x / np.linalg.norm(x, axis=1)[:, None]
 
 
 def _sphere_tangent_bases(x: np.ndarray) -> np.ndarray:
@@ -489,19 +482,24 @@ def _sphere_tangent_bases(x: np.ndarray) -> np.ndarray:
     exchanging e_1 and x, without its first column."""
     v = x.copy()
     v[:, 0] += np.where(v[:, 0] >= 0, 1.0, -1.0)
-    v /= _row_norms(v)[:, None]
+    v /= np.linalg.norm(v, axis=1)[:, None]
     return np.eye(x.shape[1])[:, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:]
 
 
 def _max_residuals(frames: np.ndarray) -> tuple:
     """Over a stack of complex frames (N, m, m): the largest
     |omega(v_i, v_j)| / (|v_i| |v_j|) over frame columns, from one batched
-    Gram product, and the largest |Im det| / |det|, from one batched det."""
+    Gram product, and the largest |Im det| / |det|, from one batched det
+    of the frames with unit rows: positive row scales, such as a neck's
+    r_k = sqrt(1/a_k + y^2), leave arg det unchanged.  A frame is
+    degenerate where that det is NaN or below 1e-12 times the product of
+    its unit-row column norms."""
     gram = frames.conj().transpose(0, 2, 1) @ frames
     norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
-    det = np.linalg.det(frames)
+    unit = frames / np.linalg.norm(frames, axis=2, keepdims=True)
+    det = np.linalg.det(unit)
     mag = np.abs(det)
-    scale = np.prod(norms, axis=1)
+    scale = np.prod(np.linalg.norm(unit, axis=1), axis=1)
     degenerate = ~(mag >= 1e-12 * scale)  # NaN counts as degenerate
     if degenerate.any():
         i = int(np.argmax(degenerate))
@@ -522,9 +520,11 @@ def verify_sl_neck(p: NeckParams, sample_count: int = 1000) -> SLResidual:
     sphere tangent basis tau_j at x.  The phases psi_k come from
     :func:`_partial_phases`, waist included.  The symplectic form is
     evaluated on every frame 2-plane and the volume-form phase on the
-    full frame, in blocks of _BLOCK samples so that memory stays bounded
-    for any ``sample_count`` (an integer >= 1).  The waist's check allows
-    a phase residual of (m/2) * LAWLOR_TOL; the rest is rounding.
+    row-normalised frame, whose arg det is the frame's.  y and x come
+    from two seeded streams, drawn once per block of at most
+    _BLOCK_ENTRIES array entries, so memory stays bounded for any m and
+    ``sample_count`` (an integer >= 1).  The waist's check allows a
+    phase residual of (m/2) * LAWLOR_TOL; the rest is rounding.
     """
     sample_count = as_int(sample_count, "sample_count", least=1)
     m = p.m
@@ -550,8 +550,9 @@ def verify_sl_hl_cone(m: int, sample_count: int = 1000) -> SLResidual:
     The cone is sampled through its torus-orbit parametrization
     r * e^(i gamma) * (e^(i t_1), ..., e^(i t_{m-1}), e^(-i(t_1+...+t_{m-1}))) / sqrt(m)
     with the overall phase gamma chosen so that the defining condition
-    i^(m+1) z_1 ... z_m >= 0 holds exactly.  Frames are stacked and
-    checked in blocks, as in :func:`verify_sl_neck`.
+    i^(m+1) z_1 ... z_m >= 0 holds exactly.  r and the t_j come from two
+    seeded streams, and the frames are checked in blocks, as in
+    :func:`verify_sl_neck`.
     """
     m = as_int(m, "dimension m", least=3)
     sample_count = as_int(sample_count, "sample_count", least=1)
@@ -562,11 +563,9 @@ def verify_sl_hl_cone(m: int, sample_count: int = 1000) -> SLResidual:
     gamma = -(m + 1) * math.pi / (2.0 * m)
     phase = complex(math.cos(gamma), math.sin(gamma))
     max_om = max_ph = 0.0
-    for r, theta in _draw_blocks(
-        sample_count,
-        lambda rng: rng.uniform(0.5, 2.0),
-        lambda rng: rng.uniform(0.0, 2.0 * math.pi, size=m - 1),
-    ):
+    for rs, ts, n in _sample_blocks(m, sample_count):
+        r = rs.uniform(0.5, 2.0, size=n)
+        theta = ts.uniform(0.0, 2.0 * math.pi, size=(n, m - 1))
         angles = np.concatenate([theta, -np.sum(theta, axis=1, keepdims=True)], axis=1)
         points = (r * phase)[:, None] * np.exp(1j * angles) / math.sqrt(m)
         frames = np.zeros((len(r), m, m), dtype=complex)

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.stats import special_ortho_group, unitary_group
 
+from haar import haar_so, haar_su
 from slcones.cli import _goldens
 from slcones.consum import (
     IntersectionGraph,
@@ -205,11 +205,6 @@ def test_sl_residuals(capsys):
 # Plane pairs
 
 
-def _random_su(m, rng):
-    u = unitary_group.rvs(m, random_state=rng)
-    return u * np.linalg.det(u) ** (-1.0 / m)
-
-
 def _plane_projector(frame):
     x = np.vstack([frame.real, frame.imag])
     q, _ = np.linalg.qr(x)
@@ -226,8 +221,8 @@ def test_plane_pair_invariances(capsys):
     k_bad = 0
     for trial in range(200):
         m = 3 + trial % 4
-        p1 = SLPlane(_random_su(m, rng))
-        p2 = SLPlane(_random_su(m, rng))
+        p1 = SLPlane(haar_su(rng, m))
+        p2 = SLPlane(haar_su(rng, m))
         rep = characteristic_angles(p1, p2)
 
         swapped = characteristic_angles(p2, p1)
@@ -238,7 +233,7 @@ def test_plane_pair_invariances(capsys):
         if swapped.k != m - rep.k:
             k_bad += 1
 
-        u = _random_su(m, rng)
+        u = haar_su(rng, m)
         left = characteristic_angles(SLPlane(u @ p1.frame), SLPlane(u @ p2.frame))
         worst_su = max(
             worst_su, max(abs(g - w) for g, w in zip(left.angles, rep.angles))
@@ -246,7 +241,7 @@ def test_plane_pair_invariances(capsys):
         if left.k != rep.k:
             k_bad += 1
 
-        o = special_ortho_group.rvs(m, random_state=rng)
+        o = haar_so(rng, m)
         right = characteristic_angles(SLPlane(p1.frame @ o), SLPlane(p2.frame @ o))
         worst_so = max(
             worst_so, max(abs(g - w) for g, w in zip(right.angles, rep.angles))

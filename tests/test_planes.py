@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import special_ortho_group, unitary_group
 
+from haar import haar_so, haar_su
 from slcones import cli, planes
 from slcones.errors import InputError, NumericError
 from slcones.planes import (
@@ -34,32 +34,11 @@ PI = math.pi
 
 
 def random_su(m, seed):
-    rng = np.random.default_rng(seed)
-    u = unitary_group.rvs(m, random_state=rng)
-    return u * np.linalg.det(u) ** (-1.0 / m)
+    return haar_su(np.random.default_rng(seed), m)
 
 
 def random_pair(m, seed):
     return SLPlane(random_su(m, seed)), SLPlane(random_su(m, seed + 10_000))
-
-
-def haar_so(rng, m):
-    """Haar-distributed rotation: QR of a Gaussian matrix with the signs
-    of R's diagonal moved into Q, then one column flipped if det = -1."""
-    q, r = np.linalg.qr(rng.standard_normal((m, m)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1.0
-    return q
-
-
-def haar_su(rng, m):
-    """Haar-distributed special unitary matrix, by the same QR rule with
-    the determinant's phase divided out."""
-    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return q / np.linalg.det(q) ** (1.0 / m)
 
 
 def planted_pair(rng, phi):
@@ -119,8 +98,8 @@ class TestCharacteristicAngles:
         p1, p2 = random_pair(m, seed)
         rep = characteristic_angles(p1, p2)
         rng = np.random.default_rng(seed + 2)
-        r1 = special_ortho_group.rvs(m, random_state=rng)
-        r2 = special_ortho_group.rvs(m, random_state=rng)
+        r1 = haar_so(rng, m)
+        r2 = haar_so(rng, m)
         rep_moved = characteristic_angles(SLPlane(p1.frame @ r1), SLPlane(p2.frame @ r2))
         assert rep_moved.angles == pytest.approx(rep.angles, abs=1e-9)
         assert rep_moved.k == rep.k
