@@ -20,7 +20,11 @@ P(x) is always evaluated through its polynomial coefficients in x^2
 product quotient: the series form is exact at x = 0 where the quotient
 is 0/0, with P(0) = a_1 + ... + a_m.  The integrand Horner-evaluates P
 in straight-line code that is compiled once per m and then reused for
-every neck of that dimension.
+every neck of that dimension.  The angle integrals of one forward map,
+or of one Newton residual, share one table from quadrature node x to
+sqrt(P(x)): quad visits largely the same nodes for every a_k, and P is
+evaluated once per node.  The table lives for that call only, and
+every integral keeps the bits of an unshared integrand.
 
 The neck and its check call no scipy.  Their tangents are analytic:
 d/dy of z_k(y) is (y / r_k + i r_k a_k f_k(y)) e^(i psi_k(y)) with f_k
@@ -178,37 +182,60 @@ def _poly_coeffs(a) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _integrand_maker(n: int):
-    """Compile the maker of the integrand for n >= 2 coefficients.
+    """Compile the maker of the integrands for n >= 2 coefficients.
 
-    The generated ``make(c0, ..., c{n-1}, ak, sqrt)`` returns the
-    closure of :func:`_integrand`, with c0 the top coefficient of P.
+    The generated ``make(c0, ..., c{n-1}, sqrt, table)`` returns the pair
+    ``(filling, reading)`` of :func:`_integrands`, with c0 the top
+    coefficient of P.  Both integrands run the same Horner statements;
+    the reading one runs them only where ``table.get(x)`` finds nothing.
     Only names enter the source; the values arrive as arguments.
     """
-    body = [
+    horner = [
         "u = x * x",
         "v = c0 * u + c1",
         *(f"v = v * u + c{j}" for j in range(2, n)),
-        "return 1.0 / ((1.0 + ak * x * x) * sqrt(v))",
+        "s = table[x] = sqrt(v)",
     ]
     src = (
-        f"def make({', '.join(f'c{j}' for j in range(n))}, ak, sqrt):\n"
-        "    def f(x):\n"
-        + "".join(f"        {line}\n" for line in body)
-        + "    return f\n"
+        f"def make({', '.join(f'c{j}' for j in range(n))}, sqrt, table):\n"
+        "    get = table.get\n"
+        "    def filling(ak):\n"
+        "        def f(x):\n"
+        + "".join(f"            {line}\n" for line in horner)
+        + "            return 1.0 / ((1.0 + ak * x * x) * s)\n"
+        "        return f\n"
+        "    def reading(ak):\n"
+        "        def f(x):\n"
+        "            s = get(x)\n"
+        "            if s is None:\n"
+        + "".join(f"                {line}\n" for line in horner)
+        + "            return 1.0 / ((1.0 + ak * x * x) * s)\n"
+        "        return f\n"
+        "    return filling, reading\n"
     )
     namespace = {}
     exec(compile(src, f"<lawlor integrand, {n} coefficients>", "exec"), namespace)
     return namespace["make"]
 
 
-def _integrand(coeffs, ak):
-    """The angle integrand 1 / ((1 + a_k x^2) sqrt(P(x))) as a closure.
+def _integrands(coeffs):
+    """The makers ``(filling, reading)`` of the angle integrands
+    1 / ((1 + a_k x^2) sqrt(P(x))) of one P, sharing one new table, a
+    dict from node x to sqrt(P(x)).
 
-    quad calls it tens of thousands of times per inverse map, so it works
-    on Python floats only, and its body is straight-line code compiled
-    once per coefficient count by :func:`_integrand_maker`: Horner in
-    x^2 from the top coefficient down, one statement per step, with
-    ``ak * x * x`` kept as ``(ak * x) * x`` (reusing ``u`` there would
+    ``filling(ak)`` computes sqrt(P(x)) at every call and stores it in the
+    table; ``reading(ak)`` takes it from the table and computes and stores
+    it only where x is missing.  The first integral of a P fills the
+    table, since quad evaluates no node twice within one integral, and
+    the others read it: all the angles of one neck integrate over nodes
+    that largely coincide.  Both return the same float for the same x, so
+    the sharing changes no bit of any integral.
+
+    quad calls the integrands tens of thousands of times per inverse map,
+    so they work on Python floats only, and their bodies are straight-line
+    code compiled once per coefficient count by :func:`_integrand_maker`:
+    Horner in x^2 from the top coefficient down, one statement per step,
+    with ``ak * x * x`` kept as ``(ak * x) * x`` (reusing ``u`` there would
     round differently).
 
     This is bit-identical to the loop ``v = 0.0; for c in reversed
@@ -222,7 +249,35 @@ def _integrand(coeffs, ak):
     rejects more than 200 nested parentheses, and m is unbounded.
     """
     make = _integrand_maker(len(coeffs))
-    return make(*map(float, reversed(coeffs)), float(ak), math.sqrt)
+    return make(*map(float, reversed(coeffs)), math.sqrt, {})
+
+
+def _angles(coeffs, a, tol: float | None = None) -> list:
+    """(phi_k, quad's error estimate of phi_k) for every a_k of ``a``.
+
+    phi_k = 2 a_k int_0^inf f_k by evenness.  quad is asked for absolute
+    error tol / (4 a_k) on the half integral, that is tol / 2 on phi_k,
+    or for 1e-13 when ``tol`` is None: the uncertified Newton residual.
+    ``coeffs`` are those of P, so ``a`` may be the first m-1 parameters
+    alone.  Parameters with equal a_k share one integrand, and quad is
+    deterministic, so each distinct a_k is integrated once and its angle
+    reused; every inverse starts from the symmetric point, where all the
+    a_k are equal.  The integrals of one call share one table of
+    sqrt(P(x)) (see :func:`_integrands`), which lives for this call only:
+    a table kept across calls would hold the nodes of a P that is not
+    asked for again.
+    """
+    filling, reading = _integrands(coeffs)
+    done = {}
+    out = []
+    for ak in map(float, a):
+        if ak not in done:
+            epsabs = 1e-13 if tol is None else tol / (4.0 * ak)
+            val, err = _quad((reading if done else filling)(ak), 0.0, np.inf,
+                             epsabs=epsabs, epsrel=1e-13)
+            done[ak] = (2.0 * ak * val, 2.0 * ak * err)
+        out.append(done[ak])
+    return out
 
 
 def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
@@ -236,21 +291,15 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     leaves the float range.
     """
     tol = as_positive(tol, "tol")
-    coeffs = _poly_coeffs(p.a)
-    phi = []
-    for ak in p.a:
-        # phi_k = 2 a_k * int_0^inf by evenness
-        val, err = _quad(
-            _integrand(coeffs, ak), 0.0, np.inf, epsabs=tol / (4.0 * ak), epsrel=1e-13
-        )
-        achieved = 2.0 * ak * err
+    angles = _angles(_poly_coeffs(p.a), p.a, tol)
+    for ak, (_, achieved) in zip(p.a, angles):
         if achieved > tol:
             raise NumericError(
                 f"quadrature certified only {achieved:.3e} > tol {tol:.3e} "
                 f"for a_k = {ak}",
                 achieved=achieved,
             )
-        phi.append(2.0 * ak * val)
+    phi = [angle for angle, _ in angles]
     # a certified quadrature can still return garbage at extreme ratios
     # of the a_k; that is a numeric failure, not a bad AngleSpec input
     sum_tol = max(p.m * tol, 1e-14)
@@ -268,27 +317,6 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     if A == 0.0:
         raise NumericError(f"A underflows at m = {p.m}, prod(a) = {prod}")
     return AngleSpec(phi, A, sum_tol=sum_tol)
-
-
-def _angles_only(coeffs, a, count: int) -> np.ndarray:
-    """Uncertified fast evaluation of the first ``count`` angles, used
-    inside the Newton loop.
-
-    Parameters with equal a_k share one integrand, and quad is
-    deterministic, so each distinct a_k is integrated once and its angle
-    reused.  Every inverse starts from the symmetric point, where all
-    the a_k are equal.
-    """
-    out = np.empty(count)
-    angle_of = {}
-    for k, ak in enumerate(a[:count]):
-        if ak not in angle_of:
-            val, _ = _quad(
-                _integrand(coeffs, ak), 0.0, np.inf, epsabs=1e-13, epsrel=1e-13
-            )
-            angle_of[ak] = 2.0 * ak * val
-        out[k] = angle_of[ak]
-    return out
 
 
 def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:
@@ -315,8 +343,7 @@ def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:
     a = np.full(m, s0)
 
     def residual(avec: np.ndarray) -> np.ndarray:
-        coeffs = _poly_coeffs(avec)
-        ang = _angles_only(coeffs, avec, m - 1)
+        ang = np.array([angle for angle, _ in _angles(_poly_coeffs(avec), avec[: m - 1])])
         logA = math.log(om) - 0.5 * float(np.sum(np.log(avec)))
         return np.concatenate([ang - phi_target, [logA - logA_target]])
 
@@ -493,7 +520,15 @@ def _max_residuals(frames: np.ndarray) -> tuple:
     of the frames with unit rows: positive row scales, such as a neck's
     r_k = sqrt(1/a_k + y^2), leave arg det unchanged.  A frame is
     degenerate where that det is NaN or below 1e-12 times the product of
-    its unit-row column norms."""
+    its unit-row column norms.
+
+    Each frame is first divided by the power of two just above its
+    largest entry, so that rows as long as 1e155 (a subnormal a_k) square
+    inside the float range.  The division is exact, and both ratios keep
+    every bit, wherever no entry or product of two entries falls below
+    the normal floats."""
+    _, exponent = np.frexp(np.max(np.abs(frames), axis=(1, 2)))
+    frames = frames * np.ldexp(1.0, -exponent)[:, None, None]
     gram = frames.conj().transpose(0, 2, 1) @ frames
     norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
     unit = frames / np.linalg.norm(frames, axis=2, keepdims=True)

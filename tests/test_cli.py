@@ -43,9 +43,13 @@ def _run(args, stdin: str | None = None) -> subprocess.CompletedProcess:
 
 
 def _main(args, stdin, monkeypatch, capsys):
-    """Run the CLI entry point in this process; (exit code, stdout, stderr)."""
+    """Run the CLI entry point in this process; (exit code, stdout, stderr).
+    A usage error's ``SystemExit`` gives its exit code."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    code = cli.main(args)
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -232,33 +236,36 @@ class TestImportGraph:
 
 
 class TestStability:
-    def test_deterministic_bytes(self):
+    def test_deterministic_bytes(self, monkeypatch, capsys):
+        # a child process, with its own hash seed, against this one
         a = _run(["stability", "--m", "7"])
-        b = _run(["stability", "--m", "7"])
-        assert a.stdout == b.stdout
-        assert a.stdout.endswith("\n")
+        code, out, _ = _main(["stability", "--m", "7"], "", monkeypatch, capsys)
+        assert (a.returncode, a.stdout) == (code, out)
+        assert out.endswith("\n")
 
-    def test_invalid_dimension_exits_2_with_error_json(self):
-        r = _run(["stability", "--m", "2"])
-        assert r.returncode == 2
-        assert r.stdout == ""
-        err = json.loads(r.stderr)
+    def test_invalid_dimension_exits_2_with_error_json(self, monkeypatch, capsys):
+        code, out, err = _main(["stability", "--m", "2"], "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        err = json.loads(err)
         _validate(err, "error")
         assert err["error"]["type"] == "InputError"
 
 
 class TestSpectrum:
-    def test_rational_delta(self):
-        r = _run(["spectrum", "--m", "3", "--cutoff", "9", "--delta", "5/2"])
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
+    def test_rational_delta(self, monkeypatch, capsys):
+        code, out, err = _main(["spectrum", "--m", "3", "--cutoff", "9", "--delta", "5/2"], "",
+                               monkeypatch, capsys)
+        assert code == 0, err
+        doc = json.loads(out)
         assert doc["delta"] == "5/2"
         _validate(doc, "spectrum")
 
-    def test_cutoff_too_small_for_delta(self):
-        r = _run(["spectrum", "--m", "3", "--cutoff", "4", "--delta", "3"])
-        assert r.returncode == 2
-        assert json.loads(r.stderr)["error"]["type"] == "IncompleteSpectrumError"
+    def test_cutoff_too_small_for_delta(self, monkeypatch, capsys):
+        code, _, err = _main(["spectrum", "--m", "3", "--cutoff", "4", "--delta", "3"], "",
+                             monkeypatch, capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "IncompleteSpectrumError"
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--m", "3", "--cutoff", "100000000"],
@@ -315,13 +322,14 @@ class TestLawlor:
             _validate(doc, "error")
             assert doc["error"]["type"] == "NumericError"
 
-    def test_phi_without_area_is_input_error(self):
-        r = _run(["lawlor", "--phi", "1.0,1.0,1.1415926535897931"])
-        assert r.returncode == 2
+    def test_phi_without_area_is_input_error(self, monkeypatch, capsys):
+        code, _, _ = _main(["lawlor", "--phi", "1.0,1.0,1.1415926535897931"], "",
+                           monkeypatch, capsys)
+        assert code == 2
 
-    def test_a_and_phi_together_is_usage_error(self):
-        r = _run(["lawlor", "--a", "1,1,1", "--phi", "1,1,1"])
-        assert r.returncode == 64
+    def test_a_and_phi_together_is_usage_error(self, monkeypatch, capsys):
+        code, _, _ = _main(["lawlor", "--a", "1,1,1", "--phi", "1,1,1"], "", monkeypatch, capsys)
+        assert code == 64
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
     @pytest.mark.parametrize("args", [
@@ -600,18 +608,18 @@ class TestDims:
 
 
 class TestVerify:
-    def test_table1_suite_passes(self):
-        r = _run(["verify", "--suite", "table1"])
-        assert r.returncode == 0, r.stdout
-        doc = json.loads(r.stdout)
+    def test_table1_suite_passes(self, monkeypatch, capsys):
+        code, out, _ = _main(["verify", "--suite", "table1"], "", monkeypatch, capsys)
+        assert code == 0, out
+        doc = json.loads(out)
         _validate(doc, "verify")
         assert doc["passed"] is True
         assert doc["failures"] == []
 
-    def test_gluings_suite_passes(self):
-        r = _run(["verify", "--suite", "gluings"])
-        assert r.returncode == 0, r.stdout
-        assert json.loads(r.stdout)["passed"] is True
+    def test_gluings_suite_passes(self, monkeypatch, capsys):
+        code, out, _ = _main(["verify", "--suite", "gluings"], "", monkeypatch, capsys)
+        assert code == 0, out
+        assert json.loads(out)["passed"] is True
 
     def test_lawlor_suite_passes(self, monkeypatch, capsys):
         code, out, err = _main(["verify", "--suite", "lawlor"], "", monkeypatch, capsys)
@@ -622,19 +630,20 @@ class TestVerify:
 
 
 class TestRunRecord:
-    def test_envelope_shape_and_digest_stability(self):
+    def test_envelope_shape_and_digest_stability(self, monkeypatch, capsys):
+        # a child process, with its own hash seed, against this one
         a = _run(["stability", "--m", "5", "--record"])
-        b = _run(["stability", "--m", "5", "--record"])
-        assert a.returncode == 0, a.stderr
-        doc = json.loads(a.stdout)
+        code, out, err = _main(["stability", "--m", "5", "--record"], "", monkeypatch, capsys)
+        assert code == 0, err
+        doc = json.loads(out)
         _validate(doc, "record")
         assert doc["subcommand"] == "stability"
         assert doc["output"]["sInd"] == 20
-        assert a.stdout == b.stdout
+        assert (a.returncode, a.stdout) == (code, out)
 
-    def test_digest_depends_on_input(self):
-        d5 = json.loads(_run(["stability", "--m", "5", "--record"]).stdout)
-        d6 = json.loads(_run(["stability", "--m", "6", "--record"]).stdout)
+    def test_digest_depends_on_input(self, monkeypatch, capsys):
+        d5 = json.loads(_main(["stability", "--m", "5", "--record"], "", monkeypatch, capsys)[1])
+        d6 = json.loads(_main(["stability", "--m", "6", "--record"], "", monkeypatch, capsys)[1])
         assert d5["inputDigest"] != d6["inputDigest"]
         assert len(d5["inputDigest"]) == 64
 

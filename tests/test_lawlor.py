@@ -9,6 +9,7 @@ near x = 0.
 """
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from slcones.lawlor import (
     z_invariant,
 )
 from slcones.lawlor import (
-    _integrand,
+    _angles,
+    _integrands,
     _max_residuals,
     _neck_samples,
     _partial_phases,
@@ -328,22 +330,29 @@ class TestCompiledIntegrand:
 
     @pytest.mark.parametrize("m", [*range(3, 13), 250])
     def test_equals_loop_horner(self, m):
+        # every integrand of one shared table, in both orders: the one that
+        # fills it first and the ones that read it, or the readers first
         rng = np.random.default_rng(m)
         cases = [rng.uniform(0.2, 5.0, size=m)]
         if m == 4:
             cases.append(np.array([1e-3, 1e3, 1.0, 50.0]))  # wide ratio
         for a in cases:
             coeffs = _poly_coeffs(a)
-            for ak in a:
-                ref, f = loop_integrand(coeffs, float(ak)), _integrand(coeffs, ak)
-                for x in self.NODES:
-                    assert f(x) == ref(x), (m, ak, x)
-                    assert f(-x) == ref(-x), (m, ak, -x)
+            refs = [loop_integrand(coeffs, float(ak)) for ak in a]
+            for fill_first in (True, False):
+                filling, reading = _integrands(coeffs)
+                pairs = [(filling(a[0]), refs[0]), *zip(map(reading, a[1:]), refs[1:])]
+                for f, ref in pairs if fill_first else pairs[::-1]:
+                    for x in self.NODES:
+                        assert f(x) == ref(x), (m, fill_first, x)
+                        assert f(-x) == ref(-x), (m, fill_first, -x)
 
     def test_compiled_once_per_coefficient_count(self):
         a, b = _poly_coeffs((1.0, 2.0, 3.0)), _poly_coeffs((4.0, 0.5, 7.0))
-        assert _integrand(a, 1.0).__code__ is _integrand(b, 7.0).__code__
-        assert _integrand(a, 1.0).__code__ is not _integrand(a + [1.0], 1.0).__code__
+        for i in (0, 1):  # the filling and the reading integrand
+            code = _integrands(a)[i](1.0).__code__
+            assert code is _integrands(b)[i](7.0).__code__
+            assert code is not _integrands(a + [1.0])[i](1.0).__code__
 
     def test_poly_coeffs_equal_convolve(self):
         rng = np.random.default_rng(20261018)
@@ -351,6 +360,92 @@ class TestCompiledIntegrand:
             m = int(rng.integers(3, 13))
             a = 10.0 ** rng.uniform(-3, 3, size=m)
             assert _poly_coeffs(a) == convolve_coeffs(a).tolist()
+
+
+def unshared_angles(a, tol=None):
+    """The reference: one quad per a_k of an unshared loop integrand, with
+    the arguments of the forward map (tol given) or of the Newton
+    residual (tol None), as (phi_k, quad's error estimate of phi_k)."""
+    from scipy.integrate import quad
+
+    coeffs = _poly_coeffs(a)
+    out = []
+    for ak in map(float, a):
+        epsabs = 1e-13 if tol is None else tol / (4.0 * ak)
+        val, err = quad(loop_integrand(coeffs, ak), 0.0, np.inf, epsabs=epsabs,
+                        epsrel=1e-13, limit=200, full_output=1)[:2]
+        out.append((2.0 * ak * val, 2.0 * ak * err))
+    return out
+
+
+class TestSharedTable:
+    """All the integrals of one forward map or one Newton residual share
+    one table of sqrt(P(x)); every bit must stay that of unshared quad."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(20261020)
+        for m in range(3, 13):
+            for _ in range(3):
+                yield tuple(10.0 ** rng.uniform(-3.0, 3.0, size=m))
+            a = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+            a[rng.integers(0, m, size=m // 2)] = a[0]  # repeated a_k
+            yield tuple(a)
+        yield (2.0, 2.0, 2.0, 5.0)
+        yield (1.0, 1.0, 1.0)
+        yield (0.5, 3.0, 0.5, 3.0, 7.0)
+
+    def test_equal_unshared_quad(self):
+        answered = 0
+        for a in self.cases():
+            coeffs = _poly_coeffs(a)
+            forward = unshared_angles(a, lawlor.DEFAULT_TOL)
+            assert _angles(coeffs, a, lawlor.DEFAULT_TOL) == forward, a
+            assert _angles(coeffs, a[:-1]) == unshared_angles(a)[:-1], a
+            try:
+                phi = angles_from_a(NeckParams(a)).phi
+            except NumericError:
+                continue
+            assert phi == tuple(angle for angle, _ in forward), a
+            answered += 1
+        assert answered >= 30
+
+    def test_sqrt_p_once_per_distinct_node(self, monkeypatch):
+        # in the forward map and in each Newton residual of an inverse,
+        # every node an integrand takes from another one's table is saved
+        import scipy.integrate  # noqa: F401 -- its first import calls math.sqrt
+
+        calls, roots, sqrt, quad, angles = [], [], math.sqrt, lawlor._quad, lawlor._angles
+
+        def recording_quad(f, *args, **kwargs):
+            def g(x):
+                calls[-1][0].append(x)
+                return f(x)
+            return quad(g, *args, **kwargs)
+
+        def counting_sqrt(v):
+            roots.append(v)
+            return sqrt(v)
+
+        def recording_angles(*args):
+            calls.append(([], len(roots)))
+            out = angles(*args)
+            calls[-1] = (calls[-1][0], len(roots) - calls[-1][1])
+            return out
+
+        monkeypatch.setattr(lawlor, "_quad", recording_quad)
+        monkeypatch.setattr(lawlor, "_angles", recording_angles)
+        monkeypatch.setattr(math, "sqrt", counting_sqrt)
+        # at the wide ratio, nodes the first integral never took recur in
+        # several of the others
+        for a in [(0.5, 1.3, 2.0, 4.4, 0.9, 1.7, 3.3, 0.6), (50.0, 0.03, 1.0, 2.0)]:
+            a_from_angles(angles_from_a(NeckParams(a)))
+        monkeypatch.undo()
+        assert len(calls) > 20
+        for nodes, computed in calls:
+            assert computed == len(set(nodes))
+        shared = sum(len(nodes) - computed for nodes, computed in calls)
+        assert shared > 0.6 * sum(len(nodes) for nodes, _ in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +696,14 @@ class TestVerifySL:
             cases.append(tuple(10.0 ** rng.uniform(-e, e, size=int(rng.integers(3, 41)))))
         for a in cases:
             assert max(verify_sl_neck(NeckParams(a), 16)) <= 1e-14, a
+
+    @pytest.mark.parametrize("a", [(1e-310, 1.0, 1.0), (1e-320, 1.0, 1.0, 1.0, 1.0)])
+    def test_subnormal_parameter_answers_without_a_warning(self, a):
+        # frame rows of length 1e155 and more, whose squares leave the
+        # float range: the frame is not degenerate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert max(verify_sl_neck(NeckParams(a), 16)) <= lawlor.NECK_RESIDUAL_BOUND
 
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
