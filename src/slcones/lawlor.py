@@ -8,12 +8,22 @@ parameter A, and the two descriptions are in bijection:
     A     = omega_m * (a_1 ... a_m)^(-1/2),
 
 where P(x) = (prod_k (1 + a_k x^2) - 1) / x^2 and omega_m is the
-(m-1)-volume of the unit sphere in R^m.  This module computes both
-directions of the bijection with certified quadrature error, evaluates
-the neck parametrization itself, and numerically verifies the special
-Lagrangian conditions (the symplectic form and the imaginary part of
-the holomorphic volume form both restrict to zero) for the neck and for
-the torus cone it desingularizes.
+(m-1)-volume of the unit sphere in R^m.
+
+The neck joins two planes.  Write Pi^phi for the plane of the points
+(e^(i phi_1) x_1, ..., e^(i phi_m) x_m), x in R^m.  As y -> -inf the
+neck approaches Pi^0 = R^m, and as y -> +inf it approaches Pi^phi, at
+rate 2 - m: the distance of neck_point(p, y, x) from its end plane is
+|x| |y|^(1-m) / (m sqrt(a_1 ... a_m)) to leading order.  Pi^phi is
+oriented by the frame diag(e^(i phi_k)) with its last column negated,
+which is special unitary because the phi_k sum to pi; this is the frame
+:func:`slcones.planes.phi_frame` builds for a pair of type 1.
+
+This module computes both directions of the bijection with certified
+quadrature error, evaluates the neck parametrization itself, and
+numerically verifies the special Lagrangian conditions (the symplectic
+form and the imaginary part of the holomorphic volume form both
+restrict to zero) for the neck and for the torus cone it desingularizes.
 
 P(x) is always evaluated through its polynomial coefficients in x^2
 (the elementary symmetric polynomials of the a_k), never as the raw
@@ -316,7 +326,10 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     A = sphere_area(p.m) / math.sqrt(prod)
     if A == 0.0:
         raise NumericError(f"A underflows at m = {p.m}, prod(a) = {prod}")
-    return AngleSpec(phi, A, sum_tol=sum_tol)
+    # phi and A passed AngleSpec's checks above; sum_tol is inf where m * tol
+    # overflows, and its reader still refuses that
+    sum_tol = as_positive(sum_tol, "angle sum tolerance")
+    return AngleSpec._make((p.m, tuple(phi), A, sum_tol))
 
 
 def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:

@@ -5,8 +5,8 @@ stability index.
 The link is a flat (m-1)-torus whose Laplace eigenvalues are indexed by
 integer vectors n with eigenvalue Q(n) = m*sum(n_i^2) - (sum n_i)^2.
 From the eigenvalue table the module derives the exponent set (both
-roots of alpha*(alpha+m-2) = lambda), the counting function ``n_sigma``,
-and the stability/rigidity report for each dimension m.
+roots of alpha*(alpha+m-2) = lambda) and the counting function ``n_sigma``;
+the stability/rigidity report of each dimension m reads the count table.
 
 Multiplicities are counted exactly, in Python ints, over multisets of
 coordinate values.  Append a 0 to n to get x in Z^m; by Lagrange's
@@ -29,11 +29,11 @@ grow with m.  The brute-force box scan, the ball enumeration and the
 its independent oracles in the tests.
 
 A request is served while the walk's own work count stays within
-:data:`MAX_WALK_WORK`.
+:data:`MAX_WALK_WORK`; the walk itself refuses the others.
 
-Exponent comparisons against rational thresholds are carried out through
-the exact quadratic relation (integer/Fraction arithmetic only); floats
-appear purely as display approximations.
+Exponent order and comparisons against rational thresholds are decided
+exactly, from (lambda, branch) and the quadratic relation; floats appear
+purely as display approximations.
 """
 from __future__ import annotations
 
@@ -121,7 +121,7 @@ class ConeSpectrum(NamedTuple("ConeSpectrum", [
         return 0
 
 
-def _counts(m: int, cutoff: int) -> list | None:
+def _counts(m: int, cutoff: int) -> list:
     """``counts[q]`` = exact number of lattice vectors n with Q(n) = q.
 
     Sums m!/prod(k_v!) over the multisets {0: k0, v: k_v} with the mode 0
@@ -136,18 +136,10 @@ def _counts(m: int, cutoff: int) -> list | None:
     never falls), and if the smallest of the rem coordinates left sits at
     v above the mean s1/n, each of them adds at least f(v).  The work count
     is the table's cutoff + 1 cells, 15 per ``walk`` call and the length of
-    each range scanned; past :data:`MAX_WALK_WORK` the walk stops and returns None.
+    each range scanned; past :data:`MAX_WALK_WORK` the walk raises InputError.
     """
-    left = MAX_WALK_WORK - (cutoff + 1)  # the work budget still unspent
-    if left < 0:  # refused before the table is allocated
-        return None
-    counts = [0] * (cutoff + 1)
-    counts[0] = 1  # the mode alone, j = 0
     isqrt = math.isqrt
-    jmax = min(m - 1, 2 * cutoff // m)
-    fact = [1] * (jmax + 1)
-    for i in range(1, jmax + 1):
-        fact[i] = fact[i - 1] * i
+    left = MAX_WALK_WORK - (cutoff + 1)  # the work budget still unspent
 
     def walk(n, s1, s2, p, rem, lo, coef):
         # place rem >= 1 more coordinates at nonzero values >= lo; coef is
@@ -228,13 +220,23 @@ def _counts(m: int, cutoff: int) -> list | None:
                 for w in range(wlo, whi + 1):
                     counts[q0 + (n2 * w - t1d) * w] += c
 
-    coef = 1  # m! / k0!
-    for j in range(1, jmax + 1):
-        k0 = m - j
-        coef *= k0 + 1
-        if k0 * j <= cutoff:  # each of the j differs from all k0 mode coordinates
-            walk(k0, 0, 0, 0, j, -isqrt(cutoff // k0), coef)
-    return counts if left >= 0 else None
+    if left >= 0:  # else refused before the table is allocated
+        counts = [0] * (cutoff + 1)
+        counts[0] = 1  # the mode alone, j = 0
+        jmax = min(m - 1, 2 * cutoff // m)
+        fact = [1] * (jmax + 1)
+        for i in range(1, jmax + 1):
+            fact[i] = fact[i - 1] * i
+        coef = 1  # m! / k0!
+        for j in range(1, jmax + 1):
+            k0 = m - j
+            coef *= k0 + 1
+            if k0 * j <= cutoff:  # each of the j differs from all k0 mode coordinates
+                walk(k0, 0, 0, 0, j, -isqrt(cutoff // k0), coef)
+    if left < 0:
+        raise InputError(f"spectrum for m = {shown(m)}, cutoff = {shown(cutoff)} needs "
+                         f"more than {MAX_WALK_WORK} units of work")
+    return counts
 
 
 def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
@@ -242,16 +244,12 @@ def enumerate_spectrum(m: int, cutoff: int) -> ConeSpectrum:
 
     Counts the multisets of coordinate values with Q <= cutoff (see the
     module docstring).  Raises :class:`InputError` once the walk's work
-    count passes the budget :data:`MAX_WALK_WORK`.
+    count passes the budget :data:`MAX_WALK_WORK` (see :func:`_counts`).
     """
     m = as_int(m, "dimension m", least=3)
     cutoff = as_int(cutoff, "cutoff", least=0)
-    counts = _counts(m, cutoff)
-    if counts is None:
-        raise InputError(f"spectrum for m = {shown(m)}, cutoff = {shown(cutoff)} needs "
-                         f"more than {MAX_WALK_WORK} units of work")
     # already a valid table: int pairs, ascending, none past the cutoff
-    entries = [(lam, c) for lam, c in enumerate(counts) if c]
+    entries = [(lam, c) for lam, c in enumerate(_counts(m, cutoff)) if c]
     return ConeSpectrum._make((m, tuple(entries), Fraction(cutoff)))
 
 
@@ -278,7 +276,7 @@ class ExponentData(NamedTuple):
 
     m: int
     cutoff: Fraction
-    entries: tuple  # of ExponentEntry, sorted ascending by alpha
+    entries: tuple  # of ExponentEntry, in ascending order of alpha
 
     def multiplicity_at(self, alpha) -> int:
         """Total multiplicity of the exact exponent value ``alpha``.
@@ -297,20 +295,20 @@ class ExponentData(NamedTuple):
 
 
 def exponents(spec: ConeSpectrum) -> ExponentData:
-    """Exponent table alpha+-(lam) = (-(m-2) +- sqrt((m-2)^2+4*lam))/2."""
+    """Exponent table alpha+-(lam) = (-(m-2) +- sqrt((m-2)^2+4*lam))/2 in
+    exact order: lower roots by descending lam, then upper by ascending lam."""
     m = spec.m
     c = m - 2
-    out = []
+    lower, upper = [], []
     for lam, mult in spec.entries:
         try:
             disc = math.sqrt(c * c + 4 * lam)
         except OverflowError:  # no float alpha could hold it either
             msg = f"exponents of {shown(lam)} at m = {shown(m)} exceed the float range"
             raise InputError(msg) from None
-        out.append(ExponentEntry((-c - disc) / 2, lam, -1, mult))
-        out.append(ExponentEntry((-c + disc) / 2, lam, +1, mult))
-    out.sort(key=lambda e: (e.alpha, e.branch))
-    return ExponentData(m, spec.cutoff, tuple(out))
+        lower.append(ExponentEntry((-c - disc) / 2, lam, -1, mult))
+        upper.append(ExponentEntry((-c + disc) / 2, lam, +1, mult))
+    return ExponentData(m, spec.cutoff, (*reversed(lower), *upper))
 
 
 def n_sigma(data: ExponentData, delta) -> int:
@@ -358,12 +356,13 @@ def stability_index(m: int) -> StabilityReport:
     s-ind = N_sigma(2) - b0(link) - m^2 - 2m + 1 + dim G with b0 = 1 and
     dim G = m-1 here; stable means s-ind = 0, rigid means the exponent-2
     multiplicity equals m^2 - 1 - dim G.  Stability implies rigidity.
+    alpha_+(lam) <= 2 exactly when lam <= 2m, so N_sigma(2) is the total
+    of the count table up to 2m and the multiplicity is its cell 2m.
     """
     m = as_int(m, "dimension m", least=3)
-    spec = enumerate_spectrum(m, 2 * m)
-    data = exponents(spec)
-    n2 = n_sigma(data, 2)
-    m2 = spec.multiplicity(2 * m)  # alpha = 2 corresponds to lam = 2m
+    counts = _counts(m, 2 * m)  # refused as enumerate_spectrum refuses it
+    n2 = sum(counts)
+    m2 = counts[2 * m]
     dim_g = m - 1
     s_ind = n2 - 1 - m * m - 2 * m + 1 + dim_g
     return StabilityReport(

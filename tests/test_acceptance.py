@@ -31,6 +31,7 @@ from slcones.dims import (
     TopologyProfile,
     ac_moduli_dims,
     full_report,
+    moduli_jump,
 )
 from slcones.errors import InconsistentProfileError
 from slcones.lawlor import (
@@ -313,6 +314,37 @@ def test_neck_ends_are_a_type_one_pair(capsys):
     )
 
 
+def test_neck_is_asymptotically_conical_with_rate_2_minus_m(capsys):
+    """A Lawlor neck approaches its end plane Pi^phi at rate 2 - m, the
+    end of the "negative" rate regime of :func:`dims.rate_lambda_dims`:
+    the distance from neck_point(p, y, x) to Pi^phi, with phi from
+    angles_from_a, is y |x| / (m sqrt(prod a) y^m) to leading order, so
+    its log-log slope in y is 1 - m.  At m = 5 the distance meets the
+    rounding of |z| ~ y near y = 1000, so only points where it exceeds
+    y * 1e-13 enter the fitted slope."""
+    ys = np.geomspace(10.0, 1000.0, 9)
+    worst_slope = worst_lead = 0.0
+    for a in [(4, 1, 1), (4, 1, 1, 2, 0.5), (1, 1, 1, 1, 1)]:
+        p = NeckParams(a)
+        m = p.m
+        turn = np.exp(-1j * np.array(angles_from_a(p).phi))
+        for x in (np.ones(m) / math.sqrt(m), np.eye(m)[0]):
+            dist = np.array([np.linalg.norm((neck_point(p, y, x) * turn).imag) for y in ys])
+            keep = dist > ys * 1e-13
+            slope = np.polyfit(np.log(ys[keep]), np.log(dist[keep]), 1)[0]
+            worst_slope = max(worst_slope, abs(slope - (1 - m)))
+            if m == 3:  # the leading term at y = 316, where rounding is far below it
+                lead = ys[6] / (m * math.sqrt(math.prod(a)) * ys[6] ** m)
+                worst_lead = max(worst_lead, abs(dist[6] / lead - 1.0))
+    _verdict(
+        capsys,
+        "Lawlor neck -> its end plane at rate 2 - m",
+        worst_slope <= 0.01 and worst_lead <= 1e-4,
+        f"3 necks m=3,5 x 2 directions, y=10..1000: log-log slope vs 1 - m "
+        f"{worst_slope:.1e} (tol 0.01), m=3 leading term at y=316 {worst_lead:.1e} (tol 1e-4)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Intersection graphs
 
@@ -498,4 +530,35 @@ def test_dimension_identities(capsys):
         f"1000 consistent profiles (of {attempts} drawn): "
         f"{bad_split} split violations, {bad_stable} stable-case violations; "
         f"golden neck dims (m-2 and 1) {'exact' if golden_ok else 'WRONG'}",
+    )
+
+
+def test_stability_index_enters_the_dimension_count(capsys):
+    """spectrum -> dims: the T^(m-1) cone, one link component, carries
+    its stability report into a profile glued by one Harvey-Lawson neck
+    (b0 = 1, b1 = m - 2, b1_cs = 0) with dimY that neck's dimY.  The
+    singularity index exceeds the family dimension by s-ind, the
+    non-rigid warning (``nonRigidWarning`` on the CLI) is raised exactly
+    at m = 8, 9, and the moduli dimension just above rate 0 is the
+    neck's rate-0 dimension plus s-ind + 2m."""
+    bad = []
+    for m in range(3, 13):
+        rep = stability_index(m)
+        neck = NeckTopology(1, m - 2, 0)
+        dimy = ac_moduli_dims(neck, 1).dimY
+        dims = full_report(TopologyProfile(m, 1, 0, [ConeData(1, rep.s_ind, rep.rigid)],
+                                           [neck], dimY=dimy))
+        d = dims.dimML0[0]
+        if (
+            dims.indX - dims.dimF != rep.s_ind
+            or dims.non_rigid_warning != (m in (8, 9))
+            or moduli_jump(d, rep.s_ind, m) != d + rep.s_ind + 2 * m
+        ):
+            bad.append(m)
+    _verdict(
+        capsys,
+        "stability index -> dimension count -> moduli jump",
+        not bad,
+        "m=3..12: indX - dimF = s-ind, warning exactly at m=8,9, jump dimM0 + s-ind + 2m"
+        if not bad else f"wrong at {bad}",
     )

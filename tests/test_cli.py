@@ -68,34 +68,34 @@ def _encode_frame(arr) -> list:
 
 
 class TestDispatch:
-    def test_help_lists_every_subcommand(self):
-        r = _run(["--help"])
-        assert r.returncode == 0, r.stderr
+    def test_help_lists_every_subcommand(self, monkeypatch, capsys):
+        code, out, err = _main(["--help"], "", monkeypatch, capsys)
+        assert code == 0, err
         for name in (
             "spectrum", "stability", "lawlor", "planes",
             "consum", "t2cone", "dims", "verify",
         ):
-            assert name in r.stdout
+            assert name in out
 
-    def test_no_subcommand_is_usage_error(self):
-        r = _run([])
-        assert r.returncode == 64
-        assert "usage" in r.stderr.lower()
+    def test_no_subcommand_is_usage_error(self, monkeypatch, capsys):
+        code, out, err = _main([], "", monkeypatch, capsys)
+        assert code == 64
+        assert "usage" in err.lower()
 
-    def test_unknown_subcommand_prints_usage_and_exits_64(self):
-        r = _run(["frobnicate"])
-        assert r.returncode == 64
-        assert "usage" in r.stderr.lower()
-        assert r.stdout == ""
+    def test_unknown_subcommand_prints_usage_and_exits_64(self, monkeypatch, capsys):
+        code, out, err = _main(["frobnicate"], "", monkeypatch, capsys)
+        assert code == 64
+        assert "usage" in err.lower()
+        assert out == ""
 
-    def test_bad_flag_is_usage_error(self):
-        r = _run(["stability", "--q", "3"])
-        assert r.returncode == 64
+    def test_bad_flag_is_usage_error(self, monkeypatch, capsys):
+        code, _, _ = _main(["stability", "--q", "3"], "", monkeypatch, capsys)
+        assert code == 64
 
-    def test_tol_default_shown_in_help(self):
-        r = _run(["lawlor", "--help"])
-        assert r.returncode == 0
-        assert "1e-10" in r.stdout
+    def test_tol_default_shown_in_help(self, monkeypatch, capsys):
+        code, out, _ = _main(["lawlor", "--help"], "", monkeypatch, capsys)
+        assert code == 0
+        assert "1e-10" in out
 
 
 GOLDENS = cli._goldens("cli")
@@ -349,15 +349,15 @@ class TestLawlor:
 
 
 class TestPlanes:
-    def test_non_unitary_frame_exits_2(self):
+    def test_non_unitary_frame_exits_2(self, monkeypatch, capsys):
         bad = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         eye = _encode_frame(np.eye(2, dtype=complex))
-        r = _run(["planes"], stdin=json.dumps({"p1": bad, "p2": eye}))
-        assert r.returncode == 2
+        code, _, _ = _main(["planes"], json.dumps({"p1": bad, "p2": eye}), monkeypatch, capsys)
+        assert code == 2
 
-    def test_missing_key_exits_2(self):
-        r = _run(["planes"], stdin=json.dumps({"p1": []}))
-        assert r.returncode == 2
+    def test_missing_key_exits_2(self, monkeypatch, capsys):
+        code, _, _ = _main(["planes"], json.dumps({"p1": []}), monkeypatch, capsys)
+        assert code == 2
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
     def test_bad_tolerance_exits_2(self, tol, monkeypatch, capsys):
@@ -408,7 +408,7 @@ class TestPlanes:
 
 
 class TestConsum:
-    def test_infeasible_graph_reports_null_areas(self):
+    def test_infeasible_graph_reports_null_areas(self, monkeypatch, capsys):
         payload = json.dumps(
             {
                 "q": 2,
@@ -418,25 +418,25 @@ class TestConsum:
                 ],
             }
         )
-        r = _run(["consum"], stdin=payload)
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
+        code, out, err = _main(["consum"], payload, monkeypatch, capsys)
+        assert code == 0, err
+        doc = json.loads(out)
         _validate(doc, "consum")
         assert doc["feasible"] is False
         assert doc["areas"] is None
 
-    def test_malformed_json_exits_2(self):
-        r = _run(["consum"], stdin='{"q":2 "edges":[]}')
-        assert r.returncode == 2
-        err = json.loads(r.stderr)
+    def test_malformed_json_exits_2(self, monkeypatch, capsys):
+        code, _, err = _main(["consum"], '{"q":2 "edges":[]}', monkeypatch, capsys)
+        assert code == 2
+        err = json.loads(err)
         _validate(err, "error")
         assert "malformed JSON" in err["error"]["message"]
 
-    def test_bad_weight_exits_2(self):
+    def test_bad_weight_exits_2(self, monkeypatch, capsys):
         payload = json.dumps(
             {"q": 1, "edges": [{"tail": 1, "head": 1, "weight": "x/y"}]}
         )
-        assert _run(["consum"], stdin=payload).returncode == 2
+        assert _main(["consum"], payload, monkeypatch, capsys)[0] == 2
 
     @pytest.mark.parametrize("payload", [
         '{"q":"abc","edges":[]}',
@@ -446,11 +446,11 @@ class TestConsum:
         '{"q":2,"edges":[{"tail":1.5,"head":2,"weight":1}]}',
         '{"q":2,"edges":[{"tail":1,"head":[2],"weight":1}]}',
     ])
-    def test_non_integer_field_exits_2(self, payload):
-        r = _run(["consum"], stdin=payload)
-        assert r.returncode == 2, r.stderr
-        assert r.stdout == ""
-        err = json.loads(r.stderr)
+    def test_non_integer_field_exits_2(self, payload, monkeypatch, capsys):
+        code, out, err = _main(["consum"], payload, monkeypatch, capsys)
+        assert code == 2, err
+        assert out == ""
+        err = json.loads(err)
         _validate(err, "error")
         assert err["error"]["type"] == "InputError"
         assert "must be an integer" in err["error"]["message"]
@@ -469,12 +469,12 @@ class TestConsum:
         assert doc["error"]["type"] == "InputError"
         assert "edge 0 weight" in doc["error"]["message"]
 
-    def test_float_weight_is_read_by_the_denominator_limit(self):
+    def test_float_weight_is_read_by_the_denominator_limit(self, monkeypatch, capsys):
         payload = ('{"q":2,"edges":[{"tail":1,"head":2,"weight":0.1},'
                    '{"tail":2,"head":1,"weight":"1/3"}]}')
-        r = _run(["consum"], stdin=payload)
-        assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout)["areas"] == [10, 3]
+        code, out, err = _main(["consum"], payload, monkeypatch, capsys)
+        assert code == 0, err
+        assert json.loads(out)["areas"] == [10, 3]
 
 class TestInternalGuards:
     """A failed internal cross-check is a numeric failure (exit 3), also
@@ -514,34 +514,36 @@ class TestInternalGuards:
 
 
 class TestT2Cone:
-    def test_basis_mode_locked_ratio(self):
+    def test_basis_mode_locked_ratio(self, monkeypatch, capsys):
         payload = json.dumps(
             {"basis": {"B1": [[1, 0], [0, "3/2"]], "B2": [[0, "3/2"], [1, 0]]}}
         )
-        r = _run(["t2cone"], stdin=payload)
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
+        code, out, err = _main(["t2cone"], payload, monkeypatch, capsys)
+        assert code == 0, err
+        doc = json.loads(out)
         _validate(doc, "t2cone")
         assert doc["families"] == [
             {"j1": 1, "j2": 2, "ratio": "3/2", "dimY": 1},
             {"j1": 2, "j2": 1, "ratio": "2/3", "dimY": 1},
         ]
 
-    def test_pairing_mode(self):
-        r = _run(["t2cone"], stdin=json.dumps({"pairing": math.pi, "kJ": 1}))
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(r.stdout)
+    def test_pairing_mode(self, monkeypatch, capsys):
+        payload = json.dumps({"pairing": math.pi, "kJ": 1})
+        code, out, err = _main(["t2cone"], payload, monkeypatch, capsys)
+        assert code == 0, err
+        doc = json.loads(out)
         _validate(doc, "t2cone")
         assert doc["region"] == "positive"
         assert doc["t"] == pytest.approx(1.0, rel=1e-12)
 
-    def test_ambiguous_mode_exits_2(self):
-        r = _run(["t2cone"], stdin=json.dumps({"generator": [1, 1], "pairing": 1.0}))
-        assert r.returncode == 2
+    def test_ambiguous_mode_exits_2(self, monkeypatch, capsys):
+        payload = json.dumps({"generator": [1, 1], "pairing": 1.0})
+        code, _, _ = _main(["t2cone"], payload, monkeypatch, capsys)
+        assert code == 2
 
-    def test_imprimitive_generator_exits_2(self):
-        r = _run(["t2cone"], stdin=json.dumps({"generator": [2, 4]}))
-        assert r.returncode == 2
+    def test_imprimitive_generator_exits_2(self, monkeypatch, capsys):
+        code, _, _ = _main(["t2cone"], json.dumps({"generator": [2, 4]}), monkeypatch, capsys)
+        assert code == 2
 
     @pytest.mark.parametrize("b1", [[[1, 0, 0], [0, 0]], [1, 0], [[1, 0], "10"], {"u": 1}])
     def test_malformed_basis_shape_exits_2(self, b1, monkeypatch, capsys):
@@ -561,11 +563,11 @@ class TestT2Cone:
         '{"pairing":"1.0","kJ":1}',
         '{"pairing":1.0,"kJ":1.5}',
     ])
-    def test_bad_number_exits_2(self, payload):
-        r = _run(["t2cone"], stdin=payload)
-        assert r.returncode == 2, r.stderr
-        assert r.stdout == ""
-        err = json.loads(r.stderr)
+    def test_bad_number_exits_2(self, payload, monkeypatch, capsys):
+        code, out, err = _main(["t2cone"], payload, monkeypatch, capsys)
+        assert code == 2, err
+        assert out == ""
+        err = json.loads(err)
         _validate(err, "error")
         assert err["error"]["type"] == "InputError"
 
@@ -579,32 +581,33 @@ class TestDims:
         {"dimY": True},
         {"cones": [{"l": "2", "sInd": 0}]},
     ])
-    def test_non_integer_field_exits_2(self, change):
-        r = _run(["dims"], stdin=json.dumps(dict(self.PROFILE, **change)))
-        assert r.returncode == 2, r.stderr
-        assert r.stdout == ""
-        err = json.loads(r.stderr)
+    def test_non_integer_field_exits_2(self, change, monkeypatch, capsys):
+        payload = json.dumps(dict(self.PROFILE, **change))
+        code, out, err = _main(["dims"], payload, monkeypatch, capsys)
+        assert code == 2, err
+        assert out == ""
+        err = json.loads(err)
         _validate(err, "error")
         assert err["error"]["type"] == "InputError"
         assert "must be an integer" in err["error"]["message"]
 
     @pytest.mark.parametrize("rigid", ["no", 0, 1, None])
-    def test_non_bool_rigid_exits_2(self, rigid):
+    def test_non_bool_rigid_exits_2(self, rigid, monkeypatch, capsys):
         profile = dict(self.PROFILE, cones=[{"l": 2, "sInd": 0, "rigid": rigid}])
-        r = _run(["dims"], stdin=json.dumps(profile))
-        assert r.returncode == 2, r.stderr
-        assert r.stdout == ""
-        err = json.loads(r.stderr)
+        code, out, err = _main(["dims"], json.dumps(profile), monkeypatch, capsys)
+        assert code == 2, err
+        assert out == ""
+        err = json.loads(err)
         _validate(err, "error")
         assert err["error"]["type"] == "InputError"
         assert "rigid must be true or false" in err["error"]["message"]
 
-    def test_inconsistent_profile_exits_2(self):
+    def test_inconsistent_profile_exits_2(self, monkeypatch, capsys):
         bad = dict(self.PROFILE, b1csX=0, q=1)
         bad["cones"] = [{"l": 3, "sInd": 0}]
         bad["necks"] = [{"b0L": 1, "b1L": 1, "b1csL": 0}]
-        r = _run(["dims"], stdin=json.dumps(bad))
-        assert r.returncode == 2
+        code, _, _ = _main(["dims"], json.dumps(bad), monkeypatch, capsys)
+        assert code == 2
 
 
 class TestVerify:

@@ -387,6 +387,16 @@ class TestExponents:
             for e in data.entries:
                 assert not (2 - m + 1e-9 < e.alpha < -1e-9)
 
+    def test_order_is_exact_where_float_roots_tie(self):
+        # two eigenvalues closer than an ulp share both float roots; the
+        # lower root of the larger one is the smaller exponent
+        lam = 1 + Fraction(1, 10**30)
+        data = exponents(ConeSpectrum(3, [(1, 1), (lam, 2)], 2))
+        assert data.entries[0].alpha == data.entries[1].alpha
+        assert [(e.lam, e.branch) for e in data.entries] == [
+            (lam, -1), (1, -1), (1, 1), (lam, 1),
+        ]
+
 
 class TestNSigma:
     def test_table1_values(self):
@@ -489,3 +499,22 @@ class TestStability:
 
     def test_integral_floats_accepted(self):
         assert stability_index(3.0) == stability_index(3)
+
+    # the exponent route, table -> exponents -> n_sigma and multiplicity,
+    # is the oracle of the two cells the report reads off the count table
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_equals_the_exponent_route(self, m):
+        spec = enumerate_spectrum(m, 2 * m)
+        rep = stability_index(m)
+        assert rep.n_sigma2 == n_sigma(exponents(spec), 2)
+        assert rep.m_sigma2 == spec.multiplicity(2 * m)
+
+    def test_refused_as_the_table_is(self):
+        # one past the largest m admitted (test_asymptotic_counts)
+        msg = ("spectrum for m = 1699981, cutoff = 3399962 needs more than "
+               f"{spectrum.MAX_WALK_WORK} units of work")
+        for call in (lambda: stability_index(1699981),
+                     lambda: enumerate_spectrum(1699981, 3399962)):
+            with pytest.raises(InputError) as exc:
+                call()
+            assert str(exc.value) == msg
