@@ -74,11 +74,20 @@ _MAX_ORACLE_Q = 20
 
 
 def _edge(tail, head, weight) -> tuple:
-    """The checked fields of one edge: weight, then tail, then head."""
-    w = read_rational(weight, "edge weight")
+    """The checked fields of one edge: the weight read by
+    :func:`~slcones.errors.read_rational`, then tail and head by
+    :func:`~slcones.errors.as_int`.  A ``Fraction`` weight and ``int``
+    endpoints take those readers' first-line fast paths inline, with no
+    call; every other value goes to the reader, so each verdict and
+    message is the reader's."""
+    w = weight if isinstance(weight, Fraction) else read_rational(weight, "edge weight")
     if w.numerator <= 0:
         raise InputError(f"edge weight must be positive, got {shown(w)}")
-    return as_int(tail, "edge tail"), as_int(head, "edge head"), w
+    if type(tail) is not int:  # type() lets no bool through, as in as_int
+        tail = as_int(tail, "edge tail")
+    if type(head) is not int:
+        head = as_int(head, "edge head")
+    return tail, head, w
 
 
 class Edge(NamedTuple("Edge", [("tail", int), ("head", int), ("weight", Fraction)])):

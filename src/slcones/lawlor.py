@@ -295,12 +295,16 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
 
     Each angle is computed by adaptive quadrature with certified
     absolute error at most ``tol``, so the angle sum is within m*tol of
-    pi.  ``tol`` must be a finite positive number.  Raises
+    pi.  ``tol`` must be a finite positive number, and m*tol finite
+    too, else :class:`InputError` names it.  Raises
     :class:`NumericError` with the achieved bound if the quadrature cannot
     certify ``tol``, and when the product of the a_k, and with it A,
     leaves the float range.
     """
     tol = as_positive(tol, "tol")
+    sum_tol = max(p.m * tol, 1e-14)
+    if sum_tol == math.inf:
+        raise InputError(f"tol = {tol} is too large: m * tol overflows at m = {p.m}")
     angles = _angles(_poly_coeffs(p.a), p.a, tol)
     for ak, (_, achieved) in zip(p.a, angles):
         if achieved > tol:
@@ -312,7 +316,6 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     phi = [angle for angle, _ in angles]
     # a certified quadrature can still return garbage at extreme ratios
     # of the a_k; that is a numeric failure, not a bad AngleSpec input
-    sum_tol = max(p.m * tol, 1e-14)
     dev = abs(sum(phi) - math.pi)
     if any(not 0.0 < x < math.pi for x in phi) or dev > sum_tol:
         raise NumericError(
@@ -326,9 +329,7 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     A = sphere_area(p.m) / math.sqrt(prod)
     if A == 0.0:
         raise NumericError(f"A underflows at m = {p.m}, prod(a) = {prod}")
-    # phi and A passed AngleSpec's checks above; sum_tol is inf where m * tol
-    # overflows, and its reader still refuses that
-    sum_tol = as_positive(sum_tol, "angle sum tolerance")
+    # phi, A and sum_tol passed AngleSpec's checks above
     return AngleSpec._make((p.m, tuple(phi), A, sum_tol))
 
 

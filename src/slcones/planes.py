@@ -14,10 +14,18 @@ cyclic Jacobi rotations on the pair (Re, Im) of O^T S O remove whatever
 off-diagonal entry still exceeds a fixed threshold of 1e-10.  That
 happens where two eigenvalues have (nearly) equal cosines, which
 ``eigh`` of Re S alone cannot separate; a generic pair does no rotation.
+
+Classifying a pair and then bringing it to canonical form needs that
+decomposition twice.  The last pair decomposed is kept by identity (an
+``SLPlane`` compares and hashes by identity), so the second call reuses
+it; its arrays are read-only, and no caller mutates its list of
+eigenvalues.  Equal frames in new ``SLPlane`` objects are decomposed
+afresh.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -195,10 +203,17 @@ def _phase(z: complex) -> float:
     return cmath.phase(z) % _TWO_PI
 
 
+@functools.lru_cache(maxsize=1)
 def _eigenstructure(p1: SLPlane, p2: SLPlane):
-    """O real orthogonal and unimodular d with S = O diag(d) O^T for
-    S = M M^T, M = p1^{-1} p2; columns ordered by ascending angle, d a
-    list of Python complex numbers."""
+    """M = p1^{-1} p2, and O real orthogonal and unimodular d with
+    S = O diag(d) O^T for S = M M^T; columns ordered by ascending angle,
+    d a list of Python complex numbers.
+
+    The last pair's answer is kept, keyed by the identity of the two
+    planes, so :func:`characteristic_angles` then
+    :func:`canonical_transform` on one pair decompose S once.  M and O
+    are returned read-only, and d is shared with every later call on the
+    pair: it must not be mutated."""
     if p1.m != p2.m:
         raise InputError(f"dimension mismatch: {p1.m} vs {p2.m}")
     mrel = p1.frame.conj().T @ p2.frame
@@ -211,7 +226,10 @@ def _eigenstructure(p1: SLPlane, p2: SLPlane):
     d = full.diagonal().tolist()
     phases = [_phase(x) for x in d]
     order = sorted(range(len(d)), key=phases.__getitem__)
-    return mrel, o[:, order], [d[i] for i in order]
+    o = o[:, order]
+    mrel.setflags(write=False)
+    o.setflags(write=False)
+    return mrel, o, [d[i] for i in order]
 
 
 def _report(m: int, d: list, tol: float) -> PlanePairReport:
@@ -283,5 +301,6 @@ def canonical_transform(
             achieved=real_defect,
         )
     if np.linalg.det(o) < 0:
-        o[:, 0] *= -1.0  # o is the reordered copy from _eigenstructure
+        o = o.copy()  # the kept decomposition is read-only
+        o[:, 0] *= -1.0
     return o.T @ p1.frame.conj().T

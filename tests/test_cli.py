@@ -347,6 +347,19 @@ class TestLawlor:
         assert doc["error"]["type"] == "InputError"
         assert "tol" in doc["error"]["message"]
 
+    def test_tolerance_whose_m_fold_overflows_exits_2(self, monkeypatch, capsys):
+        # m * tol = inf once reached the angle sum tolerance, and the
+        # refusal named that inf, a value the caller never gave
+        code, out, err = _main(["lawlor", "--a", "4,1,1", "--tol", "1e308"], "",
+                               monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "InputError"
+        assert doc["error"]["message"].startswith("tol = 1e+308 ")
+        assert "inf" not in doc["error"]["message"]
+
 
 class TestPlanes:
     def test_non_unitary_frame_exits_2(self, monkeypatch, capsys):

@@ -285,6 +285,10 @@ def _random_strong_graph(rng, q: int) -> IntersectionGraph:
     )
 
 
+class _Weight(Fraction):
+    """A subclass of Fraction, as a caller's own rational type may be."""
+
+
 def validation_oracle(q, edges) -> list:
     """Frozen copy of the checks of the dataclass ``Edge`` and of
     ``IntersectionGraph`` before edges became tuples: the ``(tail, head,
@@ -339,6 +343,7 @@ _FIELD = st.one_of(
     st.integers(-1, 4),
     st.just(10**30),
     st.booleans(),
+    st.just(np.bool_(True)),
     st.sampled_from([1.0, 2.0, -1.0, 1.5, 0.1, math.nan, math.inf, -math.inf]),
     st.sampled_from(["3/7", "x", "2", "1/0"]),
     st.fractions(max_value=0, max_denominator=9),
@@ -357,6 +362,8 @@ _EDGE = st.one_of(
 
 
 def _json_field(x):
+    if isinstance(x, np.generic):
+        return x.item()
     return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x
 
 
@@ -491,6 +498,17 @@ class TestFeasible:
         assert g.q == 2 and type(g.q) is int
         assert (g.edges[0].tail, g.edges[0].head) == (1, 2)
         assert type(g.edges[0].tail) is int and type(g.edges[0].head) is int
+
+    def test_fraction_subclass_weight_is_kept(self):
+        # a caller's Fraction subclass passes through the weight reader,
+        # and a non-positive one is refused with the oracle's message
+        w = _Weight(3, 4)
+        assert IntersectionGraph(2, [(1, 2, w)]).edges[0].weight is w
+        with pytest.raises(InputError) as got:
+            Edge(1, 2, _Weight(-1, 2))
+        with pytest.raises(InputError) as want:
+            validation_oracle(2, [(1, 2, _Weight(-1, 2))])
+        assert str(got.value) == str(want.value)
 
     def test_disconnected_message_counts_pieces(self):
         g = IntersectionGraph(5, [(1, 2, 1), (2, 1, 1), (4, 3, 1)])

@@ -3,7 +3,9 @@
 Pairs whose eigenvalues e^{2 i phi} share (nearly) the same cosine are
 checked against their planted angles and an mpmath eigenvalue oracle, and
 generic pairs against a frozen copy of the earlier cluster-gap
-diagonalization.
+diagonalization.  The decomposition a pair's report and its transform
+share is counted, and a Lawlor neck's angles are carried through random
+SU(m) frames and back.
 """
 import io
 import json
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from haar import haar_so, haar_su
 from slcones import cli, planes
 from slcones.errors import InputError, NumericError
+from slcones.lawlor import NeckParams, angles_from_a
 from slcones.planes import (
     PlanePairReport,
     SLPlane,
@@ -398,6 +401,78 @@ def test_generic_pairs_equal_cluster_oracle(m):
         assert d_new == d.tolist()
         assert characteristic_angles(p1, p2) == planes._report(m, d.tolist(), 1e-9)
     assert checked >= 55
+
+
+class TestSharedDecomposition:
+    """The last pair decomposed is kept by the identity of its planes, so
+    classifying a pair and then transforming it decompose S once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        joint_diagonalize = planes._joint_diagonalize
+
+        def counted(s):
+            calls.append(1)
+            return joint_diagonalize(s)
+
+        monkeypatch.setattr(planes, "_joint_diagonalize", counted)
+        return calls
+
+    def test_classify_then_transform_decomposes_once(self, calls):
+        p1, p2 = random_pair(5, 21)
+        rep = characteristic_angles(p1, p2)
+        b = canonical_transform(p1, p2)
+        assert len(calls) == 1
+        planes._eigenstructure.cache_clear()
+        assert np.array_equal(canonical_transform(p1, p2), b)
+        assert characteristic_angles(p1, p2) == rep
+        assert len(calls) == 2
+
+    def test_equal_frames_in_new_planes_decompose_again(self, calls):
+        f1, f2 = random_su(4, 31), random_su(4, 41)
+        rep = characteristic_angles(SLPlane(f1), SLPlane(f2))
+        canonical_transform(SLPlane(f1), SLPlane(f2))
+        assert characteristic_angles(SLPlane(f1), SLPlane(f2)) == rep
+        assert len(calls) == 3
+
+    def test_negative_det_transform_leaves_the_kept_o_alone(self):
+        for seed in range(40):
+            p1, p2 = random_pair(3, 500 + seed)
+            o = planes._eigenstructure(p1, p2)[1]
+            if np.linalg.det(o) < 0:
+                break
+        else:
+            pytest.fail("no pair with det O < 0 among 40 seeds")
+        kept = o.copy()
+        b = canonical_transform(p1, p2)
+        assert np.array_equal(canonical_transform(p1, p2), b)
+        assert np.array_equal(planes._eigenstructure(p1, p2)[1], kept)
+        assert_moves_to_model(p1, p2, characteristic_angles(p1, p2).angles)
+
+    def test_kept_arrays_are_read_only(self):
+        mrel, o, d = planes._eigenstructure(*random_pair(4, 51))
+        for x in (mrel, o):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0, 0] = 0.0
+        assert type(d) is list
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_neck_angles_under_random_su_frames(m):
+    # Lawlor neck -> plane pair: the neck's angles phi, the pair
+    # (u R^m, u Pi^phi) for a Haar u in SU(m), its report and its
+    # canonical transform back to (R^m, Pi^phi)
+    rng = np.random.default_rng(2700 + m)
+    for _ in range(4):
+        phi = sorted(angles_from_a(NeckParams(tuple(10.0 ** rng.uniform(-1, 1, m)))).phi)
+        u = haar_su(rng, m)
+        p1, p2 = SLPlane(u), SLPlane(u @ phi_frame(phi).frame)
+        rep = characteristic_angles(p1, p2)
+        assert rep.angles == pytest.approx(phi, abs=1e-10)
+        assert rep.transverse and rep.k == 1 and rep.lawlor_exists
+        assert_moves_to_model(p1, p2, phi)
 
 
 def test_phi_frame_det_fix():
