@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -135,26 +135,30 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
         component 1, each as ``(order, parent, via, below)``: the vertices
         in visit order, each vertex's tree parent and the index of its tree
         edge, and the count of non-loop edges into (in-tree) or out of
-        (out-tree) each vertex.  Neighbours are scanned in edge order.  A
-        graph with more than n + 1 components cannot be connected, and is
-        refused before any list of length q is built."""
+        (out-tree) each vertex.  Each vertex lists the indices of its
+        edges, whose far end is their tail (in-tree) or head (out-tree),
+        and neighbours are scanned in edge order.  A graph with more than
+        n + 1 components cannot be connected, and is refused before any
+        list of length q is built."""
         q = self.q
         if q > self.n + 1:
             _require_connected(self)
         into = [[] for _ in range(q + 1)]
         out = [[] for _ in range(q + 1)]
-        for idx, (u, v, _) in enumerate(self.edges):
+        edges = self.edges
+        for idx, (u, v, _) in enumerate(edges):
             if u != v:
-                into[v].append((idx, u))
-                out[u].append((idx, v))
+                into[v].append(idx)
+                out[u].append(idx)
         trees = []
-        for adj in (into, out):
+        for adj, far in ((into, 0), (out, 1)):
             parent = [0] * (q + 1)
             via = [0] * (q + 1)
             parent[1] = 1
             order = [1]
             for v in order:
-                for idx, w in adj[v]:
+                for idx in adj[v]:
+                    w = edges[idx][far]
                     if not parent[w]:
                         parent[w] = v
                         via[w] = idx
@@ -184,20 +188,21 @@ def _require_connected(g: IntersectionGraph) -> None:
     only on the edges: a huge q with few edges is refused at once.
     """
     parent = {}
-
-    def find(v):
+    pieces = g.q
+    for u, v, _ in g.edges:
+        # walk u and v to their roots, halving both paths on the way
+        while u in parent:
+            w = parent[u]
+            if w in parent:
+                parent[u] = w = parent[w]
+            u = w
         while v in parent:
             w = parent[v]
             if w in parent:
                 parent[v] = w = parent[w]
             v = w
-        return v
-
-    pieces = g.q
-    for u, v, _ in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        if u != v:
+            parent[u] = v
             pieces -= 1
     if pieces != 1:
         raise PreconditionError(
@@ -229,26 +234,37 @@ def bipartition_oracle(g: IntersectionGraph) -> bool:
     s of the Python int ``inside[v]`` is set iff component v lies in
     subset s, so an edge u -> v leaves exactly the subsets in
     ``inside[u] & ~inside[v]`` and enters those in the reverse.  The
-    graph passes iff the edges leave and enter every proper subset.
+    graph passes iff the edges leave and enter every proper subset.  The
+    words depend on q alone, so they are built once per q, after the
+    size check: q 2^q bits for one q, about 5 MB for every q up to
+    the limit of 20.
     """
     _require_connected(g)
     if g.q > _MAX_ORACLE_Q:
         raise InputError(f"oracle limited to q <= {_MAX_ORACLE_Q}, got q = {shown(g.q)}")
-    subsets = 1 << g.q
+    inside = _subset_words(g.q)
+    leaves = enters = 0
+    for u, v, _ in g.edges:
+        leaves |= inside[u] & ~inside[v]
+        enters |= inside[v] & ~inside[u]
+    proper = (1 << ((1 << g.q) - 1)) - 2  # bits 1 .. 2^q - 2
+    return leaves & enters == proper
+
+
+@lru_cache(maxsize=None)
+def _subset_words(q: int) -> tuple:
+    """``(0, inside[1], ..., inside[q])``: bit s of ``inside[v]`` is set
+    iff bit v - 1 of s is, for every s < 2^q."""
+    subsets = 1 << q
     inside = [0]
-    for v in range(g.q):
+    for v in range(q):
         # bit v of s repeats as 2^v zeros then 2^v ones; double to 2^q bits
         word, width = ((1 << (1 << v)) - 1) << (1 << v), 2 << v
         while width < subsets:
             word |= word << width
             width *= 2
         inside.append(word)
-    leaves = enters = 0
-    for u, v, _ in g.edges:
-        leaves |= inside[u] & ~inside[v]
-        enters |= inside[v] & ~inside[u]
-    proper = (1 << (subsets - 1)) - 2  # bits 1 .. 2^q - 2
-    return leaves & enters == proper
+    return tuple(inside)
 
 
 def solve_areas(g: IntersectionGraph) -> BalanceSolution:

@@ -80,6 +80,10 @@ NECK_RESIDUAL_BOUND = 1e-9
 #: Newton iteration cap and positivity floor for the inverse map
 _NEWTON_MAX_ITER = 60
 _POSITIVITY_EPS = 1e-12
+#: absolute accuracy each quad of the uncertified Newton residual asks
+#: for (and the relative accuracy of every quad): the least tol the
+#: inverse accepts
+_RESIDUAL_QUAD_ACC = 1e-13
 
 _QUAD_LIMIT = 200
 
@@ -267,7 +271,8 @@ def _angles(coeffs, a, tol: float | None = None) -> list:
 
     phi_k = 2 a_k int_0^inf f_k by evenness.  quad is asked for absolute
     error tol / (4 a_k) on the half integral, that is tol / 2 on phi_k,
-    or for 1e-13 when ``tol`` is None: the uncertified Newton residual.
+    or for :data:`_RESIDUAL_QUAD_ACC` when ``tol`` is None: the
+    uncertified Newton residual.
     ``coeffs`` are those of P, so ``a`` may be the first m-1 parameters
     alone.  Parameters with equal a_k share one integrand, and quad is
     deterministic, so each distinct a_k is integrated once and its angle
@@ -282,9 +287,9 @@ def _angles(coeffs, a, tol: float | None = None) -> list:
     out = []
     for ak in map(float, a):
         if ak not in done:
-            epsabs = 1e-13 if tol is None else tol / (4.0 * ak)
+            epsabs = _RESIDUAL_QUAD_ACC if tol is None else tol / (4.0 * ak)
             val, err = _quad((reading if done else filling)(ak), 0.0, np.inf,
-                             epsabs=epsabs, epsrel=1e-13)
+                             epsabs=epsabs, epsrel=_RESIDUAL_QUAD_ACC)
             done[ak] = (2.0 * ak * val, 2.0 * ak * err)
         out.append(done[ak])
     return out
@@ -342,9 +347,18 @@ def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:
     area equation holds exactly, takes damped Newton steps with the
     positivity projection a_k <- max(a_k, eps), and stops when the
     residual drops below ``tol``, which must be a finite positive number.
-    Raises :class:`NumericError` where the unit sphere's area underflows.
+    Raises :class:`NumericError` where the unit sphere's area underflows,
+    and before any residual when ``tol`` is below the residual's
+    quadrature accuracy :data:`_RESIDUAL_QUAD_ACC`, which no residual
+    can certify.
     """
     tol = as_positive(tol, "tol")
+    if tol < _RESIDUAL_QUAD_ACC:
+        raise NumericError(
+            f"tol {tol:.3e} is below the {_RESIDUAL_QUAD_ACC:.0e} accuracy "
+            "of the Newton residual's quadrature",
+            achieved=_RESIDUAL_QUAD_ACC,
+        )
     m = spec.m
     phi_target = np.array(spec.phi[: m - 1])
     logA_target = math.log(spec.A)

@@ -293,6 +293,22 @@ class TestLawlor:
         assert err["error"]["type"] == "NumericError"
         assert err["error"]["achieved"] > 0
 
+    def test_inverse_tolerance_below_the_residual_accuracy_exits_3(self, monkeypatch, capsys):
+        # the uncertified residual can read exactly 0.0, so a tol below its
+        # quadrature's 1e-13 accuracy would pass without being certified
+        argv = ["lawlor", "--phi", "1,1,1.1415926535897931", "--area", "1", "--tol"]
+        code, out, err = _main(argv + ["1e-300"], "", monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        err = json.loads(err)
+        _validate(err, "error")
+        assert err["error"]["type"] == "NumericError"
+        assert err["error"]["achieved"] == 1e-13
+        assert "tol 1.000e-300" in err["error"]["message"]
+        assert "1e-13" in err["error"]["message"]
+        code, out, err = _main(argv + ["1e-13"], "", monkeypatch, capsys)
+        assert code == 0 and err == ""
+
     @pytest.mark.parametrize("a", ["1e12,1e-12,1", "1e308,1e308,1e308,1e308"])
     def test_garbage_quadrature_exits_3(self, a, monkeypatch, capsys):
         code, out, err = _main(["lawlor", "--a", a], "", monkeypatch, capsys)

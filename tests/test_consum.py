@@ -34,6 +34,7 @@ from slcones.consum import (
     Edge,
     IntersectionGraph,
     PhaseFamilyQuery,
+    _subset_words,
     bipartition_oracle,
     check_balance,
     family_balance_region,
@@ -54,6 +55,7 @@ from slcones.errors import (
     as_rational,
     as_tuple,
     read_rational,
+    shown,
 )
 
 
@@ -144,20 +146,56 @@ def tree_walk_oracle(g):
 
 
 def undirected_connected(q, pairs):
-    if q == 1:
-        return True
+    return undirected_pieces(q, pairs) == 1
+
+
+def undirected_pieces(q, edges) -> int:
+    """Connected pieces of the underlying undirected graph of ``edges``,
+    pairs or (tail, head, weight) triples, counted by breadth-first
+    search over an adjacency of sets."""
     adj = {v: set() for v in range(1, q + 1)}
-    for t, h in pairs:
-        adj[t].add(h)
-        adj[h].add(t)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
+    for u, v, *_ in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = set()
+    pieces = 0
+    for root in adj:
+        if root in seen:
+            continue
+        pieces += 1
+        seen.add(root)
+        queue = [root]
+        for u in queue:
+            for w in adj[u] - seen:
                 seen.add(w)
-                stack.append(w)
-    return len(seen) == q
+                queue.append(w)
+    return pieces
+
+
+def random_multigraph(rng, q):
+    """Random directed multigraph on q vertices in a few clusters: a
+    random forest of random orientations inside each cluster, then extra
+    edges, self-loops and repeats of earlier edges, and some vertices
+    left isolated.  Edges come in shuffled order."""
+    verts = list(range(1, q + 1))
+    rng.shuffle(verts)
+    cuts = sorted(rng.sample(range(1, q), min(q - 1, rng.choice([0, 0, 0, 1, 2, 4]))))
+    pairs = []
+    for part in (verts[i:j] for i, j in zip([0] + cuts, cuts + [q])):
+        if rng.random() < 0.2:
+            continue  # every vertex of this cluster stays isolated
+        for k in range(1, len(part)):
+            if rng.random() < 0.95:  # a missed tree edge may split the cluster
+                u, v = part[k], part[rng.randrange(k)]
+                pairs.append((u, v) if rng.random() < 0.5 else (v, u))
+        for _ in range(rng.randint(0, len(part))):
+            pairs.append((rng.choice(part), rng.choice(part)))
+    for _ in range(rng.randint(0, 3)):
+        v = rng.randint(1, q)
+        pairs.append((v, v))
+    pairs += rng.choices(pairs, k=rng.randint(0, len(pairs) // 2)) if pairs else []
+    rng.shuffle(pairs)
+    return [(u, v, Fraction(rng.randint(1, 5), rng.randint(1, 5))) for u, v in pairs]
 
 
 def fm_oracle(g, pairings) -> bool:
@@ -517,6 +555,41 @@ class TestFeasible:
                 call(g)
 
 
+class TestConnectivity:
+    """The union-find's piece count against breadth-first search."""
+
+    def test_pieces_equal_a_breadth_first_count(self):
+        rng = random.Random(20261021)
+        counts = collections.Counter()
+        for _ in range(500):
+            q = rng.randint(1, 60)
+            edges = random_multigraph(rng, q)
+            g = IntersectionGraph(q, edges)
+            pieces = undirected_pieces(q, edges)
+            calls = [feasible, solve_areas] + ([bipartition_oracle] if q <= 20 else [])
+            for call in calls:
+                if pieces > 1:
+                    with pytest.raises(PreconditionError) as got:
+                        call(g)
+                    assert str(got.value).endswith(f"found {pieces} pieces")
+                else:
+                    with contextlib.suppress(InfeasibleGraphError):
+                        call(g)
+            counts[min(pieces, 3)] += 1
+            touched = {x for u, v, _ in edges for x in (u, v)}
+            counts["isolated"] += 1 < q and len(touched) < q
+        assert min(counts[1], counts[2], counts[3], counts["isolated"]) >= 50, counts
+
+    def test_huge_q_message_shows_the_digit_count(self):
+        g = IntersectionGraph(10**400, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])
+        want = f"found {shown(10**400 - 2)} pieces"
+        assert "<int of 400 digits>" in want
+        for call in (feasible, solve_areas, bipartition_oracle):
+            with pytest.raises(PreconditionError) as got:
+                call(g)
+            assert str(got.value).endswith(want)
+
+
 class TestOracleAgreement:
     def test_exhaustive_two_vertices(self):
         # every digraph on 2 vertices with up to 3 edges
@@ -583,6 +656,21 @@ class TestOracleAgreement:
         edges = [(v, v + 1, 1) for v in range(1, 21)] + [(21, 1, 1)]
         with pytest.raises(InputError):
             bipartition_oracle(IntersectionGraph(21, edges))
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_subset_words(self, q):
+        words = _subset_words(q)
+        assert words[0] == 0 and len(words) == q + 1
+        for v in range(1, q + 1):
+            want = sum(1 << s for s in range(1 << q) if s >> (v - 1) & 1)
+            assert words[v] == want
+
+    def test_oversized_graph_builds_no_words(self):
+        edges = [(v, v + 1, 1) for v in range(1, 21)] + [(21, 1, 1)]
+        before = _subset_words.cache_info()
+        with pytest.raises(InputError, match="oracle limited to q <= 20"):
+            bipartition_oracle(IntersectionGraph(21, edges))
+        assert _subset_words.cache_info() == before
 
 
 class TestSolveAreas:
