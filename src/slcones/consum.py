@@ -43,6 +43,7 @@ from .errors import (
     as_positive,
     as_rational,
     as_tuple,
+    checked_replace,
     read_rational,
     shown,
 )
@@ -101,6 +102,8 @@ class Edge(NamedTuple("Edge", [("tail", int), ("head", int), ("weight", Fraction
     def __new__(cls, tail, head, weight):
         return tuple.__new__(cls, _edge(tail, head, weight))
 
+    _replace = checked_replace()
+
 
 class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", tuple)])):
     """Directed multigraph on components 1..q; self-loops allowed."""
@@ -124,6 +127,8 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
                 raise InputError(f"edge endpoints must lie in 1..{shown(q)}, got {shown((u, v))}")
             norm.append(new(Edge, e))
         return new(cls, (q, tuple(norm)))
+
+    _replace = checked_replace()
 
     @property
     def n(self) -> int:
@@ -177,6 +182,8 @@ class BalanceSolution(NamedTuple("BalanceSolution", [("A", tuple)])):
         if any(v.numerator <= 0 for v in vals):
             raise InputError(f"areas must be positive, got {shown(vals)}")
         return tuple.__new__(cls, (vals,))
+
+    _replace = checked_replace()
 
 
 def _require_connected(g: IntersectionGraph) -> None:
@@ -399,6 +406,8 @@ class PhaseFamilyQuery(NamedTuple("PhaseFamilyQuery", [
             as_int(m, "dimension m", least=1),
         ))
 
+    _replace = checked_replace()
+
 
 class PhaseRegionResult(NamedTuple):
     """Which side of the wall the total phase lies on, and the neck
@@ -513,9 +522,11 @@ def family_balance_region(
     number of edges leaving S, for every vertex set S that no edge
     enters.  With D the lcm of the denominators of b and n the number
     of edges left, a positive b(S) is at least 1/D, so scaling b by D(n + 1)
-    turns "some x > 0" into "some x >= 1" exactly.  Then x = 1 + y with
-    y >= 0 moves one unit of supply from each edge's tail to its head,
-    and one integer max-flow decides whether some y meets the rest.
+    turns "some x > 0" into "some x >= 1" exactly.  The scaled supplies
+    are integers, and sum(b) = 0 is tested on them, as their sum is
+    D(n + 1) sum(b).  Then x = 1 + y with y >= 0 moves one unit of supply
+    from each edge's tail to its head, and one integer max-flow decides
+    whether some y meets the rest.
     """
     pairings = as_tuple(pairings, "pairings")
     if len(pairings) != g.q:
@@ -543,11 +554,11 @@ def family_balance_region(
                 return False
         return True
 
-    if sum(vals) != 0:
-        return False
     arcs = [(u, v) for u, v, _ in g.edges if u != v]
     scale = math.lcm(*(p.denominator for p in vals)) * (len(arcs) + 1)
     supply = [p.numerator * (scale // p.denominator) for p in vals]
+    if sum(supply):  # D(n + 1) sum(b), so zero iff sum(b) is
+        return False
     for u, v in arcs:
         supply[u - 1] -= 1
         supply[v - 1] += 1

@@ -6,6 +6,9 @@ necks, end counts, and cone stability indices.  The module derives
 deformation/obstruction dimensions, the glued Betti number b1(N), the
 family dimension, and the singularity index, and rejects profiles whose
 numbers violate the exact-sequence constraints instead of clamping.
+Each formula is written once, over the profile's sums of l, b0(L) and
+b1_cs(L); the public formula functions take those sums themselves, and
+:func:`full_report` takes them all in one pass over the cones and necks.
 
 The span dimension dimY of the admissible asymptotic classes cannot be
 derived from Betti numbers alone; it is supplied by the caller (exactly
@@ -22,6 +25,7 @@ from .errors import (
     as_finite,
     as_int,
     as_tuple,
+    checked_replace,
     shown,
 )
 
@@ -60,6 +64,8 @@ class ConeData(NamedTuple("ConeData", [("l", int), ("s_ind", int), ("rigid", boo
             rigid,
         ))
 
+    _replace = checked_replace()
+
 
 class NeckTopology(NamedTuple("NeckTopology", [("b0L", int), ("b1L", int), ("b1csL", int)])):
     """Betti data of one asymptotically conical neck."""
@@ -72,6 +78,8 @@ class NeckTopology(NamedTuple("NeckTopology", [("b0L", int), ("b1L", int), ("b1c
             as_int(b1L, "b1(L)", least=0),
             as_int(b1csL, "b1_cs(L)", least=0),
         ))
+
+    _replace = checked_replace()
 
 
 def _entry(cls, e, what: str):
@@ -93,8 +101,8 @@ class TopologyProfile(NamedTuple("TopologyProfile", [
     def __new__(cls, m, q, b1csX, cones: Sequence, necks: Sequence, dimY=None):
         m = as_int(m, "ambient dimension m", least=3)
         q = as_int(q, "component count q", least=1)
-        cones = tuple(_entry(ConeData, c, "cone") for c in as_tuple(cones, "cones"))
-        necks = tuple(_entry(NeckTopology, n, "neck") for n in as_tuple(necks, "necks"))
+        cones = tuple([_entry(ConeData, c, "cone") for c in as_tuple(cones, "cones")])
+        necks = tuple([_entry(NeckTopology, n, "neck") for n in as_tuple(necks, "necks")])
         if len(cones) != len(necks):
             raise InputError(
                 f"profile lists {len(cones)} cones but {len(necks)} necks"
@@ -103,6 +111,8 @@ class TopologyProfile(NamedTuple("TopologyProfile", [
             dimY = as_int(dimY, "dimY", least=0)
         b1csX = as_int(b1csX, "b1_cs(X')", least=0)
         return tuple.__new__(cls, (m, q, b1csX, cones, necks, dimY))
+
+    _replace = checked_replace()
 
     @property
     def n(self) -> int:
@@ -138,7 +148,11 @@ class DimensionReport(NamedTuple):
 def dim_I(p: TopologyProfile) -> int:
     """Dimension of the compactly supported deformation space:
     b1_cs(X') + q - sum_i l_i."""
-    val = p.b1csX + p.q - sum(c.l for c in p.cones)
+    return _dim_I(p, sum(c.l for c in p.cones))
+
+
+def _dim_I(p: TopologyProfile, sum_l: int) -> int:
+    val = p.b1csX + p.q - sum_l
     if val < 0:
         raise InconsistentProfileError(
             f"dim I = {shown(val)} < 0: the end count exceeds what the exact "
@@ -150,23 +164,32 @@ def dim_I(p: TopologyProfile) -> int:
 def ac_moduli_dims(neck: NeckTopology, l: int) -> AcDims:
     """Dimensions of the neck's moduli space at the three rate regimes,
     together with its Y and Z invariant-space dimensions."""
-    l = as_int(l, "end count l", least=0)
-    dim_y = neck.b1L - neck.b0L + l - neck.b1csL
-    dim_z = l - neck.b0L
-    dim_m0 = neck.b1L - neck.b0L + l
+    return AcDims._make(_neck_dims(neck, as_int(l, "end count l", least=0)))
+
+
+def _neck_dims(neck: NeckTopology, l: int) -> tuple:
+    """(dimY, dimZ, dimM0) of ``neck`` with ``l`` ends, l an int >= 0."""
+    b0, b1, b1cs = neck
+    dim_y = b1 - b0 + l - b1cs
+    dim_z = l - b0
+    dim_m0 = b1 - b0 + l
     if dim_y < 0 or dim_z < 0 or dim_m0 < 0:
         raise InconsistentProfileError(
-            f"negative neck dimension from (b0={shown(neck.b0L)}, b1={shown(neck.b1L)}, "
-            f"b1_cs={shown(neck.b1csL)}, l={shown(l)}): "
+            f"negative neck dimension from (b0={shown(b0)}, b1={shown(b1)}, "
+            f"b1_cs={shown(b1cs)}, l={shown(l)}): "
             f"(dimY, dimZ, dimM0) = {shown((dim_y, dim_z, dim_m0))}"
         )
-    return AcDims(dim_y, dim_z, dim_m0)
+    return dim_y, dim_z, dim_m0
 
 
 def dim_Z(p: TopologyProfile) -> int:
     """Dimension of the joint area-invariant space after the q - 1
     independent matching restrictions: 1 - q + sum l_i - sum b0(L_i)."""
-    val = 1 - p.q + sum(c.l for c in p.cones) - sum(n.b0L for n in p.necks)
+    return _dim_Z(p, sum(c.l for c in p.cones), sum(n.b0L for n in p.necks))
+
+
+def _dim_Z(p: TopologyProfile, sum_l: int, sum_b0: int) -> int:
+    val = 1 - p.q + sum_l - sum_b0
     if val < 0:
         raise InconsistentProfileError(f"dim Z = {shown(val)} < 0")
     return val
@@ -175,11 +198,13 @@ def dim_Z(p: TopologyProfile) -> int:
 def b1_N(p: TopologyProfile) -> int:
     """First Betti number of the glued compact manifold:
     dimY + 1 + b1_cs(X') + sum b1_cs(L_i) - sum l_i."""
+    return _b1_N(p, sum(c.l for c in p.cones), sum(n.b1csL for n in p.necks))
+
+
+def _b1_N(p: TopologyProfile, sum_l: int, sum_b1cs: int) -> int:
     if p.dimY is None:
         raise InputError("profile must carry dimY to compute b1(N)")
-    val = p.dimY + 1 + p.b1csX + sum(n.b1csL for n in p.necks) - sum(
-        c.l for c in p.cones
-    )
+    val = p.dimY + 1 + p.b1csX + sum_b1cs - sum_l
     if val < 0:
         raise InconsistentProfileError(f"b1(N) = {shown(val)} < 0")
     return val
@@ -194,36 +219,54 @@ def dim_F_and_index(p: TopologyProfile) -> IndexReport:
     them, in that order.  A profile carrying a non-rigid cone gets the
     warning flag (the index formula needs a correction the profile
     cannot express)."""
-    return _family(p)[0]
+    cones = p.cones
+    return IndexReport._make(_family(
+        p,
+        sum(c.l for c in cones),
+        sum(n.b1csL for n in p.necks),
+        sum(c.s_ind for c in cones),
+        all(c.rigid for c in cones),
+    )[:3])
 
 
-def _family(p: TopologyProfile) -> tuple:
-    """(IndexReport, b1(N), dim I) of p, each computed once."""
+def _family(p: TopologyProfile, sum_l: int, sum_b1cs: int, sum_s_ind: int,
+            all_rigid: bool) -> tuple:
+    """(dimF, indX, non-rigid warning, b1(N), dim I) of p from its sums,
+    each formula checked in that order."""
     if p.dimY is None:
         raise InputError("profile must carry dimY to compute dimF")
-    dim_f = p.dimY + 1 - p.q + sum(n.b1csL for n in p.necks)
+    dim_f = p.dimY + 1 - p.q + sum_b1cs
     if dim_f < 0:
         raise InconsistentProfileError(f"dim F = {shown(dim_f)} < 0")
-    b1n, dimi = b1_N(p), dim_I(p)
-    ind_x = dim_f + sum(c.s_ind for c in p.cones)
-    return IndexReport(dim_f, ind_x, any(not c.rigid for c in p.cones)), b1n, dimi
+    b1n, dimi = _b1_N(p, sum_l, sum_b1cs), _dim_I(p, sum_l)
+    return dim_f, dim_f + sum_s_ind, not all_rigid, b1n, dimi
 
 
 def full_report(p: TopologyProfile) -> DimensionReport:
-    """All dimension formulas evaluated on one profile."""
-    per = [ac_moduli_dims(n, c.l) for n, c in zip(p.necks, p.cones)]
-    idx, b1n, dimi = _family(p)
-    return DimensionReport(
-        dimI=dimi,
-        dimZ=dim_Z(p),
-        dimYi=tuple(a.dimY for a in per),
-        dimZi=tuple(a.dimZ for a in per),
-        dimML0=tuple(a.dimM0 for a in per),
-        b1N=b1n,
-        dimF=idx.dimF,
-        indX=idx.indX,
-        non_rigid_warning=idx.non_rigid_warning,
-    )
+    """All dimension formulas evaluated on one profile.
+
+    One pass over the cones and necks applies each neck's formula to its
+    validated l and takes the sums of l, b0(L), b1_cs(L) and s-ind and
+    whether every cone is rigid; every profile formula then reads those
+    sums.  A profile that breaks several formulas raises for the first
+    of: the necks' dimensions in order, a missing dimY, dim F, b1(N),
+    dim I and dim Z."""
+    per = []
+    sum_l = sum_b0 = sum_b1cs = sum_s_ind = 0
+    all_rigid = True
+    for (l, s_ind, rigid), n in zip(p.cones, p.necks):
+        per.append(_neck_dims(n, l))
+        b0, _, b1cs = n
+        sum_l += l
+        sum_b0 += b0
+        sum_b1cs += b1cs
+        sum_s_ind += s_ind
+        all_rigid = all_rigid and rigid
+    dim_f, ind_x, warn, b1n, dimi = _family(p, sum_l, sum_b1cs, sum_s_ind, all_rigid)
+    dim_yi, dim_zi, dim_m0 = tuple(zip(*per)) or ((), (), ())
+    return DimensionReport._make((
+        dimi, _dim_Z(p, sum_l, sum_b0), dim_yi, dim_zi, dim_m0, b1n, dim_f, ind_x, warn,
+    ))
 
 
 def rate_lambda_dims(

@@ -14,7 +14,9 @@ strings), a finite float by :func:`as_finite`, a positive one by
 raises :class:`InputError` naming the argument, and none coerces a bool,
 a string or a non-finite value into a number.  Every message that echoes
 a caller's value passes it through :func:`shown`, so an integer too long
-to print still gives a message.
+to print still gives a message.  A record that checks its fields in
+``__new__`` takes its ``_replace`` from :func:`checked_replace`, so a
+replaced field is read by the same policy.
 """
 from __future__ import annotations
 
@@ -186,6 +188,29 @@ def as_positive(x, what: str) -> float:
     if not v > 0:
         raise InputError(f"{what} must be positive, got {v}")
     return v
+
+
+def checked_replace(derived: tuple = ()):
+    """The ``_replace`` method of a record whose ``__new__`` checks its
+    fields: the fields named in the call are replaced and the record is
+    built again by its constructor, so a bad value raises the
+    constructor's :class:`InputError` and a good one gives the record the
+    constructor gives.  The constructor takes the record's fields by name,
+    except the ones in ``derived``, which it computes from the others and
+    which cannot be replaced."""
+
+    def _replace(self, **changes):
+        for name in changes:
+            if name in derived:
+                raise InputError(f"{name} is derived from the other fields and cannot be replaced")
+            if name not in self._fields:
+                raise InputError(f"{type(self).__name__} has no field {name!r}")
+        return type(self)(**{
+            name: changes.get(name, value)
+            for name, value in zip(self._fields, self) if name not in derived
+        })
+
+    return _replace
 
 
 def as_tuple(x, what: str) -> tuple:

@@ -56,7 +56,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tolerances import LAWLOR_TOL as DEFAULT_TOL
-from .errors import InputError, NumericError, as_finite, as_int, as_positive, as_tuple, shown
+from .errors import (
+    InputError,
+    NumericError,
+    as_finite,
+    as_int,
+    as_positive,
+    as_tuple,
+    checked_replace,
+    shown,
+)
 
 __all__ = [
     "NeckParams",
@@ -143,6 +152,8 @@ class NeckParams(NamedTuple("NeckParams", [("m", int), ("a", tuple)])):
     def __getnewargs__(self):  # copy and pickle call __new__ with these
         return (self.a,)
 
+    _replace = checked_replace(derived=("m",))
+
 
 class AngleSpec(NamedTuple("AngleSpec", [
     ("m", int), ("phi", tuple), ("A", float), ("sum_tol", float),
@@ -169,6 +180,8 @@ class AngleSpec(NamedTuple("AngleSpec", [
 
     def __getnewargs__(self):  # copy and pickle call __new__ with these
         return self[1:]
+
+    _replace = checked_replace(derived=("m",))
 
 
 class SLResidual(NamedTuple):

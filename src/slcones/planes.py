@@ -33,7 +33,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tolerances import TRANSVERSE_TOL as DEFAULT_TRANSVERSE_TOL
-from .errors import InputError, NumericError, as_finite, as_int, as_positive, as_tuple, shown
+from .errors import (
+    InputError,
+    NumericError,
+    as_finite,
+    as_int,
+    as_positive,
+    as_tuple,
+    checked_replace,
+    shown,
+)
 
 __all__ = [
     "SLPlane",
@@ -100,6 +109,8 @@ class SLPlane(NamedTuple("SLPlane", [("frame", np.ndarray)])):
             raise InputError(f"frame must have unit determinant, got det = {det}")
         frame.setflags(write=False)
         return tuple.__new__(cls, (frame,))
+
+    _replace = checked_replace()
 
     @property
     def m(self) -> int:

@@ -41,7 +41,15 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import IncompleteSpectrumError, InputError, as_int, as_rational, as_tuple, shown
+from .errors import (
+    IncompleteSpectrumError,
+    InputError,
+    as_int,
+    as_rational,
+    as_tuple,
+    checked_replace,
+    shown,
+)
 
 __all__ = [
     "ConeSpectrum",
@@ -112,6 +120,8 @@ class ConeSpectrum(NamedTuple("ConeSpectrum", [
             lam_e = next(lam_e for lam_e, _ in table if lam_e > cut)
             raise InputError(f"eigenvalue {shown(lam_e)} exceeds the declared cutoff {shown(cut)}")
         return tuple.__new__(cls, (m, table, cut))
+
+    _replace = checked_replace()
 
     def multiplicity(self, lam) -> int:
         lam = as_rational(lam, "eigenvalue")

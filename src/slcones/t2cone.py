@@ -11,7 +11,9 @@ condition, which this module solves in closed form.
 The asymptotic classes of the three necks are positive multiples of
 w1 = (1, 0), w2 = (0, 1), w3 = (-1, -1) times pi; the factor pi is a
 common positive scale, so the span arithmetic is exact: on integers once
-the basis rows are scaled by the lcm of their denominators.
+the basis rows are scaled by the lcm of their denominators.  A
+:class:`T2PairBasis` scales its rows once, when it is built, checks them
+in ints and keeps them, so the gluing solver reads no Fraction.
 """
 from __future__ import annotations
 
@@ -19,7 +21,16 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InputError, NumericError, as_finite, as_int, as_tuple, read_rational, shown
+from .errors import (
+    InputError,
+    NumericError,
+    as_finite,
+    as_int,
+    as_tuple,
+    checked_replace,
+    read_rational,
+    shown,
+)
 
 __all__ = [
     "T2Singularity",
@@ -61,6 +72,8 @@ class T2Singularity(NamedTuple("T2Singularity", [("k", tuple)])):
             k = tuple(-x for x in k)
         return tuple.__new__(cls, (k,))
 
+    _replace = checked_replace()
+
 
 def k_from_generator(p: int, q: int) -> T2Singularity:
     """k-triple of the singular point whose restriction image is
@@ -93,6 +106,13 @@ def h1_order(s: T2Singularity, h1X: int, j: int) -> Optional[int]:
     return abs(kj) * h1X
 
 
+def _integer_row(b) -> tuple:
+    """The positive integer multiple of the rational row ``b`` by the lcm
+    of its denominators."""
+    lcm = math.lcm(*[x.denominator for x in b])
+    return tuple([x.numerator * (lcm // x.denominator) for x in b])
+
+
 class T2PairBasis(NamedTuple("T2PairBasis", [("B1", tuple), ("B2", tuple)])):
     """Exact basis (B1, B2) of the span of restriction images for two
     torus-cone points, as vectors in R^2 + R^2, each given as
@@ -104,9 +124,17 @@ class T2PairBasis(NamedTuple("T2PairBasis", [("B1", tuple), ("B2", tuple)])):
     gluing solver builds the annihilator of the span from the first
     one), and the symplectic pairing of the two classes must cancel
     between the two points: u1 v2 - u2 v1 + y1 z2 - y2 z1 = 0.
+
+    Both checks run once, in Python ints, on the rows scaled by the lcm
+    of their denominators, L1 and L2: scaling multiplies every Pluecker
+    coordinate and the pairing by L1 L2 > 0, so each verdict is the
+    rational one.  The rational pairing is formed only to word the
+    error.  The basis keeps the integer rows, ``_rows``, for
+    :func:`two_singularity_gluings`; ``_replace``, copy and pickle build
+    them again through the constructor.
     """
 
-    __slots__ = ()
+    # no __slots__: the integer rows live in the instance __dict__
 
     def __new__(cls, B1, B2):
         def vec4(b, name):
@@ -126,23 +154,27 @@ class T2PairBasis(NamedTuple("T2PairBasis", [("B1", tuple), ("B2", tuple)])):
 
         b1 = vec4(B1, "B1")
         b2 = vec4(B2, "B2")
+        r1, r2 = _integer_row(b1), _integer_row(b2)
+        u1, v1, y1, z1 = r1
+        u2, v2, y2, z2 = r2
         # all six Pluecker coordinates vanish iff B1 and B2 are dependent
-        if all(
-            b1[i] * b2[j] - b1[j] * b2[i] == 0
-            for i in range(4)
-            for j in range(i + 1, 4)
-        ):
+        if not (u1 * v2 - v1 * u2 or u1 * y2 - y1 * u2 or u1 * z2 - z1 * u2
+                or v1 * y2 - y1 * v2 or v1 * z2 - z1 * v2 or y1 * z2 - z1 * y2):
             raise InputError("B1 and B2 must be linearly independent")
-        pairing = b1[0] * b2[1] - b2[0] * b1[1] + b1[2] * b2[3] - b2[2] * b1[3]
-        if pairing != 0:
+        if u1 * v2 - u2 * v1 + y1 * z2 - y2 * z1:
+            pairing = b1[0] * b2[1] - b2[0] * b1[1] + b1[2] * b2[3] - b2[2] * b1[3]
             raise InputError(
                 f"basis violates the pairing identity: "
                 f"u1 v2 - u2 v1 + y1 z2 - y2 z1 = {shown(pairing)} != 0"
             )
-        return tuple.__new__(cls, (
+        self = tuple.__new__(cls, (
             ((b1[0], b1[1]), (b1[2], b1[3])),
             ((b2[0], b2[1]), (b2[2], b2[3])),
         ))
+        self._rows = (r1, r2)
+        return self
+
+    _replace = checked_replace()
 
     def flat(self):
         return (
@@ -165,13 +197,6 @@ class GluingSolution(NamedTuple):
     j2: int
     ratio: Optional[Fraction]
     dimY: int
-
-
-def _integer_row(b) -> list:
-    """The positive integer multiple of the rational row ``b`` by the lcm
-    of its denominators."""
-    lcm = math.lcm(*(x.denominator for x in b))
-    return [x.numerator * (lcm // x.denominator) for x in b]
 
 
 def _annihilator(b1, b2) -> list:
@@ -224,7 +249,7 @@ def two_singularity_gluings(basis: T2PairBasis) -> list:
     a regular one nothing.  dimY is cross-checked against
     4 - rank(w_{j1} + 0, 0 + w_{j2}, B1, B2).
     """
-    b1, b2 = (_integer_row(b) for b in basis.flat())
+    b1, b2 = basis._rows
     c1, c2 = _annihilator(b1, b2)
     solutions = []
     for j1 in (1, 2, 3):

@@ -458,10 +458,9 @@ class TestFeasible:
             Edge(1, 2, 0)
         with pytest.raises(InputError):
             Edge(1, 2, Fraction(-1, 2))
-        # _replace skips Edge's checks; the graph checks every edge again
-        for bad, same in ((Edge(1, 2, 1)._replace(weight=Fraction(-1, 2)),
-                           (1, 2, Fraction(-1, 2))),
-                          (Edge(1, 2, 1)._replace(tail=True), (True, 2, 1))):
+        # _make skips Edge's checks; the graph checks every edge again
+        for bad, same in ((Edge._make((1, 2, Fraction(-1, 2))), (1, 2, Fraction(-1, 2))),
+                          (Edge._make((True, 2, 1)), (True, 2, 1))):
             with pytest.raises(InputError) as want:
                 IntersectionGraph(2, [same])
             with pytest.raises(InputError) as got:
@@ -964,6 +963,48 @@ class TestFamilyBalanceRegion:
         assert family_balance_region(g, [0.1, 0.2, -0.3], 1.0)
         assert family_balance_region(g, [Fraction(1, 10), 0.2, -0.3], 1.0)
         assert not family_balance_region(g, [0.1, 0.2, -0.2], 1.0)
+
+    def test_zero_sum_test_equals_the_fraction_sum(self):
+        # the integer supplies D(n + 1) b sum to zero exactly when the
+        # pairings' Fraction readings do: planted balances with
+        # denominators up to 10^12, the same nudged off a zero sum by
+        # 1/D, their float values, and decimals whose float sum is not 0
+        rng = random.Random(20261020)
+        kinds = collections.Counter()
+        for i in range(1200):
+            q = rng.randint(2, 6)
+            if i % 2:
+                g = _random_strong_graph(rng, q)
+            else:
+                g = IntersectionGraph(q, [(rng.randint(1, q), rng.randint(1, q), 1)
+                                          for _ in range(rng.randint(1, 2 * q))])
+            kind = rng.choice(("planted", "nudged", "float", "decimal"))
+            if kind == "decimal":
+                scale = 10 ** rng.randint(1, 2)  # read back as these decimals
+                ints = [rng.randint(-9 * scale, 9 * scale) for _ in range(q - 1)]
+                b = [x / scale for x in ints + [-sum(ints)]]
+            else:
+                b = [Fraction(0)] * q
+                for u, v, _ in g.edges:
+                    x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**12))
+                    b[u - 1] += x
+                    b[v - 1] -= x
+                if kind == "nudged":
+                    b[rng.randrange(q)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 10**12))
+                elif kind == "float":
+                    b = [float(x) for x in b]
+            readings = [as_rational(p, "pairing") for p in b]
+            got = family_balance_region(g, b, 1.0)
+            assert got == cut_oracle(g, b), (g, b)
+            zero = sum(readings) == 0
+            assert got <= zero
+            kinds[kind, zero, sum(map(Fraction, b)) == 0, got] += 1
+        assert kinds["nudged", False, False, False] > 250
+        assert kinds["planted", True, True, True] > 100
+        assert kinds["float", False, False, False] > 100
+        # read as decimals, float pairings that do not sum to 0 balance
+        assert kinds["decimal", True, False, True] > 50
+        assert not any(k[:2] == ("decimal", False) for k in kinds)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", True, None])
     def test_non_finite_or_non_numeric_pairing_rejected(self, bad):

@@ -1,10 +1,13 @@
 """Tests for the integer dimension formulas and profile validation."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slcones.dims import (
     AcDims,
+    DimensionReport,
     ConeData,
     NeckTopology,
     TopologyProfile,
@@ -170,6 +173,105 @@ class TestFullReport:
         assert rep.b1N == 3
         assert rep.dimF == rep.b1N - rep.dimI
         assert rep.indX == rep.dimF
+
+
+def per_formula_report(p: TopologyProfile) -> DimensionReport:
+    """full_report as the public formulas compose it, each reading the
+    profile itself: the neck dimensions in order, then dimF and indX
+    (which raise for a missing dimY, dim F, b1(N) and dim I in that
+    order), then dim I, dim Z and b1(N)."""
+    per = [ac_moduli_dims(n, c.l) for n, c in zip(p.necks, p.cones)]
+    idx = dim_F_and_index(p)
+    return DimensionReport(
+        dimI=dim_I(p), dimZ=dim_Z(p),
+        dimYi=tuple(a.dimY for a in per), dimZi=tuple(a.dimZ for a in per),
+        dimML0=tuple(a.dimM0 for a in per), b1N=b1_N(p),
+        dimF=idx.dimF, indX=idx.indX, non_rigid_warning=idx.non_rigid_warning,
+    )
+
+
+def seeded_profile(rng):
+    """Profile arguments with 0..4 cones drawn so that every formula is
+    >= 0; in two draws of three, one to three of the numbers are then
+    moved, so that one formula or several may break, and in one draw of
+    eight dimY is left out."""
+    cones, necks = [], []
+    for _ in range(rng.randint(0, 4)):
+        l = rng.randint(1, 3)
+        b0, b1cs = rng.randint(1, l), rng.randint(0, 2)
+        b1 = rng.randint(max(0, b0 + b1cs - l), b0 + b1cs - l + 3)
+        cones.append([l, rng.randint(0, 9), rng.random() < 0.8])
+        necks.append([b0, b1, b1cs])
+    sum_l = sum(c[0] for c in cones)
+    sum_b0, sum_b1cs = sum(n[0] for n in necks), sum(n[2] for n in necks)
+    q = rng.randint(1, 1 + sum_l - sum_b0)
+    b1cs_x = rng.randint(max(0, sum_l - q), sum_l - q + 3)
+    dim_y = rng.randint(max(0, q - 1 - sum_b1cs, sum_l - 1 - b1cs_x - sum_b1cs), 2 * q + 2)
+    top = [q, b1cs_x, dim_y]
+    if rng.random() < 2 / 3:
+        # (list, index, least value) of every number a move may change
+        slots = [(top, 0, 1), (top, 1, 0), (top, 2, 0)]
+        slots += [(c, 0, 1) for c in cones]
+        slots += [(n, k, 1 if k == 0 else 0) for n in necks for k in range(3)]
+        for row, k, least in rng.sample(slots, min(len(slots), rng.randint(1, 3))):
+            row[k] = max(least, row[k] + rng.choice((-3, -2, -1, 1, 2, 3)))
+    if rng.random() < 1 / 8:
+        top[2] = None
+    return top, cones, necks
+
+
+def first_broken(top, cones, necks):
+    """The first formula, in full_report's order, that the profile's
+    numbers make negative (or the missing dimY), by the formulas
+    themselves; None when there is none."""
+    q, b1cs_x, dim_y = top
+    sum_l = sum(c[0] for c in cones)
+    sum_b0, sum_b1cs = sum(n[0] for n in necks), sum(n[2] for n in necks)
+    necks_bad = any(min(b1 - b0 + c[0] - b1cs, c[0] - b0, b1 - b0 + c[0]) < 0
+                    for c, (b0, b1, b1cs) in zip(cones, necks))
+    checks = [
+        ("negative neck dimension", necks_bad),
+        ("profile must carry dimY", dim_y is None),
+        ("dim F", dim_y is not None and dim_y + 1 - q + sum_b1cs < 0),
+        ("b1(N)", dim_y is not None and dim_y + 1 + b1cs_x + sum_b1cs - sum_l < 0),
+        ("dim I", b1cs_x + q - sum_l < 0),
+        ("dim Z", 1 - q + sum_l - sum_b0 < 0),
+    ]
+    broken = [name for name, bad in checks if bad]
+    return broken[0] if broken else None, len(broken)
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+class TestFullReportOnePass:
+    def test_equals_the_per_formula_route(self):
+        rng = random.Random(20261020)
+        seen = {}
+        several = 0
+        for _ in range(3000):
+            top, cones, necks = seeded_profile(rng)
+            p = TopologyProfile(3, top[0], top[1],
+                                [ConeData(*c) for c in cones],
+                                [NeckTopology(*n) for n in necks], top[2])
+            got = _outcome(full_report, p)
+            assert got == _outcome(per_formula_report, p), (top, cones, necks)
+            first, count = first_broken(top, cones, necks)
+            several += count > 1
+            seen[first] = seen.get(first, 0) + 1
+            if first is None:
+                assert type(got) is DimensionReport
+                assert got.dimF == got.b1N - got.dimI
+            else:
+                assert got[0] in (InputError, InconsistentProfileError)
+                assert got[1].startswith(first), (first, got)
+        # b1(N) = dim F + dim I, so b1(N) breaks first only with dim I
+        assert len(seen) == 7 and min(seen.values()) >= 10, seen
+        assert seen[None] > 1000 and several > 300
 
 
 class TestRateLambdaDims:

@@ -3,7 +3,9 @@
 Each input and result type is an immutable named tuple: a field cannot
 be assigned, a rebuild from the same input is equal and hashes the same,
 the repr names the class and its fields, and copy and pickle rebuild an
-equal record.  ``SLPlane`` alone compares and hashes by identity.
+equal record.  ``SLPlane`` alone compares and hashes by identity.  A
+record that checks its fields in ``__new__`` checks a replaced field the
+same way.
 """
 import copy
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from slcones import consum, dims, lawlor, planes, spectrum, t2cone
+from slcones.errors import InputError, SLConesError
 from slcones.consum import (
     BalanceSolution,
     Edge,
@@ -109,3 +112,82 @@ def test_record_semantics(name):
     assert r == tuple(r)
     for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert type(twin) is type(r) and twin == r
+
+
+_FIFTH = [math.pi / 5] * 5
+
+# per record type that checks its fields in __new__: a field, a value the
+# constructor accepts for it, the constructor call with that value, and a
+# value it refuses
+REPLACEMENTS = {
+    "Edge": ("weight", "3/2", lambda: Edge(1, 2, Fraction(3, 2)), Fraction(-1, 2)),
+    "IntersectionGraph": ("edges", [(1, 2, 1), (2, 1, 1)],
+                          lambda: IntersectionGraph(2, [(1, 2, 1), (2, 1, 1)]), [(1, 3, 1)]),
+    "BalanceSolution": ("A", (1, "1/2"), lambda: BalanceSolution((1, "1/2")), (0,)),
+    "PhaseFamilyQuery": ("psi", 0.7, lambda: PhaseFamilyQuery(1.0, 2.0, 0.5, -0.25, 0.7, 3),
+                         -1.0),
+    "ConeData": ("s_ind", 4, lambda: ConeData(2, 4, False), -1),
+    "NeckTopology": ("b1L", 3, lambda: NeckTopology(1, 3, 0), "3"),
+    "TopologyProfile": ("cones", ({"l": 1, "s_ind": 2},),
+                        lambda: TopologyProfile(3, 2, 0, [{"l": 1, "s_ind": 2}], _PROFILE[4], 1),
+                        ({"l": 2, "s_ind": 0, "rigid": "no"},)),
+    "NeckParams": ("a", (4, 1, 2), lambda: NeckParams([4, 1, 2]), (4, 1, "x")),
+    "AngleSpec": ("phi", _FIFTH, lambda: AngleSpec(_FIFTH, sphere_area(3)), [math.pi / 2] * 2),
+    "SLPlane": ("frame", np.diag([1j, -1j, 1.0]), lambda: SLPlane(np.diag([1j, -1j, 1.0])),
+                2 * np.eye(3)),
+    "ConeSpectrum": ("cutoff", 10, lambda: ConeSpectrum(3, [(0, 1), (Fraction(3), 6)], 10), 2),
+    "T2Singularity": ("k", (0, 1, -1), lambda: T2Singularity((0, 1, -1)), (1, 1, 1)),
+    "T2PairBasis": ("B2", ((0, 2), (2, 0)), lambda: T2PairBasis(_BASIS[0], ((0, 2), (2, 0))),
+                    ((1, 0), (0, 1))),
+}
+
+
+def test_every_checked_record_has_replacements():
+    checked = {
+        name
+        for module in (consum, dims, lawlor, planes, spectrum, t2cone)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, tuple)
+        and obj.__new__.__code__.co_filename == module.__file__  # not namedtuple's own
+    }
+    assert checked == set(REPLACEMENTS)
+
+
+@pytest.mark.parametrize("name", REPLACEMENTS)
+def test_replace_checks_as_the_constructor(name):
+    field, good, built, bad = REPLACEMENTS[name]
+    r = BUILDERS[name]()
+    with pytest.raises(SLConesError):
+        r._replace(**{field: bad})
+    got, want = r._replace(**{field: good}), built()
+    assert type(got) is type(want)
+    if name == "SLPlane":
+        assert np.array_equal(got.frame, want.frame) and not got.frame.flags.writeable
+    else:
+        assert got == want and hash(got) == hash(want)
+    if name != "SLPlane":  # planes compare by identity
+        assert r._replace() == r
+    with pytest.raises(InputError, match="has no field 'nope'"):
+        r._replace(nope=1)
+
+
+@pytest.mark.parametrize("name", ["NeckParams", "AngleSpec"])
+def test_replace_refuses_the_derived_dimension(name):
+    r = BUILDERS[name]()
+    with pytest.raises(InputError, match="^m is derived from the other fields"):
+        r._replace(m=r.m + 1)
+    with pytest.raises(InputError, match="^m is derived from the other fields"):
+        r._replace(m=r.m)
+
+
+@pytest.mark.parametrize("example", [
+    lambda: two_singularity_gluings(T2PairBasis(*_BASIS)._replace(B1=((0.5, 0), (0, 1)))),
+    lambda: full_report(TopologyProfile(*_PROFILE)._replace(cones=({"l": 2, "s_ind": 0},))),
+    lambda: lawlor.angles_from_a(NeckParams([4, 1, 1])._replace(a=(4, 1, "x"))),
+], ids=["t2cone", "dims", "lawlor"])
+def test_replaced_fields_never_reach_a_kernel_unchecked(example):
+    # each replacement skipped the checks once, and ended in an untyped error
+    try:
+        example()
+    except SLConesError:
+        pass

@@ -6,9 +6,13 @@ stack per type pair by integer elimination.  Span membership in the
 gluing tests is cross-checked with sympy's exact rational rank, the
 annihilator with sympy's nullspace, and the whole solver is compared
 with ``elimination_oracle``, the Fraction Gauss-Jordan solver it
-replaced, kept here frozen.
+replaced, kept here as the reference.  The basis's integer-row check is
+compared with ``fraction_basis_check``, the Fraction-product check it
+replaced.
 """
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,7 +21,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slcones.errors import InputError
+from slcones.errors import InputError, read_rational, shown
 from slcones.t2cone import (
     FamilyRegionResult,
     GluingSolution,
@@ -76,8 +80,9 @@ def random_consistent_basis(seed):
 def _fraction_rref(rows, ncols: int) -> tuple:
     """Fraction Gauss-Jordan; the pivot of column c is the first row at
     or below the current rank that is nonzero there.  Returns the reduced
-    rows and the pivot columns."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+    rows and the pivot columns.  Zero entries are carried as they are,
+    with no product or quotient, since they stay zero."""
+    rows = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -86,13 +91,14 @@ def _fraction_rref(rows, ncols: int) -> tuple:
         p = next((p for p in range(r, len(rows)) if rows[p][c] != 0), None)
         if p is None:
             continue
-        row = [x / rows[p][c] for x in rows[p]]
+        piv = rows[p][c]
+        row = [x / piv if x else x for x in rows[p]]
         rows[p] = rows[r]
         rows[r] = row
         for i, other in enumerate(rows):
             f = other[c]
             if i != r and f != 0:
-                rows[i] = [a - f * b for a, b in zip(other, row)]
+                rows[i] = [a - f * b if b else a for a, b in zip(other, row)]
         pivots.append(c)
     return rows, pivots
 
@@ -101,7 +107,12 @@ def elimination_oracle(basis: T2PairBasis) -> list:
     """The gluing solver as it was before the Pluecker construction: the
     annihilator is the kernel of the reduced form of (B1; B2), one vector
     per free column, and each 2x2 system and each dimY stack is ranked
-    by the same Fraction elimination."""
+    by the same Fraction elimination.
+
+    (B1; B2) is reduced once: the stack (w_{j1} + 0, 0 + w_{j2}, B1, B2)
+    has rank 2 plus the rank of its two w-rows reduced by that form, and
+    each w-row's reduction and its products with the annihilator are
+    formed once per neck type, not once per type pair."""
     b1, b2 = basis.flat()
     red, pivots = _fraction_rref([b1, b2], 4)
     annihilator = []
@@ -117,12 +128,26 @@ def elimination_oracle(basis: T2PairBasis) -> list:
     def rank(rows):
         return len(_fraction_rref(rows, len(rows[0]))[1])
 
+    def reduced(row):
+        """``row`` minus its pivot-column entries times the reduced rows:
+        zero iff row lies in span(B1, B2)."""
+        row = [Fraction(x) for x in row]
+        for ri, c in enumerate(pivots):
+            f = row[c]
+            if f:
+                row = [a - f * b if b else a for a, b in zip(row, red[ri])]
+        return row
+
+    first, second, rows1, rows2 = {}, {}, {}, {}
+    for j, (u, v) in W_VECTORS.items():
+        first[j] = [c[0] * u + c[1] * v for c in annihilator]
+        second[j] = [c[2] * u + c[3] * v for c in annihilator]
+        rows1[j], rows2[j] = reduced((u, v, 0, 0)), reduced((0, 0, u, v))
+
     solutions = []
     for j1 in (1, 2, 3):
         for j2 in (1, 2, 3):
-            w1, w2 = W_VECTORS[j1], W_VECTORS[j2]
-            m = [(c[0] * w1[0] + c[1] * w1[1], c[2] * w2[0] + c[3] * w2[1])
-                 for c in annihilator]
+            m = list(zip(first[j1], second[j2]))
             r = rank(m)
             if r == 0:
                 ratio, dim_y = None, 2
@@ -133,7 +158,7 @@ def elimination_oracle(basis: T2PairBasis) -> list:
                 ratio, dim_y = -p / q, 1
             else:
                 continue
-            assert dim_y == 4 - rank([(*w1, 0, 0), (0, 0, *w2), b1, b2])
+            assert dim_y == 4 - (2 + rank([rows1[j1], rows2[j2]]))
             solutions.append(GluingSolution(j1, j2, ratio, dim_y))
     return solutions
 
@@ -430,6 +455,111 @@ class TestTwoSingularityGluings:
     def test_malformed_shape_is_input_error(self, b1, b2, name):
         with pytest.raises(InputError, match=rf"^{name} must be \[\[u, v\], \[y, z\]\]$"):
             T2PairBasis(b1, b2)
+
+
+def fraction_basis_check(B1, B2):
+    """The basis check as Fraction products, the form the integer-row
+    check replaced: None for a basis it accepts, else the message of its
+    InputError.  Entries are read as the constructor reads them."""
+    def vec4(b, name):
+        (u, v), (y, z) = b
+        return tuple(read_rational(x, f"{name}[{i // 2}][{i % 2}]")
+                     for i, x in enumerate((u, v, y, z)))
+
+    b1, b2 = vec4(B1, "B1"), vec4(B2, "B2")
+    if all(b1[i] * b2[j] - b1[j] * b2[i] == 0 for i in range(4) for j in range(i + 1, 4)):
+        return "B1 and B2 must be linearly independent"
+    pairing = b1[0] * b2[1] - b2[0] * b1[1] + b1[2] * b2[3] - b2[2] * b1[3]
+    if pairing != 0:
+        return (f"basis violates the pairing identity: "
+                f"u1 v2 - u2 v1 + y1 z2 - y2 z1 = {shown(pairing)} != 0")
+    return None
+
+
+def _written(rng, x: Fraction):
+    """``x`` as an int (when integral), a Fraction, a float or a "p/q" string."""
+    form = rng.randrange(4)
+    if form == 0 and x.denominator == 1:
+        return int(x)
+    if form == 1:
+        return float(x)
+    if form == 2:
+        return f"{x.numerator}/{x.denominator}"
+    return x
+
+
+def seeded_basis_input(rng) -> tuple:
+    """(B1, B2, kind) in mixed entry forms: kind "valid" pairs to zero
+    (and is independent unless the mix is degenerate), "dependent" has
+    B2 a rational multiple of B1, "violating" is random.  Denominators
+    reach 10^12 in a tenth of the draws."""
+    big = rng.random() < 0.1
+
+    def rat():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        den = rng.randint(1, 10**12) if big else rng.randint(1, 6)
+        return Fraction(rng.randint(-9 * den, 9 * den), den)
+
+    kind = rng.choice(("valid", "valid", "dependent", "violating", "violating"))
+    b1 = [rat() for _ in range(4)]
+    if kind == "dependent":
+        c = rat()
+        b2 = [c * x for x in b1]
+    else:
+        b2 = [rat() for _ in range(4)]
+        grads = (-b1[1], b1[0], -b1[3], b1[2])
+        slots = [i for i, g in enumerate(grads) if g != 0]
+        if kind == "valid" and slots:
+            s = rng.choice(slots)
+            b2[s] = 0
+            b2[s] = -sum(g * x for g, x in zip(grads, b2)) / grads[s]
+    b1, b2 = ([_written(rng, x) for x in b] for b in (b1, b2))
+    return (b1[:2], b1[2:]), (b2[:2], b2[2:]), kind
+
+
+class TestIntegerRowCheck:
+    def test_equals_the_fraction_product_check(self):
+        rng = random.Random(20261020)
+        verdicts = {}
+        for _ in range(2000):
+            B1, B2, kind = seeded_basis_input(rng)
+            want = fraction_basis_check(B1, B2)
+            if want is None:
+                basis = T2PairBasis(B1, B2)
+                assert basis._rows == tuple(_integer_row(b) for b in basis.flat())
+            else:
+                with pytest.raises(InputError) as got:
+                    T2PairBasis(B1, B2)
+                assert str(got.value) == want
+            verdict = "accepted" if want is None else want.split(":")[0]
+            verdicts[kind, verdict] = verdicts.get((kind, verdict), 0) + 1
+        assert verdicts["valid", "accepted"] > 500
+        assert verdicts["dependent", "B1 and B2 must be linearly independent"] > 300
+        assert verdicts["violating", "basis violates the pairing identity"] > 500
+        # floats of large denominators read as nearby rationals, which may
+        # break the identity a valid draw was built to satisfy
+        assert verdicts.get(("valid", "basis violates the pairing identity"), 0) > 10
+
+    def test_kept_rows_follow_the_basis(self):
+        rng = random.Random(20261021)
+        bases = []
+        while len(bases) < 300:
+            B1, B2, _ = seeded_basis_input(rng)
+            if fraction_basis_check(B1, B2) is None:
+                bases.append(T2PairBasis(B1, B2))
+        for basis, other in zip(bases, bases[1:] + bases[:1]):
+            fresh = T2PairBasis(basis.B1, basis.B2)
+            want = two_singularity_gluings(fresh)
+            for twin in (copy.copy(basis), copy.deepcopy(basis),
+                         pickle.loads(pickle.dumps(basis)), other._replace(B1=basis.B1, B2=basis.B2)):
+                assert twin == basis
+                assert twin._rows == fresh._rows
+                assert two_singularity_gluings(twin) == want
+            # the pairing is antisymmetric, so the swapped basis is one too
+            swapped = basis._replace(B1=basis.B2, B2=basis.B1)
+            assert swapped._rows == T2PairBasis(basis.B2, basis.B1)._rows
+            assert two_singularity_gluings(swapped) == elimination_oracle(swapped)
 
 
 def _sympy_rows(rows):
