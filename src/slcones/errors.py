@@ -135,11 +135,19 @@ def as_rational(x, what: str) -> Fraction:
 
     Ints and Fractions (any :class:`numbers.Rational`) stay exact.  A
     finite float becomes the nearest fraction whose denominator is at most
-    :data:`RATIONAL_MAX_DENOMINATOR`, so 0.1 reads as 1/10 rather than as
-    the float's binary value; an integral float reads as that integer.
-    Bools, NaN, infinities, strings and every other type are rejected
-    with :class:`InputError`.
+    :data:`RATIONAL_MAX_DENOMINATOR` to the float's *binary* value, so 0.1
+    reads as 1/10 rather than as 3602879701896397/36028797018963968, and
+    an integral float reads as that integer.  A decimal with three or more
+    places need not read as itself: the float 3.3219 reads as
+    2258530744634/679891250379, which is nearer its binary value than
+    33219/10000 is; :func:`read_rational` of the string ``"3.3219"``
+    gives the exact decimal.  Bools, NaN, infinities, strings and every
+    other type are rejected with :class:`InputError`.
     """
+    if type(x) is int:  # the common cases first, kept cheap; type() lets no bool through
+        return Fraction(x)
+    if type(x) is float and math.isfinite(x):
+        return Fraction(x).limit_denominator(RATIONAL_MAX_DENOMINATOR)
     if isinstance(x, Fraction):
         return x
     if not isinstance(x, bool):

@@ -36,6 +36,18 @@ sqrt(P(x)): quad visits largely the same nodes for every a_k, and P is
 evaluated once per node.  The table lives for that call only, and
 every integral keeps the bits of an unshared integrand.
 
+The angle maps integrate by QUADPACK's qagie, the C routine that
+``scipy.integrate.quad`` runs on [0, inf), called through its private
+entry point ``scipy.integrate._quadpack._qagie``.  Only that extension
+is loaded, from its file, at the first quadrature: importing the
+``scipy.integrate`` package would also load ``scipy.special``,
+``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``, 0.4-0.5 s
+of a cold start that computes in milliseconds.  Every angle and error
+estimate keeps the public quad's bits, which
+``tests/test_lawlor.py::TestPrivateQuadpack`` pins; ROADMAP item 2
+deletes the entry point when the angle maps move onto the panel rule
+below.
+
 The neck and its check call no scipy.  Their tangents are analytic:
 d/dy of z_k(y) is (y / r_k + i r_k a_k f_k(y)) e^(i psi_k(y)) with f_k
 the angle integrand in closed form, and the sphere directions are an
@@ -50,7 +62,11 @@ array entries, with one batched Gram product and one batched det.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -106,21 +122,51 @@ _GL_POINTS = 10
 _PANEL_FRACTION = 0.25
 
 
-def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float):
-    """scipy's adaptive quadrature of f over [lo, hi], as (value, error).
+@functools.lru_cache(maxsize=None)
+def _quadpack():
+    """scipy's QUADPACK extension ``scipy.integrate._quadpack``, loaded at
+    the first quadrature rather than at import.
 
-    scipy is imported here, at the first quadrature, so that importing
-    this module (and with it the CLI) loads no scipy module; only
-    :func:`angles_from_a` and :func:`a_from_angles` call it.  With
-    ``full_output`` scipy returns its failure notice instead of warning
-    it, and the notice is dropped: :func:`angles_from_a` certifies every
-    angle from the error estimate, and the Newton residual of
-    :func:`a_from_angles` is uncertified by design and guarded by its
-    line search, so no call of this module warns.
+    It is loaded from its file alone: ``importlib.util.find_spec`` locates
+    the scipy package without importing it, and ``PathFinder`` finds the
+    extension in its ``integrate`` directory, so the ``scipy.integrate``
+    package, and with it ``scipy.special``, ``scipy.optimize``,
+    ``scipy.sparse`` and ``scipy.linalg``, is never imported.  The module
+    is registered under its own name in ``sys.modules``, and one already
+    there, after a caller's ``import scipy.integrate``, is reused, so
+    ``scipy.integrate.quad`` and this module share one module object
+    whichever comes first.
     """
-    from scipy.integrate import quad
+    name = "scipy.integrate._quadpack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(path, "integrate") for path in scipy.submodule_search_locations])
+        if spec is None:
+            raise ModuleNotFoundError(f"the Lawlor angle maps need scipy's {name}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
 
-    return quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT, full_output=1)[:2]
+
+def _quad(f, epsabs: float, epsrel: float):
+    """QUADPACK's qagie quadrature of f over [0, inf), as (value, error).
+
+    This is the C routine that ``scipy.integrate.quad`` dispatches to for
+    [0, inf), called with quad's own arguments (bound 0.0, inf flag 1, no
+    extra args) but without its Python wrapper, which costs the
+    ``scipy.integrate`` import (see :func:`_quadpack`) and, with
+    ``full_output``, an info dict per call.  It returns quad's bits
+    (``tests/test_lawlor.py::TestPrivateQuadpack``), also where QUADPACK
+    reports a failure (ier != 0), which neither raises nor warns here:
+    :func:`angles_from_a` certifies every angle from the error estimate,
+    and the Newton residual of :func:`a_from_angles` is uncertified by
+    design and guarded by its line search.  ROADMAP item 2 deletes this
+    entry point.
+    """
+    return _quadpack()._qagie(f, 0.0, 1, (), 0, epsabs, epsrel, _QUAD_LIMIT)[:2]
 
 
 def sphere_area(m: int) -> float:
@@ -301,8 +347,7 @@ def _angles(coeffs, a, tol: float | None = None) -> list:
     for ak in map(float, a):
         if ak not in done:
             epsabs = _RESIDUAL_QUAD_ACC if tol is None else tol / (4.0 * ak)
-            val, err = _quad((reading if done else filling)(ak), 0.0, np.inf,
-                             epsabs=epsabs, epsrel=_RESIDUAL_QUAD_ACC)
+            val, err = _quad((reading if done else filling)(ak), epsabs, _RESIDUAL_QUAD_ACC)
             done[ak] = (2.0 * ak * val, 2.0 * ak * err)
         out.append(done[ak])
     return out

@@ -115,12 +115,13 @@ class TestGoldens:
 
 
 class TestImportGraph:
-    """scipy serves only the Lawlor angle maps and is imported at their
-    first quadrature, so no module, the CLI included, loads it at import
-    time, and the neck and its check never load it.  Records are named
-    tuples, so no module loads ``dataclasses``, and the modules that do
-    not import numpy load no ``inspect`` either.  Nothing logs, and only
-    ``--record`` hashes, so no module loads ``logging`` or ``hashlib``."""
+    """scipy serves only the Lawlor angle maps, which load its QUADPACK
+    extension alone at their first quadrature, so no module, the CLI
+    included, loads scipy at import time, and the neck and its check
+    never load it.  Records are named tuples, so no module loads
+    ``dataclasses``, and the modules that do not import numpy load no
+    ``inspect`` either.  Nothing logs, and only ``--record`` hashes, so
+    no module loads ``logging`` or ``hashlib``."""
 
     @pytest.mark.parametrize("module", [
         "slcones.cli", "slcones.lawlor", "slcones.spectrum", "slcones.planes",
@@ -152,6 +153,46 @@ class TestImportGraph:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=_ENV, check=True)
         assert r.stdout.strip() == "[]"
+
+    # the README examples of the lawlor subcommand: the angle maps load
+    # QUADPACK from its file, and no scipy subpackage
+    @pytest.mark.parametrize("name", ["lawlor_a", "lawlor_phi"])
+    def test_angle_maps_load_only_quadpack(self, name):
+        golden = GOLDENS[name]
+        code = (
+            "import sys\n"
+            "from slcones import cli\n"
+            f"code = cli.main({golden['argv']!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.')"
+            " and m.split('.')[1] in ('integrate', 'special', 'optimize', 'sparse', 'linalg')),"
+            " file=sys.stderr)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        assert r.stderr.strip() == "0 ['scipy.integrate._quadpack']"
+        assert r.stdout == golden["stdout"]
+
+    @pytest.mark.parametrize("scipy_first", [True, False])
+    def test_quadpack_is_one_module_whichever_loads_first(self, scipy_first):
+        # scipy.integrate imported before the first quadrature, or after
+        # it: quad and the angle maps share one QUADPACK module and bits
+        code = (
+            "import sys\n"
+            + ("import scipy.integrate\n" if scipy_first else "")
+            + "from slcones.lawlor import NeckParams, _quadpack, angles_from_a\n"
+            "before = angles_from_a(NeckParams((4, 1, 50))).phi\n"
+            "import scipy.integrate\n"
+            "from scipy.integrate import _quadpack_py\n"
+            "module = sys.modules['scipy.integrate._quadpack']\n"
+            "print(_quadpack() is module and _quadpack_py._quadpack is module)\n"
+            "print(before == angles_from_a(NeckParams((4, 1, 50))).phi, repr(before))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_ENV, check=True)
+        from slcones.lawlor import NeckParams, angles_from_a
+
+        phi = angles_from_a(NeckParams((4, 1, 50))).phi
+        assert r.stdout.splitlines() == ["True", f"True {phi!r}"]
 
     def test_cli_import_loads_no_numpy(self):
         code = (

@@ -18,6 +18,8 @@ dimension of ``identity_plane`` and ``verify_sl_hl_cone`` is an ``Int``
 leaf: an m beyond numpy's largest array is refused at once.
 """
 import math
+import numbers
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -50,9 +52,11 @@ from slcones.dims import (
 from slcones.errors import (
     InputError,
     NumericError,
+    RATIONAL_MAX_DENOMINATOR,
     SLConesError,
     as_finite,
     as_int,
+    as_rational,
     read_rational,
     shown,
 )
@@ -309,6 +313,53 @@ def test_shown_replaces_only_over_long_numbers():
     assert str(shown(Fraction(1, 3 * 10**60))) == "<fraction of 1/61 digits>"
     assert str(shown((1, 10**400))) == "(1, <int of 401 digits>)"
     assert shown(True) is True and shown("1") == "1"
+
+
+def abc_rational(x, what):
+    """The reading of ``as_rational`` by the ``numbers`` ABCs alone, which
+    its int and float fast paths must equal."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, bool):
+        if isinstance(x, numbers.Rational):
+            return Fraction(x)
+        if isinstance(x, numbers.Real):
+            v = float(x)
+            if math.isfinite(v):
+                return Fraction(v).limit_denominator(RATIONAL_MAX_DENOMINATOR)
+    raise InputError(f"{what} must be a finite rational or real number, got {shown(x)!r}")
+
+
+def _reading(reader, x):
+    try:
+        v = reader(x, "x")
+    except InputError as exc:
+        return "InputError", str(exc)
+    return type(v), v
+
+
+def test_rational_fast_paths_read_as_the_abcs():
+    rng = np.random.default_rng(20261020)
+    ints = [0, 1, -1, 10**400, -(10**400), *(int(k) for k in rng.integers(-2**62, 2**62, 200))]
+    floats = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+              3.0, -7.0, 2.0**60, 1e22, 0.1, 3.3219, math.nan, math.inf, -math.inf,
+              *(struct.unpack("<d", struct.pack("<Q", int(bits)))[0]  # any sign and exponent
+                for bits in rng.integers(0, 2**64, 1000, dtype=np.uint64)),
+              *(struct.unpack("<d", struct.pack("<Q", int(bits)))[0]  # subnormal
+                for bits in rng.integers(1, 2**52, 50, dtype=np.uint64)),
+              *rng.uniform(-9.0, 9.0, 200)]
+    values = [*ints, *floats, *map(np.int64, ints[5:25]), *map(np.float64, floats),
+              True, False, np.bool_(True)]
+    for x in values:
+        assert _reading(as_rational, x) == _reading(abc_rational, x), repr(x)
+    assert _reading(as_rational, math.nan) == (
+        "InputError", "x must be a finite rational or real number, got nan")
+
+
+def test_float_reads_by_its_binary_value_and_a_string_as_its_decimal():
+    assert as_rational(0.1, "x") == Fraction(1, 10)
+    assert as_rational(3.3219, "x") == Fraction(2258530744634, 679891250379)
+    assert read_rational("3.3219", "x") == Fraction(33219, 10000)
 
 
 _S = T2Singularity((-1, 0, 1))

@@ -448,6 +448,39 @@ class TestSharedTable:
         assert shared > 0.6 * sum(len(nodes) for nodes, _ in calls)
 
 
+class TestPrivateQuadpack:
+    """``_quad`` calls QUADPACK's qagie without quad's Python wrapper; its
+    (value, error) must be the public quad's bits, also where QUADPACK
+    reports a failure, which neither warns nor raises (warnings are
+    errors in this suite)."""
+
+    @pytest.mark.parametrize("a, inverse", [
+        ((1e12, 1e-12, 1.0), False),  # the forward map's quads
+        ((50.0, 0.03, 1.0), True),  # and every Newton trial point of the inverse
+    ])
+    def test_equals_public_quad_also_where_quadpack_fails(self, a, inverse, monkeypatch):
+        from scipy.integrate import quad
+
+        quads, failed, private = [], [], lawlor._quad
+
+        def compared(f, epsabs, epsrel):
+            out = private(f, epsabs, epsrel)
+            public = quad(f, 0.0, np.inf, epsabs=epsabs, epsrel=epsrel,
+                          limit=200, full_output=1)
+            quads.append(out == public[:2])
+            failed.append(len(public) == 4)  # quad appends its failure notice
+            return out
+
+        monkeypatch.setattr(lawlor, "_quad", compared)
+        if inverse:
+            a_from_angles(angles_from_a(NeckParams(a)))
+        else:
+            with pytest.raises(NumericError):  # certified, yet garbage angles
+                angles_from_a(NeckParams(a))
+        assert all(quads) and len(quads) >= 3
+        assert any(failed)
+
+
 # ---------------------------------------------------------------------------
 # neck parametrization
 

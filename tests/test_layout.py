@@ -1,6 +1,8 @@
 """The README's Layout block lists exactly the modules of the package,
-every module attribute the README names exists, and every example output
-the README shows is a golden of ``goldens.json``."""
+every module attribute the README names exists, every example output
+the README shows is a golden of ``goldens.json``, and only the QUADPACK
+loader names scipy."""
+import ast
 import importlib
 import importlib.util
 import json
@@ -74,3 +76,40 @@ def test_perfbench_goldens_equal_the_package_file():
     }
     assert bench["stability"] == _goldens("stability")
     assert bench["gluings"] == _goldens("gluings")
+
+
+def _scipy_owners(tree):
+    """The top-level function or class (None at module level) of every
+    import, name, attribute or string of ``tree`` that names scipy,
+    docstrings aside."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Import):
+                text = " ".join(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                text = node.module or ""
+            elif isinstance(node, ast.Name):
+                text = node.id
+            elif isinstance(node, ast.Attribute):
+                text = node.attr
+            elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+                text = str(node.value)
+            else:
+                continue
+            if "scipy" in text:
+                yield getattr(stmt, "name", None)
+
+
+def test_only_the_quadpack_loader_names_scipy():
+    """scipy serves only QUADPACK, loaded by ``lawlor._quadpack``; no other
+    code of the package names it, so ROADMAP item 2 takes scipy out by
+    deleting one loader."""
+    owners = {
+        (path.name, owner)
+        for path in sorted((REPO / "src" / "slcones").glob("*.py"))
+        for owner in _scipy_owners(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert owners == {("lawlor.py", "_quadpack")}
