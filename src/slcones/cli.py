@@ -2,10 +2,17 @@
 
 Output is a single JSON document on standard output, serialized
 deterministically (sorted keys, no whitespace), so identical inputs give
-bit-identical bytes.  Exact rationals appear as ``"p/q"`` strings (plain
-integers when the denominator is 1); reals use the shortest decimal that
-round-trips.  Errors are reported as a JSON object on standard error,
-which carries nothing else.
+bit-identical bytes.  Where an output object reports a record of the
+library, its keys are the record's field names camelCased (``s_ind``
+becomes ``sInd``); the ``--record`` input documents of ``consum``,
+``dims`` and a ``t2cone`` basis follow the same rule.  Exact rationals
+appear as ``"p/q"`` strings (plain integers when the denominator is 1);
+reals use the shortest decimal that round-trips.  Errors are reported as
+a JSON object on standard error, which carries nothing else.
+
+``lawlor`` refuses with exit 2 an empty or non-numeric entry of ``--a``
+or ``--phi``, naming the flag and the entry's position, and ``--area``
+without ``--phi``, as it refuses ``--phi`` without ``--area``.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric/verification failure,
 64 usage error (missing or unknown subcommand, malformed flags).  No
@@ -17,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -66,14 +74,29 @@ def _rat(x):
     return x
 
 
+def _json(x, fields=None):
+    """The JSON form of a value: a record (anything with ``_fields``) is an
+    object keyed by its camelCased field names, all of them or the named
+    ``fields``; a Fraction goes through :func:`_rat`; a tuple or list is a
+    list."""
+    if hasattr(x, "_fields"):
+        return {
+            re.sub(r"_(.)", lambda c: c[1].upper(), f): _json(getattr(x, f))
+            for f in fields or x._fields
+        }
+    if isinstance(x, (tuple, list)):
+        return [_json(v) for v in x]
+    return _rat(x)
+
+
 def _float_list(text: str, what: str) -> tuple:
-    try:
-        vals = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise InputError(f"{what} must be a comma-separated list of reals: {exc}") from None
-    if not vals:
-        raise InputError(f"{what} is empty")
-    return vals
+    vals = []
+    for i, part in enumerate(text.split(","), 1):
+        try:
+            vals.append(float(part))
+        except ValueError:
+            raise InputError(f"{what} entry {i} is not a real: {part!r}") from None
+    return tuple(vals)
 
 
 def _read_json(path: str):
@@ -131,14 +154,7 @@ def _cmd_spectrum(args):
 def _cmd_stability(args):
     from .spectrum import stability_index
 
-    rep = stability_index(args.m)
-    out = {
-        "m": rep.m,
-        "nSigma2": rep.n_sigma2,
-        "mSigma2": rep.m_sigma2,
-        "sInd": rep.s_ind,
-        "stable": rep.stable,
-    }
+    out = _json(stability_index(args.m), "m n_sigma2 m_sigma2 s_ind stable".split())
     return {"m": args.m}, out, EXIT_OK
 
 
@@ -146,13 +162,15 @@ def _cmd_lawlor(args):
     from .lawlor import AngleSpec, NeckParams, a_from_angles, angles_from_a
 
     if args.a is not None:
+        if args.area is not None:
+            raise InputError("--area requires --phi")
         a = _float_list(args.a, "--a")
         spec = angles_from_a(NeckParams(a), tol=args.tol)
         input_doc = {"a": list(a), "tol": args.tol}
     else:
-        phi = _float_list(args.phi, "--phi")
         if args.area is None:
             raise InputError("--phi requires --area")
+        phi = _float_list(args.phi, "--phi")
         spec = AngleSpec(phi, args.area)
         a = a_from_angles(spec, tol=args.tol).a
         input_doc = {"phi": list(phi), "area": args.area, "tol": args.tol}
@@ -169,9 +187,9 @@ def _frame_from_json(rows, what: str):
         arr = np.asarray(
             [
                 [
-                    complex(as_finite(re, f"{what}[{i}][{k}] re"),
-                            as_finite(im, f"{what}[{i}][{k}] im"))
-                    for k, (re, im) in enumerate(row)
+                    complex(as_finite(x, f"{what}[{i}][{k}] re"),
+                            as_finite(y, f"{what}[{i}][{k}] im"))
+                    for k, (x, y) in enumerate(row)
                 ]
                 for i, row in enumerate(rows)
             ],
@@ -192,14 +210,7 @@ def _cmd_planes(args):
     doc = _read_json(args.input)
     p1 = _frame_from_json(_require(doc, "p1", "planes input"), "p1")
     p2 = _frame_from_json(_require(doc, "p2", "planes input"), "p2")
-    rep = characteristic_angles(p1, p2, tol=args.tol)
-    out = {
-        "m": rep.m,
-        "angles": list(rep.angles),
-        "k": rep.k,
-        "transverse": rep.transverse,
-        "lawlorExists": rep.lawlor_exists,
-    }
+    out = _json(characteristic_angles(p1, p2, tol=args.tol))
     return {"p1": doc["p1"], "p2": doc["p2"], "tol": args.tol}, out, EXIT_OK
 
 
@@ -222,20 +233,11 @@ def _graph_from_json(doc):
 def _cmd_consum(args):
     from .consum import feasible, solve_areas
 
-    doc = _read_json(args.input)
-    g = _graph_from_json(doc)
+    g = _graph_from_json(_read_json(args.input))
     ok = feasible(g)
-    out = {"q": g.q, "n": g.n, "feasible": ok, "areas": None}
-    if ok:
-        out["areas"] = [_rat(x) for x in solve_areas(g).A]
-    input_doc = {
-        "q": g.q,
-        "edges": [
-            {"tail": e.tail, "head": e.head, "weight": _rat(e.weight)}
-            for e in g.edges
-        ],
-    }
-    return input_doc, out, EXIT_OK
+    areas = _json(solve_areas(g).A) if ok else None
+    out = {"q": g.q, "n": g.n, "feasible": ok, "areas": areas}
+    return _json(g), out, EXIT_OK
 
 
 def _profile_from_json(doc):
@@ -268,43 +270,13 @@ def _profile_from_json(doc):
 def _cmd_dims(args):
     from .dims import full_report
 
-    doc = _read_json(args.input)
-    p = _profile_from_json(doc)
-    rep = full_report(p)
-    out = {
-        "dimI": rep.dimI,
-        "dimZ": rep.dimZ,
-        "dimYi": list(rep.dimYi),
-        "dimZi": list(rep.dimZi),
-        "dimML0": list(rep.dimML0),
-        "b1N": rep.b1N,
-        "dimF": rep.dimF,
-        "indX": rep.indX,
-        "nonRigidWarning": rep.non_rigid_warning,
-    }
-    input_doc = {
-        "m": p.m,
-        "q": p.q,
-        "b1csX": p.b1csX,
-        "cones": [{"l": c.l, "sInd": c.s_ind, "rigid": c.rigid} for c in p.cones],
-        "necks": [
-            {"b0L": n.b0L, "b1L": n.b1L, "b1csL": n.b1csL} for n in p.necks
-        ],
-        "dimY": p.dimY,
-    }
-    return input_doc, out, EXIT_OK
-
-
-def _basis_from_json(doc):
-    from .t2cone import T2PairBasis
-
-    return T2PairBasis(
-        _require(doc, "B1", "basis input"), _require(doc, "B2", "basis input")
-    )
+    p = _profile_from_json(_read_json(args.input))
+    return _json(p), _json(full_report(p)), EXIT_OK
 
 
 def _cmd_t2cone(args):
     from .t2cone import (
+        T2PairBasis,
         family_region,
         gluing_candidates,
         h1_order,
@@ -340,30 +312,13 @@ def _cmd_t2cone(args):
         return input_doc, out, EXIT_OK
 
     if mode == "basis":
-        basis = _basis_from_json(doc["basis"])
-        sols = two_singularity_gluings(basis)
-        out = {
-            "families": [
-                {
-                    "j1": sol.j1,
-                    "j2": sol.j2,
-                    "ratio": None if sol.ratio is None else _rat(sol.ratio),
-                    "dimY": sol.dimY,
-                }
-                for sol in sols
-            ]
-        }
-        input_doc = {
-            "basis": {
-                "B1": [[_rat(x) for x in half] for half in basis.B1],
-                "B2": [[_rat(x) for x in half] for half in basis.B2],
-            }
-        }
-        return input_doc, out, EXIT_OK
+        b = doc["basis"]
+        basis = T2PairBasis(_require(b, "B1", "basis input"), _require(b, "B2", "basis input"))
+        out = {"families": _json(two_singularity_gluings(basis))}
+        return {"basis": _json(basis)}, out, EXIT_OK
 
     kj = _require(doc, "kJ", "t2cone pairing input")
-    res = family_region(doc["pairing"], kj)
-    out = {"region": res.region, "t": res.t, "anyT": res.any_t}
+    out = _json(family_region(doc["pairing"], kj))
     return {"pairing": float(doc["pairing"]), "kJ": int(kj)}, out, EXIT_OK
 
 
@@ -486,13 +441,21 @@ def build_parser() -> _Parser:
         action="store_true",
         help="wrap the output in a run record with an input digest",
     )
-    fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser(
+    def add(name, func, summary):
+        p = sub.add_parser(
+            name,
+            parents=[record],
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            help=summary,
+        )
+        p.set_defaults(func=func)
+        return p
+
+    p = add(
         "spectrum",
-        parents=[record],
-        formatter_class=fmt,
-        help="eigenvalue table of the torus link, optionally with an exponent count",
+        _cmd_spectrum,
+        "eigenvalue table of the torus link, optionally with an exponent count",
     )
     p.add_argument("--m", type=int, required=True, help="ambient dimension (>= 3)")
     p.add_argument("--cutoff", type=int, required=True, help="largest eigenvalue to tabulate")
@@ -501,22 +464,14 @@ def build_parser() -> _Parser:
         default=None,
         help="also count exponents up to this rate (rational like 5/2, or decimal)",
     )
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser(
-        "stability",
-        parents=[record],
-        formatter_class=fmt,
-        help="stability index of the torus-link cone",
-    )
+    p = add("stability", _cmd_stability, "stability index of the torus-link cone")
     p.add_argument("--m", type=int, required=True, help="ambient dimension (>= 3)")
-    p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser(
+    p = add(
         "lawlor",
-        parents=[record],
-        formatter_class=fmt,
-        help="neck angles from parameters (--a) or parameters from angles (--phi --area)",
+        _cmd_lawlor,
+        "neck angles from parameters (--a) or parameters from angles (--phi --area)",
     )
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--a", help="comma-separated positive parameters a_1..a_m")
@@ -525,72 +480,34 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--tol", type=float, default=LAWLOR_TOL, help="certified quadrature/solve tolerance"
     )
-    p.set_defaults(func=_cmd_lawlor)
 
-    p = sub.add_parser(
-        "planes",
-        parents=[record],
-        formatter_class=fmt,
-        help="characteristic angles and type of a special-Lagrangian plane pair",
-    )
-    p.add_argument(
-        "--input",
-        default="-",
-        help="JSON file with unitary frames p1, p2 as [re, im] matrices ('-' = stdin)",
-    )
-    p.add_argument(
+    # the subcommands that read one JSON document: handler, summary, --input help
+    for name, func, summary, what in (
+        ("planes", _cmd_planes,
+         "characteristic angles and type of a special-Lagrangian plane pair",
+         "JSON file with unitary frames p1, p2 as [re, im] matrices ('-' = stdin)"),
+        ("consum", _cmd_consum,
+         "feasibility and exact areas for an intersection digraph",
+         "JSON file with keys q, edges ('-' = stdin)"),
+        ("t2cone", _cmd_t2cone,
+         "torus-cone data: k-triples, gluing families, or the neck-scale region",
+         "JSON object with one of 'generator', 'basis', 'pairing' ('-' = stdin)"),
+        ("dims", _cmd_dims,
+         "moduli/obstruction dimensions from a topology profile",
+         "JSON topology profile ('-' = stdin)"),
+    ):
+        add(name, func, summary).add_argument("--input", default="-", help=what)
+    sub.choices["planes"].add_argument(
         "--tol", type=float, default=TRANSVERSE_TOL, help="transversality tolerance"
     )
-    p.set_defaults(func=_cmd_planes)
 
-    p = sub.add_parser(
-        "consum",
-        parents=[record],
-        formatter_class=fmt,
-        help="feasibility and exact areas for an intersection digraph",
-    )
-    p.add_argument(
-        "--input", default="-", help="JSON file with keys q, edges ('-' = stdin)"
-    )
-    p.set_defaults(func=_cmd_consum)
-
-    p = sub.add_parser(
-        "t2cone",
-        parents=[record],
-        formatter_class=fmt,
-        help="torus-cone data: k-triples, gluing families, or the neck-scale region",
-    )
-    p.add_argument(
-        "--input",
-        default="-",
-        help="JSON object with one of 'generator', 'basis', 'pairing' ('-' = stdin)",
-    )
-    p.set_defaults(func=_cmd_t2cone)
-
-    p = sub.add_parser(
-        "dims",
-        parents=[record],
-        formatter_class=fmt,
-        help="moduli/obstruction dimensions from a topology profile",
-    )
-    p.add_argument(
-        "--input", default="-", help="JSON topology profile ('-' = stdin)"
-    )
-    p.set_defaults(func=_cmd_dims)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[record],
-        formatter_class=fmt,
-        help="run a golden suite and fail (exit 3) on any mismatch",
-    )
+    p = add("verify", _cmd_verify, "run a golden suite and fail (exit 3) on any mismatch")
     p.add_argument(
         "--suite",
         choices=sorted(_SUITES) + ["all"],
         default="all",
         help="which golden suite to run",
     )
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 

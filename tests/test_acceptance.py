@@ -35,6 +35,7 @@ from slcones.dims import (
 )
 from slcones.errors import InconsistentProfileError
 from slcones.lawlor import (
+    HL_CONE_RESIDUAL_BOUND,
     NECK_RESIDUAL_BOUND,
     NeckParams,
     a_from_angles,
@@ -192,12 +193,12 @@ def test_sl_residuals(capsys):
     for a in ((4.0, 1.0, 1.0), (1.0, 2.0, 3.0)):
         r = verify_sl_neck(NeckParams(a), sample_count=400)
         neck_worst = max(neck_worst, r.max_omega_residual, r.max_phase_residual)
-    ok = cone_worst <= 1e-10 and neck_worst <= NECK_RESIDUAL_BOUND
+    ok = cone_worst <= HL_CONE_RESIDUAL_BOUND and neck_worst <= NECK_RESIDUAL_BOUND
     _verdict(
         capsys,
         "calibration residuals (cone analytic, neck analytic)",
         ok,
-        f"cone m=3,5 max {cone_worst:.2e} (tol 1e-10); "
+        f"cone m=3,5 max {cone_worst:.2e} (tol {HL_CONE_RESIDUAL_BOUND:.0e}); "
         f"neck m=3 max {neck_worst:.2e} (tol {NECK_RESIDUAL_BOUND:.0e})",
     )
 

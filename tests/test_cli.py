@@ -104,7 +104,8 @@ GOLDENS = cli._goldens("cli")
 class TestGoldens:
     """Every golden of ``goldens.json``, run in process: the exit code and
     the stdout bytes are the golden ones, and the document fits its
-    schema."""
+    schema.  With ``--record`` the envelope carries the golden output and
+    the golden digest of the resolved input."""
 
     @pytest.mark.parametrize("name", sorted(GOLDENS))
     def test_exit_code_and_stdout_bytes(self, name, monkeypatch, capsys):
@@ -112,6 +113,19 @@ class TestGoldens:
         code, out, err = _main(golden["argv"], golden["stdin"] or "", monkeypatch, capsys)
         assert (code, out) == (golden["exit"], golden["stdout"]), err
         _validate(json.loads(out), golden["argv"][0])
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_record_envelope(self, name, monkeypatch, capsys):
+        golden = GOLDENS[name]
+        code, out, err = _main([*golden["argv"], "--record"], golden["stdin"] or "",
+                               monkeypatch, capsys)
+        assert code == golden["exit"], err
+        assert json.loads(out) == {
+            "subcommand": golden["argv"][0],
+            "inputDigest": golden["inputDigest"],
+            "output": json.loads(golden["stdout"]),
+            "toolVersion": slcones.__version__,
+        }
 
 
 class TestImportGraph:
@@ -383,6 +397,32 @@ class TestLawlor:
         code, _, _ = _main(["lawlor", "--phi", "1.0,1.0,1.1415926535897931"], "",
                            monkeypatch, capsys)
         assert code == 2
+
+    def test_area_without_phi_is_input_error(self, monkeypatch, capsys):
+        # --area beside --a was once ignored, answering area 2 pi
+        code, out, err = _main(["lawlor", "--a", "4,1,1", "--area", "5"], "",
+                               monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"] == {"type": "InputError", "message": "--area requires --phi"}
+
+    # an empty entry was once dropped, answering a = (4, 1, 1)
+    @pytest.mark.parametrize("args, flag, position", [
+        (["--a", "4,,1,1"], "--a", 2),
+        (["--a", "4,1,1,"], "--a", 4),
+        (["--a", ""], "--a", 1),
+        (["--a", "4,x,1"], "--a", 2),
+        (["--phi", ",1,1,1.1415926535897931", "--area", "1"], "--phi", 1),
+    ])
+    def test_empty_or_bad_entry_is_input_error(self, args, flag, position,
+                                               monkeypatch, capsys):
+        code, out, err = _main(["lawlor", *args], "", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "InputError"
+        assert doc["error"]["message"].startswith(f"{flag} entry {position} ")
 
     def test_a_and_phi_together_is_usage_error(self, monkeypatch, capsys):
         code, _, _ = _main(["lawlor", "--a", "1,1,1", "--phi", "1,1,1"], "", monkeypatch, capsys)

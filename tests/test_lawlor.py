@@ -684,8 +684,8 @@ class TestVerifySL:
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_hl_cone_residuals_tiny(self, m):
         res = verify_sl_hl_cone(m, sample_count=400)
-        assert res.max_omega_residual < 1e-10
-        assert res.max_phase_residual < 1e-10
+        assert res.max_omega_residual < lawlor.HL_CONE_RESIDUAL_BOUND
+        assert res.max_phase_residual < lawlor.HL_CONE_RESIDUAL_BOUND
 
     @pytest.mark.parametrize("m", [3, 4, 5, 7])
     def test_cone_defining_condition(self, m):
