@@ -4,11 +4,15 @@ Output is a single JSON document on standard output, serialized
 deterministically (sorted keys, no whitespace), so identical inputs give
 bit-identical bytes.  Where an output object reports a record of the
 library, its keys are the record's field names camelCased (``s_ind``
-becomes ``sInd``); the ``--record`` input documents of ``consum``,
-``dims`` and a ``t2cone`` basis follow the same rule.  Exact rationals
-appear as ``"p/q"`` strings (plain integers when the denominator is 1);
-reals use the shortest decimal that round-trips.  Errors are reported as
-a JSON object on standard error, which carries nothing else.
+becomes ``sInd``), and so are the input documents of ``consum``,
+``dims`` and a ``t2cone`` basis.  Every ``--input`` document and list
+entry is read by one key check: one that is not an object, lacks a
+required key or has a key it does not define exits 2, naming the key.
+Optional keys: a cone's ``rigid`` (default true), a profile's ``dimY``
+and ``h1X`` beside a ``t2cone`` generator.  Exact rationals appear as
+``"p/q"`` strings (plain integers when the denominator is 1); reals use
+the shortest decimal that round-trips.  Errors are reported as a JSON
+object on standard error, which carries nothing else.
 
 ``lawlor`` refuses with exit 2 an empty or non-numeric entry of ``--a``
 or ``--phi``, naming the flag and the entry's position, and ``--area``
@@ -31,7 +35,7 @@ from fractions import Fraction
 
 from . import __version__
 from ._tolerances import LAWLOR_TOL, TRANSVERSE_TOL
-from .errors import InputError, NumericError, as_finite, as_int, read_rational
+from .errors import InputError, NumericError, as_finite, as_int, as_tuple, read_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,16 +78,18 @@ def _rat(x):
     return x
 
 
+def _camel(name: str) -> str:
+    """A record field's JSON key: ``s_ind`` becomes ``sInd``."""
+    return re.sub(r"_(.)", lambda c: c[1].upper(), name)
+
+
 def _json(x, fields=None):
     """The JSON form of a value: a record (anything with ``_fields``) is an
     object keyed by its camelCased field names, all of them or the named
     ``fields``; a Fraction goes through :func:`_rat`; a tuple or list is a
-    list."""
+    list.  :func:`_record` reads a record back."""
     if hasattr(x, "_fields"):
-        return {
-            re.sub(r"_(.)", lambda c: c[1].upper(), f): _json(getattr(x, f))
-            for f in fields or x._fields
-        }
+        return {_camel(f): _json(getattr(x, f)) for f in fields or x._fields}
     if isinstance(x, (tuple, list)):
         return [_json(v) for v in x]
     return _rat(x)
@@ -116,12 +122,43 @@ def _read_json(path: str):
         raise InputError(f"malformed JSON input: {exc}") from None
 
 
-def _require(doc, key: str, what: str):
+def _object(doc, what: str, required, optional=()):
+    """``doc``, checked to be a JSON object with every key of ``required``,
+    perhaps keys of ``optional``, and no other key."""
     if not isinstance(doc, dict):
         raise InputError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    if key not in doc:
-        raise InputError(f"{what} is missing required key {key!r}")
-    return doc[key]
+    for key in doc:
+        if key not in required and key not in optional:
+            raise InputError(f"{what} has unknown key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise InputError(f"{what} is missing required key {key!r}")
+    return doc
+
+
+def _record(cls, doc, what: str, **entries):
+    """The inverse of :func:`_json`: the record ``cls(**fields)`` read from
+    the JSON object ``doc``, keyed by the camelCased field names of
+    ``cls``.  A key whose constructor argument has a default may be left
+    out, and the constructor supplies it; any other missing key and every
+    unknown key is refused by :func:`_object`.  A field named in
+    ``entries`` holds a list of records of the class given there, each
+    read in turn; an error in one names its position."""
+    new = cls.__new__
+    params = new.__code__.co_varnames[1:new.__code__.co_argcount]
+    optional = [_camel(f) for f in params[len(params) - len(new.__defaults__ or ()):]]
+    keys = {_camel(f): f for f in cls._fields}
+    _object(doc, what, [k for k in keys if k not in optional], optional)
+    fields = {name: doc[key] for key, name in keys.items() if key in doc}
+    for name, entry_cls in entries.items():
+        read = []
+        for i, entry in enumerate(as_tuple(fields[name], f"{what} {_camel(name)!r}")):
+            try:
+                read.append(_record(entry_cls, entry, "entry"))
+            except InputError as exc:
+                raise type(exc)(f"{what} {_camel(name)}[{i}]: {exc}") from None
+        fields[name] = read
+    return cls(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -207,70 +244,28 @@ def _frame_from_json(rows, what: str):
 def _cmd_planes(args):
     from .planes import characteristic_angles
 
-    doc = _read_json(args.input)
-    p1 = _frame_from_json(_require(doc, "p1", "planes input"), "p1")
-    p2 = _frame_from_json(_require(doc, "p2", "planes input"), "p2")
+    doc = _object(_read_json(args.input), "planes input", ("p1", "p2"))
+    p1 = _frame_from_json(doc["p1"], "p1")
+    p2 = _frame_from_json(doc["p2"], "p2")
     out = _json(characteristic_angles(p1, p2, tol=args.tol))
-    return {"p1": doc["p1"], "p2": doc["p2"], "tol": args.tol}, out, EXIT_OK
-
-
-def _graph_from_json(doc):
-    from .consum import IntersectionGraph
-
-    q = _require(doc, "q", "graph input")
-    edges = _require(doc, "edges", "graph input")
-    if not isinstance(edges, list):
-        raise InputError("graph 'edges' must be a list")
-    parsed = []
-    for i, e in enumerate(edges):
-        tail = _require(e, "tail", f"edge {i}")
-        head = _require(e, "head", f"edge {i}")
-        weight = read_rational(_require(e, "weight", f"edge {i}"), f"edge {i} weight")
-        parsed.append((tail, head, weight))
-    return IntersectionGraph(q, parsed)
+    return {**doc, "tol": args.tol}, out, EXIT_OK
 
 
 def _cmd_consum(args):
-    from .consum import feasible, solve_areas
+    from .consum import Edge, IntersectionGraph, feasible, solve_areas
 
-    g = _graph_from_json(_read_json(args.input))
+    g = _record(IntersectionGraph, _read_json(args.input), "graph input", edges=Edge)
     ok = feasible(g)
     areas = _json(solve_areas(g).A) if ok else None
     out = {"q": g.q, "n": g.n, "feasible": ok, "areas": areas}
     return _json(g), out, EXIT_OK
 
 
-def _profile_from_json(doc):
-    from .dims import TopologyProfile
-
-    cones = _require(doc, "cones", "profile input")
-    necks = _require(doc, "necks", "profile input")
-    if not isinstance(cones, list) or not isinstance(necks, list):
-        raise InputError("profile 'cones' and 'necks' must be lists")
-    try:
-        cone_data = [
-            {"l": c["l"], "s_ind": c["sInd"], "rigid": c.get("rigid", True)}
-            for c in cones
-        ]
-        neck_data = [
-            {"b0L": n["b0L"], "b1L": n["b1L"], "b1csL": n["b1csL"]} for n in necks
-        ]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"profile entry is missing key {exc}") from None
-    return TopologyProfile(
-        m=_require(doc, "m", "profile input"),
-        q=_require(doc, "q", "profile input"),
-        b1csX=_require(doc, "b1csX", "profile input"),
-        cones=cone_data,
-        necks=neck_data,
-        dimY=doc.get("dimY"),
-    )
-
-
 def _cmd_dims(args):
-    from .dims import full_report
+    from .dims import ConeData, NeckTopology, TopologyProfile, full_report
 
-    p = _profile_from_json(_read_json(args.input))
+    p = _record(TopologyProfile, _read_json(args.input), "profile input",
+                cones=ConeData, necks=NeckTopology)
     return _json(p), _json(full_report(p)), EXIT_OK
 
 
@@ -296,7 +291,7 @@ def _cmd_t2cone(args):
     mode = modes[0]
 
     if mode == "generator":
-        gen = doc["generator"]
+        gen = _object(doc, "t2cone generator input", ("generator",), ("h1X",))["generator"]
         if not isinstance(gen, list) or len(gen) != 2:
             raise InputError("'generator' must be a pair [p, q] of integers")
         s = k_from_generator(gen[0], gen[1])
@@ -312,14 +307,14 @@ def _cmd_t2cone(args):
         return input_doc, out, EXIT_OK
 
     if mode == "basis":
-        b = doc["basis"]
-        basis = T2PairBasis(_require(b, "B1", "basis input"), _require(b, "B2", "basis input"))
+        _object(doc, "t2cone basis input", ("basis",))
+        basis = _record(T2PairBasis, doc["basis"], "basis input")
         out = {"families": _json(two_singularity_gluings(basis))}
         return {"basis": _json(basis)}, out, EXIT_OK
 
-    kj = _require(doc, "kJ", "t2cone pairing input")
-    out = _json(family_region(doc["pairing"], kj))
-    return {"pairing": float(doc["pairing"]), "kJ": int(kj)}, out, EXIT_OK
+    _object(doc, "t2cone pairing input", ("pairing", "kJ"))
+    out = _json(family_region(doc["pairing"], doc["kJ"]))
+    return {"pairing": float(doc["pairing"]), "kJ": int(doc["kJ"])}, out, EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,23 @@ class TestGoldens:
             "toolVersion": slcones.__version__,
         }
 
+    @pytest.mark.parametrize("name", ["consum", "dims", "t2cone_basis"])
+    def test_reader_inverts_the_writer(self, name, monkeypatch, capsys):
+        # the digested input document of these handlers is ``_json`` of the
+        # record the reader built; read again, it gives the same bytes
+        golden = GOLDENS[name]
+        args = cli.build_parser().parse_args(golden["argv"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(golden["stdin"]))
+        written = cli._dumps(args.func(args)[0])
+        if name == "dims":  # the reader fills in the one key the golden leaves out
+            want = json.loads(golden["stdin"])
+            want["cones"] = [dict(cone, rigid=True) for cone in want["cones"]]
+            assert json.loads(written) == want
+        code, out, err = _main(golden["argv"], written, monkeypatch, capsys)
+        assert (code, out) == (golden["exit"], golden["stdout"]), err
+        code, out, err = _main([*golden["argv"], "--record"], written, monkeypatch, capsys)
+        assert json.loads(out)["inputDigest"] == golden["inputDigest"], err
+
 
 class TestImportGraph:
     """scipy serves only the Lawlor angle maps, which load its QUADPACK
@@ -577,7 +594,7 @@ class TestConsum:
         doc = json.loads(err)
         _validate(doc, "error")
         assert doc["error"]["type"] == "InputError"
-        assert "edge 0 weight" in doc["error"]["message"]
+        assert "edges[0]: edge weight" in doc["error"]["message"]
 
     def test_float_weight_is_read_by_the_denominator_limit(self, monkeypatch, capsys):
         payload = ('{"q":2,"edges":[{"tail":1,"head":2,"weight":0.1},'
@@ -712,12 +729,53 @@ class TestDims:
         assert err["error"]["type"] == "InputError"
         assert "rigid must be true or false" in err["error"]["message"]
 
+    @pytest.mark.parametrize("change, entry", [
+        ({"necks": [[1, 1, 0]]}, "necks[0]"),
+        ({"necks": [None]}, "necks[0]"),
+        ({"cones": ["x"]}, "cones[0]"),
+    ])
+    def test_non_object_entry_exits_2(self, change, entry, monkeypatch, capsys):
+        payload = json.dumps(dict(self.PROFILE, **change))
+        code, out, err = _main(["dims"], payload, monkeypatch, capsys)
+        assert code == 2, err
+        assert out == ""
+        err = json.loads(err)
+        _validate(err, "error")
+        assert err["error"]["type"] == "InputError"
+        assert entry in err["error"]["message"]
+        assert "must be a JSON object" in err["error"]["message"]
+
     def test_inconsistent_profile_exits_2(self, monkeypatch, capsys):
         bad = dict(self.PROFILE, b1csX=0, q=1)
         bad["cones"] = [{"l": 3, "sInd": 0}]
         bad["necks"] = [{"b0L": 1, "b1L": 1, "b1csL": 0}]
         code, _, _ = _main(["dims"], json.dumps(bad), monkeypatch, capsys)
         assert code == 2
+
+
+class TestUnknownKeys:
+    """A key that names no field, at any level of an input document, is
+    refused with exit 2 by a message naming it, not dropped."""
+
+    @pytest.mark.parametrize("sub, doc, key", [
+        ("dims", dict(TestDims.PROFILE, cones=[{"l": 2, "sInd": 0, "Rigid": False}]), "Rigid"),
+        ("dims", dict(TestDims.PROFILE, dimy=5), "dimy"),
+        ("consum", {"q": 1, "edges": [{"tail": 1, "head": 1, "Weight": 1}]}, "Weight"),
+        ("consum", dict(json.loads(GOLDENS["consum"]["stdin"]), n=2), "n"),
+        ("t2cone", {"pairing": 1.5, "kJ": 1, "h1X": 2}, "h1X"),
+        ("t2cone", {"generator": [1, 1], "extra": 1}, "extra"),
+        ("t2cone", {"basis": {"B1": [[1, 0], [0, 1]], "B2": [[0, 1], [1, 0]], "x": 1}}, "x"),
+        ("planes", dict(json.loads(GOLDENS["planes"]["stdin"]), tol=1e-9), "tol"),
+    ], ids=["dims cone", "dims root", "consum edge", "consum root", "t2cone pairing",
+            "t2cone generator", "t2cone basis", "planes"])
+    def test_unknown_key_exits_2(self, sub, doc, key, monkeypatch, capsys):
+        code, out, err = _main([sub], json.dumps(doc), monkeypatch, capsys)
+        assert code == 2, err
+        assert out == ""
+        err = json.loads(err)
+        _validate(err, "error")
+        assert err["error"]["type"] == "InputError"
+        assert f"unknown key {key!r}" in err["error"]["message"]
 
 
 class TestVerify:
@@ -813,6 +871,21 @@ def _put(doc, path, value):
     return new
 
 
+def _at(doc, path):
+    """The node of ``doc`` at ``path``."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# every key of the documents, and the one optional key they leave out
+_KEYS = {key for _, doc in _DOCUMENTS for path in _paths(doc) for key in path
+         if isinstance(key, str)} | {"rigid"}
+# a document first, then one of its objects
+_OBJECTS = st.sampled_from(_DOCUMENTS).flatmap(
+    lambda entry: st.sampled_from([(*entry, path) for path in _paths(entry[1])
+                                   if isinstance(_at(entry[1], path), dict)])
+)
 # a document first, then one of its nodes, so that each subcommand is drawn alike
 _NODES = st.sampled_from(_DOCUMENTS).flatmap(
     lambda entry: st.sampled_from([(*entry, path) for path in _paths(entry[1])])
@@ -851,6 +924,14 @@ class TestFuzz:
     def test_json_subcommands_keep_the_contract(self, node, value):
         sub, doc, path = node
         _contract(sub, [sub], json.dumps(_put(doc, path, value)))
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(node=_OBJECTS, key=st.text(max_size=4).filter(lambda k: k not in _KEYS),
+           value=_HOSTILE_JSON)
+    def test_unknown_key_exits_2(self, node, key, value):
+        sub, doc, path = node
+        changed = _put(doc, path, {**_at(doc, path), key: value})
+        assert _contract(sub, [sub], json.dumps(changed)) == 2
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(m=_SMALL_INT | _HOSTILE_NUMBER, cutoff=_SMALL_INT | _HOSTILE_NUMBER,

@@ -1,7 +1,7 @@
 """The README's Layout block lists exactly the modules of the package,
 every module attribute the README names exists, every example output
-the README shows is a golden of ``goldens.json``, and only the QUADPACK
-loader names scipy."""
+the README shows is a golden of ``goldens.json``, only the QUADPACK
+loader names scipy, and the CLI spells no record key by hand."""
 import ast
 import importlib
 import importlib.util
@@ -113,3 +113,15 @@ def test_only_the_quadpack_loader_names_scipy():
         for owner in _scipy_owners(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert owners == {("lawlor.py", "_quadpack")}
+
+
+def test_cli_spells_no_record_key():
+    """The CLI reads and writes a record's keys through the record's
+    ``_fields`` (``cli._record`` and ``cli._json``), so no string of
+    ``cli.py`` is one of them."""
+    keys = {"sInd", "b0L", "b1L", "b1csL", "b1csX", "tail", "head", "weight",
+            "B1", "B2", "cones", "necks", "edges"}
+    tree = ast.parse((REPO / "src" / "slcones" / "cli.py").read_text(encoding="utf-8"))
+    spelt = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in keys}
+    assert not spelt, f"cli.py spells record keys by hand: {sorted(spelt)}"
