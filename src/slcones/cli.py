@@ -47,8 +47,14 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit 64, not argparse's 2.
 
     Exit 2 is reserved for semantically invalid input; malformed command
-    lines are a different failure class.
+    lines are a different failure class.  An argument that starts with
+    ``-`` and a digit or a point is a value: ``--delta -1/2`` reads as
+    ``--delta=-1/2`` (argparse alone takes only ``-1`` and ``-0.5``).
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -102,7 +102,7 @@ class Edge(NamedTuple("Edge", [("tail", int), ("head", int), ("weight", Fraction
     def __new__(cls, tail, head, weight):
         return tuple.__new__(cls, _edge(tail, head, weight))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
 
 class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", tuple)])):
@@ -128,7 +128,7 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
             norm.append(new(Edge, e))
         return new(cls, (q, tuple(norm)))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
     @property
     def n(self) -> int:
@@ -183,7 +183,7 @@ class BalanceSolution(NamedTuple("BalanceSolution", [("A", tuple)])):
             raise InputError(f"areas must be positive, got {shown(vals)}")
         return tuple.__new__(cls, (vals,))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
 
 def _require_connected(g: IntersectionGraph) -> None:
@@ -406,7 +406,7 @@ class PhaseFamilyQuery(NamedTuple("PhaseFamilyQuery", [
             as_int(m, "dimension m", least=1),
         ))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
 
 class PhaseRegionResult(NamedTuple):

@@ -11,7 +11,7 @@ b1_cs(L); the public formula functions take those sums themselves, and
 :func:`full_report` takes them all in one pass over the cones and necks.
 
 The span dimension dimY of the admissible asymptotic classes cannot be
-derived from Betti numbers alone; it is supplied by the caller (exactly
+computed from Betti numbers alone; it is supplied by the caller (exactly
 computable in the torus-cone case) and validated here.
 """
 from __future__ import annotations
@@ -64,7 +64,7 @@ class ConeData(NamedTuple("ConeData", [("l", int), ("s_ind", int), ("rigid", boo
             rigid,
         ))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
 
 class NeckTopology(NamedTuple("NeckTopology", [("b0L", int), ("b1L", int), ("b1csL", int)])):
@@ -79,7 +79,7 @@ class NeckTopology(NamedTuple("NeckTopology", [("b0L", int), ("b1L", int), ("b1c
             as_int(b1csL, "b1_cs(L)", least=0),
         ))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
 
 def _entry(cls, e, what: str):
@@ -112,7 +112,7 @@ class TopologyProfile(NamedTuple("TopologyProfile", [
         b1csX = as_int(b1csX, "b1_cs(X')", least=0)
         return tuple.__new__(cls, (m, q, b1csX, cones, necks, dimY))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
     @property
     def n(self) -> int:

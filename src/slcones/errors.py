@@ -15,8 +15,8 @@ raises :class:`InputError` naming the argument, and none coerces a bool,
 a string or a non-finite value into a number.  Every message that echoes
 a caller's value passes it through :func:`shown`, so an integer too long
 to print still gives a message.  A record that checks its fields in
-``__new__`` takes its ``_replace`` from :func:`checked_replace`, so a
-replaced field is read by the same policy.
+``__new__`` has its constructor's parameters as fields, a property for
+any value computed from them, and :func:`checked_replace` as ``_replace``.
 """
 from __future__ import annotations
 
@@ -46,11 +46,13 @@ def _digits(n: int) -> int:
 
 def shown(x):
     """``x`` as an error message should echo it: an int or a Fraction
-    with more than 50 digits is replaced by its digit count, and so is
-    one inside a list or a tuple; anything else comes back as it is, so
-    a message formats it as before.  Call it on error paths only."""
+    with more than 50 digits is replaced by its digit count, also inside
+    a list, a tuple or a dict's values; anything else comes back as it
+    is, so a message formats it as before.  Call it on error paths only."""
     if type(x) in (tuple, list):
         return type(x)(map(shown, x))
+    if type(x) is dict:
+        return {k: shown(v) for k, v in x.items()}
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         a, b = _digits(x.numerator), _digits(x.denominator)
         if max(a, b) > 50:
@@ -198,27 +200,16 @@ def as_positive(x, what: str) -> float:
     return v
 
 
-def checked_replace(derived: tuple = ()):
+def checked_replace(self, **changes):
     """The ``_replace`` method of a record whose ``__new__`` checks its
     fields: the fields named in the call are replaced and the record is
-    built again by its constructor, so a bad value raises the
-    constructor's :class:`InputError` and a good one gives the record the
-    constructor gives.  The constructor takes the record's fields by name,
-    except the ones in ``derived``, which it computes from the others and
-    which cannot be replaced."""
-
-    def _replace(self, **changes):
-        for name in changes:
-            if name in derived:
-                raise InputError(f"{name} is derived from the other fields and cannot be replaced")
-            if name not in self._fields:
-                raise InputError(f"{type(self).__name__} has no field {name!r}")
-        return type(self)(**{
-            name: changes.get(name, value)
-            for name, value in zip(self._fields, self) if name not in derived
-        })
-
-    return _replace
+    built again by its constructor, which takes the record's fields by
+    name, so a bad value raises the constructor's :class:`InputError` and
+    a good one gives the record the constructor gives."""
+    for name in changes:
+        if name not in self._fields:
+            raise InputError(f"{type(self).__name__} has no field {name!r}")
+    return type(self)(**{f: changes.get(f, v) for f, v in zip(self._fields, self)})
 
 
 def as_tuple(x, what: str) -> tuple:

@@ -184,8 +184,8 @@ def sphere_area(m: int) -> float:
         return math.exp(math.log(2.0) + m / 2.0 * math.log(math.pi) - math.lgamma(m / 2.0))
 
 
-class NeckParams(NamedTuple("NeckParams", [("m", int), ("a", tuple)])):
-    """The m positive neck parameters a_1..a_m."""
+class NeckParams(NamedTuple("NeckParams", [("a", tuple)])):
+    """The m = len(a) positive neck parameters a_1..a_m."""
 
     __slots__ = ()
 
@@ -193,19 +193,18 @@ class NeckParams(NamedTuple("NeckParams", [("m", int), ("a", tuple)])):
         a = tuple(as_positive(x, "neck parameter a_k") for x in as_tuple(a, "neck parameters"))
         if len(a) < 3:
             raise InputError(f"need at least 3 parameters, got {len(a)}")
-        return tuple.__new__(cls, (len(a), a))
+        return tuple.__new__(cls, (a,))
 
-    def __getnewargs__(self):  # copy and pickle call __new__ with these
-        return (self.a,)
+    _replace = checked_replace
 
-    _replace = checked_replace(derived=("m",))
+    @property
+    def m(self) -> int:
+        return len(self.a)
 
 
-class AngleSpec(NamedTuple("AngleSpec", [
-    ("m", int), ("phi", tuple), ("A", float), ("sum_tol", float),
-])):
-    """Asymptotic angles phi_1..phi_m (each in (0, pi), summing to pi
-    within ``sum_tol``) and the positive area parameter A."""
+class AngleSpec(NamedTuple("AngleSpec", [("phi", tuple), ("A", float), ("sum_tol", float)])):
+    """Asymptotic angles phi_1..phi_m, m = len(phi) (each in (0, pi),
+    summing to pi within ``sum_tol``), and the positive area parameter A."""
 
     __slots__ = ()
 
@@ -222,12 +221,13 @@ class AngleSpec(NamedTuple("AngleSpec", [
                 f"angles must sum to pi within {sum_tol}, "
                 f"got sum deviation {sum(phi) - math.pi:.3e}"
             )
-        return tuple.__new__(cls, (len(phi), phi, A, sum_tol))
+        return tuple.__new__(cls, (phi, A, sum_tol))
 
-    def __getnewargs__(self):  # copy and pickle call __new__ with these
-        return self[1:]
+    _replace = checked_replace
 
-    _replace = checked_replace(derived=("m",))
+    @property
+    def m(self) -> int:
+        return len(self.phi)
 
 
 class SLResidual(NamedTuple):
@@ -393,7 +393,7 @@ def angles_from_a(p: NeckParams, tol: float = DEFAULT_TOL) -> AngleSpec:
     if A == 0.0:
         raise NumericError(f"A underflows at m = {p.m}, prod(a) = {prod}")
     # phi, A and sum_tol passed AngleSpec's checks above
-    return AngleSpec._make((p.m, tuple(phi), A, sum_tol))
+    return AngleSpec._make((tuple(phi), A, sum_tol))
 
 
 def a_from_angles(spec: AngleSpec, tol: float = DEFAULT_TOL) -> NeckParams:

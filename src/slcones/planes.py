@@ -110,7 +110,7 @@ class SLPlane(NamedTuple("SLPlane", [("frame", np.ndarray)])):
         frame.setflags(write=False)
         return tuple.__new__(cls, (frame,))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
     @property
     def m(self) -> int:
@@ -274,10 +274,11 @@ def characteristic_angles(
 
 
 def lawlor_family_exists(report: PlanePairReport) -> bool:
-    """Whether a one-parameter neck family joins the pair: type 1 or m-1."""
+    """Whether a one-parameter neck family joins the pair: type 1 or m-1,
+    as :func:`characteristic_angles` decided in ``report.lawlor_exists``."""
     if not report.transverse:
         raise InputError("neck existence is only defined for transverse pairs")
-    return report.k in (1, report.m - 1)
+    return report.lawlor_exists
 
 
 def z_pairing_signs(report: PlanePairReport) -> tuple:

@@ -121,7 +121,7 @@ class ConeSpectrum(NamedTuple("ConeSpectrum", [
             raise InputError(f"eigenvalue {shown(lam_e)} exceeds the declared cutoff {shown(cut)}")
         return tuple.__new__(cls, (m, table, cut))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
     def multiplicity(self, lam) -> int:
         lam = as_rational(lam, "eigenvalue")

@@ -72,7 +72,7 @@ class T2Singularity(NamedTuple("T2Singularity", [("k", tuple)])):
             k = tuple(-x for x in k)
         return tuple.__new__(cls, (k,))
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
 
 def k_from_generator(p: int, q: int) -> T2Singularity:
@@ -174,7 +174,7 @@ class T2PairBasis(NamedTuple("T2PairBasis", [("B1", tuple), ("B2", tuple)])):
         self._rows = (r1, r2)
         return self
 
-    _replace = checked_replace()
+    _replace = checked_replace
 
     def flat(self):
         return (

@@ -339,6 +339,15 @@ class TestSpectrum:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "IncompleteSpectrumError"
 
+    @pytest.mark.parametrize("delta", ["-1/2", "-1e-1", "-0.5", "-1"])
+    def test_negative_delta_reads_the_same_in_both_forms(self, delta, monkeypatch, capsys):
+        # argparse alone takes only -1 and -0.5 for values after a space
+        args = ["spectrum", "--m", "3", "--cutoff", "10"]
+        spaced = _main([*args, "--delta", delta], "", monkeypatch, capsys)
+        joined = _main([*args, f"--delta={delta}"], "", monkeypatch, capsys)
+        assert spaced == joined and spaced[0] == 0, spaced[2]
+        _validate(json.loads(spaced[1]), "spectrum")
+
     @pytest.mark.parametrize("args", [
         ["spectrum", "--m", "3", "--cutoff", "100000000"],
         ["stability", "--m", "10000000"],
@@ -595,6 +604,15 @@ class TestConsum:
         _validate(doc, "error")
         assert doc["error"]["type"] == "InputError"
         assert "edges[0]: edge weight" in doc["error"]["message"]
+
+    def test_long_int_inside_an_object_is_shortened(self, monkeypatch, capsys):
+        payload = ('{"q":2,"edges":[{"tail":{"a":%s},"head":1,"weight":1}]}'
+                   % ("1" + "0" * 4000))
+        code, out, err = _main(["consum"], payload, monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert "<int of 4001 digits>" in err
+        assert len(err.encode()) < 300
 
     def test_float_weight_is_read_by_the_denominator_limit(self, monkeypatch, capsys):
         payload = ('{"q":2,"edges":[{"tail":1,"head":2,"weight":0.1},'
