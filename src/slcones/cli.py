@@ -8,11 +8,15 @@ becomes ``sInd``), and so are the input documents of ``consum``,
 ``dims`` and a ``t2cone`` basis.  Every ``--input`` document and list
 entry is read by one key check: one that is not an object, lacks a
 required key or has a key it does not define exits 2, naming the key.
-Optional keys: a cone's ``rigid`` (default true), a profile's ``dimY``
-and ``h1X`` beside a ``t2cone`` generator.  Exact rationals appear as
+Optional keys: a cone's ``rigid`` (default true) and ``h1X`` beside a
+``t2cone`` generator.  A profile's ``dimY`` may be left out, but ``dims``
+then exits 2, as its report needs it (only the library's ``dim_I``,
+``dim_Z`` and ``ac_moduli_dims`` do without).  Exact rationals appear as
 ``"p/q"`` strings (plain integers when the denominator is 1); reals use
-the shortest decimal that round-trips.  Errors are reported as a JSON
-object on standard error, which carries nothing else.
+the shortest decimal that round-trips.  An answer holding an integer of
+more than 4300 digits, alone or in a ``"p/q"``, exits 2 unprinted.
+Errors are reported as a JSON object on standard error, which carries
+nothing else.
 
 ``lawlor`` refuses with exit 2 an empty or non-numeric entry of ``--a``
 or ``--phi``, naming the flag and the entry's position, and ``--area``
@@ -35,7 +39,15 @@ from fractions import Fraction
 
 from . import __version__
 from ._tolerances import LAWLOR_TOL, TRANSVERSE_TOL
-from .errors import InputError, NumericError, as_finite, as_int, as_tuple, read_rational
+from .errors import (
+    MAX_DIGITS,
+    InputError,
+    NumericError,
+    as_finite,
+    as_int,
+    as_tuple,
+    read_rational,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,7 +78,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """``doc`` as one line of JSON with sorted keys, each Fraction written
+    by :func:`_rat`.  A number the answer cannot print, an integer of
+    more than :data:`~slcones.errors.MAX_DIGITS` digits alone or in a
+    ``"p/q"``, is refused with :class:`InputError`, as its input would be."""
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=_rat)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # a non-finite float
+            raise
+        raise InputError(f"the answer holds a number of more than {MAX_DIGITS} "
+                         f"digits, which is not printed") from None
 
 
 def _digest(doc) -> str:
@@ -75,13 +98,11 @@ def _digest(doc) -> str:
     return hashlib.sha256(_dumps(doc).encode("utf-8")).hexdigest()
 
 
-def _rat(x):
-    """Serialize a Fraction: plain int when integral, else "p/q"."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    return x
+def _rat(x: Fraction):
+    """A Fraction's JSON form: a plain int when integral, else "p/q"."""
+    if x.denominator == 1:
+        return x.numerator
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _camel(name: str) -> str:
@@ -92,13 +113,13 @@ def _camel(name: str) -> str:
 def _json(x, fields=None):
     """The JSON form of a value: a record (anything with ``_fields``) is an
     object keyed by its camelCased field names, all of them or the named
-    ``fields``; a Fraction goes through :func:`_rat`; a tuple or list is a
-    list.  :func:`_record` reads a record back."""
+    ``fields``; a tuple or list is a list; anything else, a Fraction
+    too, is left for :func:`_dumps`.  :func:`_record` reads a record back."""
     if hasattr(x, "_fields"):
         return {_camel(f): _json(getattr(x, f)) for f in fields or x._fields}
     if isinstance(x, (tuple, list)):
         return [_json(v) for v in x]
-    return _rat(x)
+    return x
 
 
 def _float_list(text: str, what: str) -> tuple:
@@ -180,17 +201,16 @@ def _cmd_spectrum(args):
     spec = enumerate_spectrum(args.m, args.cutoff)
     out = {
         "m": spec.m,
-        "cutoff": _rat(spec.cutoff),
+        "cutoff": spec.cutoff,
         "entries": [
-            {"lambda": _rat(lam), "multiplicity": mult} for lam, mult in spec.entries
+            {"lambda": lam, "multiplicity": mult} for lam, mult in spec.entries
         ],
     }
     input_doc = {"m": args.m, "cutoff": args.cutoff}
     if args.delta is not None:
         delta = read_rational(args.delta, "--delta")
-        out["delta"] = _rat(delta)
+        out["delta"] = input_doc["delta"] = delta
         out["nSigma"] = n_sigma(exponents(spec), delta)
-        input_doc["delta"] = _rat(delta)
     return input_doc, out, EXIT_OK
 
 
@@ -529,20 +549,21 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             input_doc, output, code = args.func(args)
+        if args.record:
+            output = {
+                "subcommand": args.subcommand,
+                "inputDigest": _digest(input_doc),
+                "output": output,
+                "toolVersion": __version__,
+            }
+        text = _dumps(output)
     except NumericError as exc:
         _emit_error(exc)
         return EXIT_NUMERIC
     except InputError as exc:
         _emit_error(exc)
         return EXIT_INPUT
-    if args.record:
-        output = {
-            "subcommand": args.subcommand,
-            "inputDigest": _digest(input_doc),
-            "output": output,
-            "toolVersion": __version__,
-        }
-    sys.stdout.write(_dumps(output) + "\n")
+    sys.stdout.write(text + "\n")
     return code
 
 

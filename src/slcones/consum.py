@@ -348,12 +348,6 @@ def _scaled_net(g: IntersectionGraph, A: Sequence) -> tuple:
     return net, d
 
 
-def _net_flow(g: IntersectionGraph, A: Sequence) -> list:
-    """Weighted outflow minus inflow of areas ``A`` at components 1..q."""
-    net, d = _scaled_net(g, A)
-    return [Fraction(net.get(k, 0), d) for k in range(1, g.q + 1)]
-
-
 def check_balance(g: IntersectionGraph, sol: BalanceSolution) -> bool:
     """Exact check of the weighted flow balance at every component.
 
@@ -538,18 +532,19 @@ def family_balance_region(
     if A is not None:
         if len(A.A) != g.n:
             raise InputError(f"expected {g.n} areas, got {len(A.A)}")
-        nets = _net_flow(g, A.A)
+        net, d = _scaled_net(g, A.A)
         # t^m only scales a nonzero imbalance, and grows with m
+        imbalanced = any(net.values())
         tf = Fraction(t)
         bits = m_exp * (tf.numerator.bit_length() + tf.denominator.bit_length())
-        if any(nets) and bits > MAX_POWER_BITS:
+        if imbalanced and bits > MAX_POWER_BITS:
             raise InputError(
                 f"t^m for m = {shown(m_exp)} needs {shown(bits)} bits, over {MAX_POWER_BITS}"
             )
-        tm = tf ** m_exp if any(nets) else 0
+        tm = tf ** m_exp / d if imbalanced else 0
         tol = Fraction(PAIRING_TOL)
-        for p, net in zip(vals, nets):
-            p, target = Fraction(p), tm * net
+        for k, p in enumerate(vals, 1):
+            p, target = Fraction(p), tm * net.get(k, 0)
             if abs(p - target) > tol * max(1, abs(target), abs(p)):
                 return False
         return True

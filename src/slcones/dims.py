@@ -6,9 +6,9 @@ necks, end counts, and cone stability indices.  The module derives
 deformation/obstruction dimensions, the glued Betti number b1(N), the
 family dimension, and the singularity index, and rejects profiles whose
 numbers violate the exact-sequence constraints instead of clamping.
-Each formula is written once, over the profile's sums of l, b0(L) and
-b1_cs(L); the public formula functions take those sums themselves, and
-:func:`full_report` takes them all in one pass over the cones and necks.
+Each formula is written once: :func:`full_report` evaluates them all on
+the sums of one pass over the cones and necks, and :func:`dim_I`,
+:func:`dim_Z` and :func:`ac_moduli_dims` share its formulas but need no dimY.
 
 The span dimension dimY of the admissible asymptotic classes cannot be
 computed from Betti numbers alone; it is supplied by the caller (exactly
@@ -34,13 +34,10 @@ __all__ = [
     "NeckTopology",
     "TopologyProfile",
     "AcDims",
-    "IndexReport",
     "DimensionReport",
     "dim_I",
     "ac_moduli_dims",
     "dim_Z",
-    "b1_N",
-    "dim_F_and_index",
     "full_report",
     "rate_lambda_dims",
     "moduli_jump",
@@ -127,12 +124,6 @@ class AcDims(NamedTuple):
     dimM0: int
 
 
-class IndexReport(NamedTuple):
-    dimF: int
-    indX: int
-    non_rigid_warning: bool
-
-
 class DimensionReport(NamedTuple):
     dimI: int
     dimZ: int
@@ -164,12 +155,11 @@ def _dim_I(p: TopologyProfile, sum_l: int) -> int:
 def ac_moduli_dims(neck: NeckTopology, l: int) -> AcDims:
     """Dimensions of the neck's moduli space at the three rate regimes,
     together with its Y and Z invariant-space dimensions."""
-    return AcDims._make(_neck_dims(neck, as_int(l, "end count l", least=0)))
+    return AcDims._make(_neck_dims(*neck, as_int(l, "end count l", least=0)))
 
 
-def _neck_dims(neck: NeckTopology, l: int) -> tuple:
-    """(dimY, dimZ, dimM0) of ``neck`` with ``l`` ends, l an int >= 0."""
-    b0, b1, b1cs = neck
+def _neck_dims(b0: int, b1: int, b1cs: int, l: int) -> tuple:
+    """(dimY, dimZ, dimM0) of the neck (b0, b1, b1cs) with ``l`` ends, l an int >= 0."""
     dim_y = b1 - b0 + l - b1cs
     dim_z = l - b0
     dim_m0 = b1 - b0 + l
@@ -195,77 +185,40 @@ def _dim_Z(p: TopologyProfile, sum_l: int, sum_b0: int) -> int:
     return val
 
 
-def b1_N(p: TopologyProfile) -> int:
-    """First Betti number of the glued compact manifold:
-    dimY + 1 + b1_cs(X') + sum b1_cs(L_i) - sum l_i."""
-    return _b1_N(p, sum(c.l for c in p.cones), sum(n.b1csL for n in p.necks))
-
-
-def _b1_N(p: TopologyProfile, sum_l: int, sum_b1cs: int) -> int:
-    if p.dimY is None:
-        raise InputError("profile must carry dimY to compute b1(N)")
-    val = p.dimY + 1 + p.b1csX + sum_b1cs - sum_l
-    if val < 0:
-        raise InconsistentProfileError(f"b1(N) = {shown(val)} < 0")
-    return val
-
-
-def dim_F_and_index(p: TopologyProfile) -> IndexReport:
-    """Family dimension dimF = dimY + 1 - q + sum b1_cs(L_i) and the
-    singularity index indX = dimF + sum s-ind(C_i).
-
-    dimF = b1(N) - dim I for every profile, as both sides reduce to the
-    sum above; a profile whose b1(N) or dim I is negative raises through
-    them, in that order.  A profile carrying a non-rigid cone gets the
-    warning flag (the index formula needs a correction the profile
-    cannot express)."""
-    cones = p.cones
-    return IndexReport._make(_family(
-        p,
-        sum(c.l for c in cones),
-        sum(n.b1csL for n in p.necks),
-        sum(c.s_ind for c in cones),
-        all(c.rigid for c in cones),
-    )[:3])
-
-
-def _family(p: TopologyProfile, sum_l: int, sum_b1cs: int, sum_s_ind: int,
-            all_rigid: bool) -> tuple:
-    """(dimF, indX, non-rigid warning, b1(N), dim I) of p from its sums,
-    each formula checked in that order."""
-    if p.dimY is None:
-        raise InputError("profile must carry dimY to compute dimF")
-    dim_f = p.dimY + 1 - p.q + sum_b1cs
-    if dim_f < 0:
-        raise InconsistentProfileError(f"dim F = {shown(dim_f)} < 0")
-    b1n, dimi = _b1_N(p, sum_l, sum_b1cs), _dim_I(p, sum_l)
-    return dim_f, dim_f + sum_s_ind, not all_rigid, b1n, dimi
-
-
 def full_report(p: TopologyProfile) -> DimensionReport:
-    """All dimension formulas evaluated on one profile.
+    """All dimension formulas evaluated on one profile: dim I, dim Z, the
+    necks' dimensions, b1(N) = dimY + 1 + b1_cs(X') + sum b1_cs(L) - sum l
+    of the glued manifold, the family dimension dimF = dimY + 1 - q +
+    sum b1_cs(L) = b1(N) - dim I, and the singularity index indX = dimF +
+    sum s-ind, flagged when a cone is not rigid (its formula then needs a
+    correction the profile cannot express).
 
     One pass over the cones and necks applies each neck's formula to its
-    validated l and takes the sums of l, b0(L), b1_cs(L) and s-ind and
-    whether every cone is rigid; every profile formula then reads those
-    sums.  A profile that breaks several formulas raises for the first
-    of: the necks' dimensions in order, a missing dimY, dim F, b1(N),
-    dim I and dim Z."""
+    validated l and takes the sums the profile formulas read.  A profile
+    that breaks several formulas raises for the first of: the necks'
+    dimensions in order, a missing dimY, dim F, b1(N), dim I and dim Z."""
     per = []
     sum_l = sum_b0 = sum_b1cs = sum_s_ind = 0
     all_rigid = True
-    for (l, s_ind, rigid), n in zip(p.cones, p.necks):
-        per.append(_neck_dims(n, l))
-        b0, _, b1cs = n
+    for (l, s_ind, rigid), (b0, b1, b1cs) in zip(p.cones, p.necks):
+        per.append(_neck_dims(b0, b1, b1cs, l))
         sum_l += l
         sum_b0 += b0
         sum_b1cs += b1cs
         sum_s_ind += s_ind
         all_rigid = all_rigid and rigid
-    dim_f, ind_x, warn, b1n, dimi = _family(p, sum_l, sum_b1cs, sum_s_ind, all_rigid)
+    if p.dimY is None:
+        raise InputError("profile must carry dimY to compute dimF")
+    dim_f = p.dimY + 1 - p.q + sum_b1cs
+    if dim_f < 0:
+        raise InconsistentProfileError(f"dim F = {shown(dim_f)} < 0")
+    b1n = p.dimY + 1 + p.b1csX + sum_b1cs - sum_l
+    if b1n < 0:
+        raise InconsistentProfileError(f"b1(N) = {shown(b1n)} < 0")
     dim_yi, dim_zi, dim_m0 = tuple(zip(*per)) or ((), (), ())
     return DimensionReport._make((
-        dimi, _dim_Z(p, sum_l, sum_b0), dim_yi, dim_zi, dim_m0, b1n, dim_f, ind_x, warn,
+        _dim_I(p, sum_l), _dim_Z(p, sum_l, sum_b0), dim_yi, dim_zi, dim_m0,
+        b1n, dim_f, dim_f + sum_s_ind, not all_rigid,
     ))
 
 

@@ -23,11 +23,18 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
 #: a float is read as the nearest fraction with at most this denominator
 RATIONAL_MAX_DENOMINATOR = 10**12
+#: the most digits a rational read from a string may give its numerator or
+#: denominator: Python's default limit on int-string conversion, which
+#: ``json.loads`` applies to an integer
+MAX_DIGITS = 4300
+# the digits, places and exponent of a decimal string, as Fraction reads it
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*\Z")
 
 
 class _Shown(str):
@@ -165,10 +172,24 @@ def as_rational(x, what: str) -> Fraction:
 def read_rational(x, what: str) -> Fraction:
     """Exact rational from a ``"p/q"`` (or decimal) string, read by
     :class:`~fractions.Fraction`, or from a number read by
-    :func:`as_rational`."""
+    :func:`as_rational`.  A decimal string whose digits and exponent
+    would build a numerator or a denominator of more than
+    :data:`MAX_DIGITS` digits is refused before anything is built; in
+    ``"p/q"``, ``int`` refuses each of p and q past that limit itself."""
     if isinstance(x, Fraction):  # the common case, kept cheap
         return x
     if isinstance(x, str):
+        dec = _DECIMAL.match(x)
+        if dec:
+            whole, places, exp = (g.replace("_", "") if g else "" for g in dec.groups())
+            try:
+                shift = int(exp or 0) - len(places)
+            except ValueError:  # an exponent past int's own limit, refused below
+                shift = 0
+            # the numerator int(whole + places) * 10^shift, or the denominator 10^-shift
+            digits = len((whole + places).lstrip("0"))
+            if digits + max(shift, 0) > MAX_DIGITS or 1 - shift > MAX_DIGITS:
+                raise InputError(f"{what} needs more than {MAX_DIGITS} digits")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

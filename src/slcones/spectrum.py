@@ -328,8 +328,9 @@ def n_sigma(data: ExponentData, delta) -> int:
     for delta < 0 it is minus the sum over (delta, 0).  Which eigenvalues
     can contribute is decided exactly: an upper root lies in [0, delta]
     iff lam <= delta*(delta+m-2), and a lower root lies in (delta, 0)
-    iff lam < delta*(delta+m-2).  Raises when the cutoff cannot certify
-    that every contributing eigenvalue is in the table.
+    iff lam < delta*(delta+m-2).  Every entry counts, as in
+    :meth:`ExponentData.multiplicity_at`.  Raises when the cutoff cannot
+    certify that every contributing eigenvalue is in the table.
     """
     d = as_rational(delta, "delta")
     m = data.m
@@ -339,13 +340,10 @@ def n_sigma(data: ExponentData, delta) -> int:
             f"n_sigma({shown(delta)}) needs eigenvalues up to {shown(lam_needed)} but the "
             f"table is only complete up to {shown(data.cutoff)}"
         )
-    seen: dict[Fraction, int] = {}
-    for e in data.entries:
-        if e.branch == +1 and e.lam not in seen:
-            seen[e.lam] = e.multiplicity
+    upper = [e for e in data.entries if e.branch == +1]
     if d >= 0:
-        return sum(mult for lam, mult in seen.items() if lam <= lam_needed)
-    return -sum(mult for lam, mult in seen.items() if lam < lam_needed)
+        return sum(e.multiplicity for e in upper if e.lam <= lam_needed)
+    return -sum(e.multiplicity for e in upper if e.lam < lam_needed)
 
 
 class StabilityReport(NamedTuple):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import io
 import json
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 import time
+import types
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slcones
-from slcones import cli, consum, t2cone
+from slcones import cli, consum, lawlor, planes, spectrum, t2cone
 from slcones.planes import phi_frame
 
 # The child process imports the same package the tests do, also when it
@@ -623,7 +626,77 @@ class TestConsum:
 
 class TestInternalGuards:
     """A failed internal cross-check is a numeric failure (exit 3), also
-    under ``python -O``."""
+    under ``python -O``, with the error it achieved where it has one."""
+
+    @staticmethod
+    def _numeric_failure(name, message, monkeypatch, capsys) -> dict:
+        """Run golden ``name`` and return its error, which must be a
+        schema-valid NumericError whose message starts with ``message``."""
+        golden = GOLDENS[name]
+        code, out, err = _main(golden["argv"], golden["stdin"] or "", monkeypatch, capsys)
+        assert (code, out) == (3, ""), err
+        doc = json.loads(err)
+        _validate(doc, "error")
+        assert doc["error"]["type"] == "NumericError"
+        assert doc["error"]["message"].startswith(message), doc
+        return doc["error"]
+
+    def test_singular_newton_jacobian_exits_3(self, monkeypatch, capsys):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        error = self._numeric_failure("lawlor_phi", "singular Jacobian in Newton iteration",
+                                      monkeypatch, capsys)
+        assert error["achieved"] > cli.LAWLOR_TOL
+
+    def test_newton_iteration_cap(self, monkeypatch, capsys):
+        # the golden solve takes k Newton steps: under a cap of k it still
+        # answers, after the loop, and under a cap of k - 1 it exits 3
+        golden = GOLDENS["lawlor_phi"]
+        steps, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: steps.append(1) or solve(*a))
+        assert _main(golden["argv"], "", monkeypatch, capsys)[:2] == (0, golden["stdout"])
+        k = len(steps)
+        assert k >= 2
+        monkeypatch.setattr(lawlor, "_NEWTON_MAX_ITER", k)
+        assert _main(golden["argv"], "", monkeypatch, capsys)[:2] == (0, golden["stdout"])
+        monkeypatch.setattr(lawlor, "_NEWTON_MAX_ITER", k - 1)
+        error = self._numeric_failure("lawlor_phi", "Newton did not reach tol",
+                                      monkeypatch, capsys)
+        assert error["achieved"] > cli.LAWLOR_TOL
+
+    def test_joint_diagonalization_residual_exits_3(self, monkeypatch, capsys):
+        joint = planes._joint_diagonalize
+        monkeypatch.setattr(planes, "_joint_diagonalize", lambda s: (*joint(s)[:2], 1e-6))
+        error = self._numeric_failure("planes", "joint diagonalization failed",
+                                      monkeypatch, capsys)
+        assert error["achieved"] == 1e-6
+
+    def test_angle_sum_off_a_multiple_of_pi_exits_3(self, monkeypatch, capsys):
+        # the first eigenvalue turned by 0.01 moves the angle sum by 0.005
+        eigenstructure = planes._eigenstructure
+
+        def turned(p1, p2):
+            mrel, o, d = eigenstructure(p1, p2)
+            return mrel, o, [d[0] * cmath.exp(0.01j), *d[1:]]
+
+        monkeypatch.setattr(planes, "_eigenstructure", turned)
+        error = self._numeric_failure("planes", "angle sum", monkeypatch, capsys)
+        assert error["achieved"] == pytest.approx(0.005 / math.pi, rel=1e-9)
+
+    def test_per_edge_area_certificate_exits_3(self, monkeypatch, capsys):
+        class OneHigh(Fraction):
+            """A Fraction whose integer ratio reads its numerator one too high."""
+
+            def as_integer_ratio(self):
+                n, d = super().as_integer_ratio()
+                return n + 1, d
+
+        # only the areas are built by consum's Fraction; the weights are not
+        monkeypatch.setattr(consum, "Fraction", OneHigh)
+        self._numeric_failure("consum", "computed areas do not balance the weighted flow",
+                              monkeypatch, capsys)
 
     def test_unbalanced_areas_exit_3(self, monkeypatch, capsys):
         prop = consum.IntersectionGraph.__dict__["_trees"]
@@ -763,6 +836,14 @@ class TestDims:
         assert entry in err["error"]["message"]
         assert "must be a JSON object" in err["error"]["message"]
 
+    def test_profile_without_dim_y_exits_2(self, monkeypatch, capsys):
+        # the reader accepts the profile, and the report refuses it
+        profile = {k: v for k, v in self.PROFILE.items() if k != "dimY"}
+        code, out, err = _main(["dims"], json.dumps(profile), monkeypatch, capsys)
+        assert (code, out) == (2, ""), err
+        assert json.loads(err)["error"] == {
+            "type": "InputError", "message": "profile must carry dimY to compute dimF"}
+
     def test_inconsistent_profile_exits_2(self, monkeypatch, capsys):
         bad = dict(self.PROFILE, b1csX=0, q=1)
         bad["cones"] = [{"l": 3, "sInd": 0}]
@@ -797,6 +878,34 @@ class TestUnknownKeys:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("suite, patches, wants", [
+        ("table1",
+         [(spectrum, "stability_index", lambda m: types.SimpleNamespace(
+             n_sigma2=0, m_sigma2=0, s_ind=-1, rigid=m in (8, 9), stable=m != 3))],
+         ["stability m=3:", "rigidity m=3:", "stable flag m=3:", "asymptotic counts m=10:"]),
+        ("gluings", [(t2cone, "two_singularity_gluings", lambda basis: [])],
+         ["gluing case 0:"]),
+        ("lawlor",
+         [(lawlor, "angles_from_a", lambda p: types.SimpleNamespace(
+             phi=(1.0,) * p.m, A=1.0)),
+          (lawlor, "a_from_angles", lambda spec: types.SimpleNamespace(a=(50.0,) * 3))],
+         ["symmetric angles m=3:", "symmetric area m=3:", "angle sum m=3 trial=0:",
+          "round trip m=3 trial=0:"]),
+    ], ids=["table1", "gluings", "lawlor"])
+    def test_failed_suite_exits_3_and_lists_the_failures(self, suite, patches, wants,
+                                                         monkeypatch, capsys):
+        for module, name, fake in patches:
+            monkeypatch.setattr(module, name, fake)
+        for args in (["verify", "--suite", suite], ["verify"]):
+            code, out, err = _main(args, "", monkeypatch, capsys)
+            assert code == 3, err
+            assert err == ""
+            doc = json.loads(out)
+            _validate(doc, "verify")
+            assert doc["passed"] is False
+            for want in wants:
+                assert any(f.startswith(want) for f in doc["failures"]), (want, doc)
+
     def test_table1_suite_passes(self, monkeypatch, capsys):
         code, out, _ = _main(["verify", "--suite", "table1"], "", monkeypatch, capsys)
         assert code == 0, out
@@ -910,7 +1019,8 @@ _NODES = st.sampled_from(_DOCUMENTS).flatmap(
 )
 _HOSTILE_LEAVES = st.one_of(
     st.sampled_from([10**400, -(10**400), 2**64, 1e18, math.nan, math.inf, -math.inf,
-                     5e-324, -0.0, 0, 1, 2, 0.5]),
+                     5e-324, -0.0, 0, 1, 2, 0.5, "1e5000", "-1e-5000", "1e100000000",
+                     "1/" + "3" * 5000]),
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
 )
 _HOSTILE_JSON = st.recursive(
@@ -921,6 +1031,7 @@ _HOSTILE_JSON = st.recursive(
 _HOSTILE_NUMBER = st.sampled_from([
     "0", "1", "-1", "2", "3", "8", "2.5", "1/2", "1/0", "1e18", "1e400", "nan", "inf",
     "-inf", "5e-324", "1e-320", "1.1415926535897931", str(10**400), "abc", "", " ", "0x10",
+    "1e5000", "-1e-5000", "1e10000000", "1e100000000", "1" * 5000,
 ])
 _SMALL_INT = st.integers(-2, 30).map(str)
 _POSITIVE = st.floats(0.05, 20).map(repr)
@@ -983,6 +1094,42 @@ class TestFuzz:
             "q 10**400", "q of 5001 digits"])
     def test_probed_inputs_are_typed_errors(self, args, stdin, code):
         assert _contract(args[0], args, stdin) == code
+
+    # each once took a minute or more, or printed a traceback
+    @pytest.mark.parametrize("args, stdin", [
+        (["spectrum", "--m", "3", "--cutoff", "8", "--delta=1e10000000"], ""),
+        (["spectrum", "--m", "3", "--cutoff", "8", "--delta=1e100000000"], ""),
+        (["consum"], '{"q":2,"edges":[{"tail":1,"head":2,"weight":"1e5000"},'
+                     '{"tail":2,"head":1,"weight":1}]}'),
+        (["t2cone"], '{"basis":{"B1":[[1,0],[0,"1e5000"]],"B2":[[0,"1e5000"],[1,0]]}}'),
+    ], ids=["delta 1e10000000", "delta 1e100000000", "consum weight", "t2cone basis"])
+    def test_over_long_number_is_refused_at_once(self, args, stdin):
+        start = time.perf_counter()
+        assert _contract(args[0], args, stdin) == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_over_long_answer_is_refused_not_printed(self, monkeypatch, capsys):
+        # every entry fits the digit bound, but the locked ratio P/Q = 21 R^2,
+        # R = 11...1 (3000 ones), has 6002 digits
+        p, q = "7" * 3000, "1/" + "3" * 3000
+        doc = {"basis": {"B1": [[q, 0], [0, p]], "B2": [[0, p], [q, 0]]}}
+        for args in (["t2cone"], ["t2cone", "--record"]):
+            assert _contract("t2cone", args, json.dumps(doc)) == 2
+            code, out, err = _main(args, json.dumps(doc), monkeypatch, capsys)
+            assert json.loads(err)["error"] == {
+                "type": "InputError",
+                "message": "the answer holds a number of more than 4300 digits, "
+                           "which is not printed",
+            }
+
+    def test_dumps_refuses_only_an_over_long_integer(self):
+        assert cli._dumps([Fraction(10**4299, 3), -(10**4299)]).count("0") == 2 * 4299
+        for doc in ([10**4300], {"x": Fraction(1, 10**4300)}):
+            with pytest.raises(cli.InputError, match="more than 4300 digits"):
+                cli._dumps(doc)
+        # a non-finite float is no over-long number, and no answer holds one
+        with pytest.raises(ValueError, match="Out of range float"):
+            cli._dumps([math.nan])
 
     def test_undecodable_input_file_exits_2(self, tmp_path):
         path = tmp_path / "graph.json"

@@ -12,9 +12,7 @@ from slcones.dims import (
     NeckTopology,
     TopologyProfile,
     ac_moduli_dims,
-    b1_N,
     check_boundary_image,
-    dim_F_and_index,
     dim_I,
     dim_Z,
     full_report,
@@ -98,28 +96,28 @@ class TestB1N:
         for b1csX in (0, 2):
             p = profile(b1csX=b1csX, cones=[ConeData(1, 0)], necks=[hl_neck(3)],
                         dimY=1)
-            assert b1_N(p) == b1csX + 1
+            assert full_report(p).b1N == b1csX + 1
 
     def test_torus_cone_nontrivial_class(self):
         p = profile(b1csX=4, cones=[ConeData(1, 0)], necks=[hl_neck(3)], dimY=0)
-        assert b1_N(p) == 4
+        assert full_report(p).b1N == 4
 
     def test_two_cone_case(self):
         for dimY in (0, 1, 2):
             p = profile(b1csX=3, cones=[ConeData(1, 0), ConeData(1, 0)],
                         necks=[hl_neck(3), hl_neck(3)], dimY=dimY)
-            assert b1_N(p) == dimY + 3 - 1
+            assert full_report(p).b1N == dimY + 3 - 1
 
     def test_requires_dimY(self):
         p = profile(cones=[ConeData(1, 0)], necks=[hl_neck(3)])
-        with pytest.raises(InputError):
-            b1_N(p)
+        with pytest.raises(InputError, match="profile must carry dimY"):
+            full_report(p)
 
 
 class TestDimFAndIndex:
     def test_index_one_singularity(self):
         p = profile(cones=[ConeData(1, 0)], necks=[hl_neck(3)], dimY=1)
-        rep = dim_F_and_index(p)
+        rep = full_report(p)
         assert rep.dimF == 1
         assert rep.indX == 1
         assert not rep.non_rigid_warning
@@ -127,19 +125,19 @@ class TestDimFAndIndex:
     def test_stable_cones_make_index_equal_family_dim(self):
         p = profile(q=2, b1csX=1, cones=[ConeData(1, 0), ConeData(2, 0)],
                     necks=[hl_neck(3), LAWLOR_NECK], dimY=2)
-        rep = dim_F_and_index(p)
+        rep = full_report(p)
         assert rep.indX == rep.dimF
 
     def test_unstable_cone_shifts_index(self):
         p = profile(cones=[ConeData(1, 6)], necks=[hl_neck(4)], dimY=1)
-        rep = dim_F_and_index(p)
+        rep = full_report(p)
         assert rep.indX == rep.dimF + 6
 
     def test_non_rigid_cone_flagged(self):
         # a plane-pair cone is not rigid, so the index value carries a caveat
         p = profile(b1csX=1, cones=[ConeData(2, 0, rigid=False)],
                     necks=[LAWLOR_NECK], dimY=0)
-        rep = dim_F_and_index(p)
+        rep = full_report(p)
         assert rep.indX == 1
         assert rep.non_rigid_warning
 
@@ -155,12 +153,15 @@ class TestDimFAndIndex:
         necks = [NeckTopology(b0, b1, b1cs) for _, _, b0, b1, b1cs in raw]
         p = profile(q=q, b1csX=b1csX, cones=cones, necks=necks, dimY=dimY)
         try:
-            rep = dim_F_and_index(p)
+            rep = full_report(p)
         except InconsistentProfileError:
             return
+        sum_b1cs = sum(n.b1csL for n in necks)
+        assert rep.dimF == dimY + 1 - q + sum_b1cs
+        assert rep.b1N == dimY + 1 + b1csX + sum_b1cs - sum(c.l for c in cones)
         # the family dimension always splits as glued-Betti minus core
-        assert rep.dimF == b1_N(p) - dim_I(p)
-        assert rep.indX >= rep.dimF
+        assert rep.dimF == rep.b1N - rep.dimI == rep.b1N - dim_I(p)
+        assert rep.indX == rep.dimF + sum(c.s_ind for c in cones) >= rep.dimF
 
 
 class TestFullReport:
@@ -176,17 +177,25 @@ class TestFullReport:
 
 
 def per_formula_report(p: TopologyProfile) -> DimensionReport:
-    """full_report as the public formulas compose it, each reading the
-    profile itself: the neck dimensions in order, then dimF and indX
-    (which raise for a missing dimY, dim F, b1(N) and dim I in that
-    order), then dim I, dim Z and b1(N)."""
+    """full_report as the formulas compose it, each reading the profile
+    itself: the neck dimensions in order, a missing dimY, then dim F and
+    b1(N) written out here, then dim I and dim Z."""
     per = [ac_moduli_dims(n, c.l) for n, c in zip(p.necks, p.cones)]
-    idx = dim_F_and_index(p)
+    if p.dimY is None:
+        raise InputError("profile must carry dimY to compute dimF")
+    sum_b1cs = sum(n.b1csL for n in p.necks)
+    dim_f = p.dimY + 1 - p.q + sum_b1cs
+    if dim_f < 0:
+        raise InconsistentProfileError(f"dim F = {dim_f} < 0")
+    b1n = p.dimY + 1 + p.b1csX + sum_b1cs - sum(c.l for c in p.cones)
+    if b1n < 0:
+        raise InconsistentProfileError(f"b1(N) = {b1n} < 0")
     return DimensionReport(
         dimI=dim_I(p), dimZ=dim_Z(p),
         dimYi=tuple(a.dimY for a in per), dimZi=tuple(a.dimZ for a in per),
-        dimML0=tuple(a.dimM0 for a in per), b1N=b1_N(p),
-        dimF=idx.dimF, indX=idx.indX, non_rigid_warning=idx.non_rigid_warning,
+        dimML0=tuple(a.dimM0 for a in per), b1N=b1n,
+        dimF=dim_f, indX=dim_f + sum(c.s_ind for c in p.cones),
+        non_rigid_warning=not all(c.rigid for c in p.cones),
     )
 
 

@@ -20,6 +20,7 @@ leaf: an m beyond numpy's largest array is refused at once.
 import math
 import numbers
 import struct
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -354,6 +355,31 @@ def test_rational_fast_paths_read_as_the_abcs():
         assert _reading(as_rational, x) == _reading(abc_rational, x), repr(x)
     assert _reading(as_rational, math.nan) == (
         "InputError", "x must be a finite rational or real number, got nan")
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("1e4299", 4300), ("-1e-4299", 4300), ("1.5e4299", 4300), ("1" * 4300, 4300),
+    ("0." + "0" * 4298 + "1", 4300), ("1_0e4_298", 4300),
+    ("1e4300", None), ("-1e-4300", None), ("1" * 4301, None), ("1" * 3000 + "." + "1" * 3000, None),
+    ("1e10000000", None), ("1e100000000", None), ("1e-100000000", None), ("1e" + "9" * 4300, None),
+], ids=lambda v: f"{v[:6]}..({len(v)} chars)" if isinstance(v, str) and len(v) > 16 else None)
+def test_decimal_string_past_the_digit_bound_is_refused_before_it_is_built(text, digits):
+    if digits is not None:
+        x = read_rational(text, "x")
+        assert max(len(str(x.numerator)), len(str(x.denominator))) == digits
+        return
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="x needs more than 4300 digits"):
+            read_rational(text, "x")
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.01
+
+
+def test_exponent_past_the_int_limit_is_not_a_rational():
+    with pytest.raises(InputError, match="is not a valid rational"):
+        read_rational("1e" + "9" * 4301, "x")
 
 
 def test_float_reads_by_its_binary_value_and_a_string_as_its_decimal():

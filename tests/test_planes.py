@@ -161,6 +161,11 @@ class TestCharacteristicAngles:
         with pytest.raises(InputError):
             characteristic_angles(identity_plane(3), identity_plane(4))
 
+    def test_empty_frame_rejected(self):
+        # a nested list cannot give a 0 x 0 frame, an array can
+        with pytest.raises(InputError, match="frame must be nonempty"):
+            SLPlane(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
     @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
     def test_non_finite_frame_rejected(self, bad, where):
@@ -260,6 +265,18 @@ class TestReconstruction:
                 characteristic_angles(*args)
             with pytest.raises(InputError):
                 canonical_transform(*args)
+
+    def test_non_real_orthogonal_factor_is_a_numeric_failure(self, monkeypatch):
+        # M turned by the phase 1e-4 leaves S's phases, and so the report,
+        # unchanged, but its factor O2 is no longer real
+        eigenstructure = planes._eigenstructure
+        monkeypatch.setattr(planes, "_eigenstructure", lambda p1, p2: (
+            eigenstructure(p1, p2)[0] * np.exp(1e-4j), *eigenstructure(p1, p2)[1:]))
+        p1, p2 = random_pair(4, 11)
+        characteristic_angles(p1, p2)
+        with pytest.raises(NumericError, match="orthogonal factor is not real") as info:
+            canonical_transform(p1, p2)
+        assert 1e-8 < info.value.achieved <= 1e-4
 
     def test_diagonalizes_once_per_call(self, monkeypatch):
         calls = []

@@ -34,7 +34,6 @@ from slcones.dims import (
     NeckTopology,
     TopologyProfile,
     ac_moduli_dims,
-    dim_F_and_index,
     full_report,
 )
 from slcones.lawlor import AngleSpec, NeckParams, SLResidual, sphere_area
@@ -60,7 +59,6 @@ BUILDERS = {
     "NeckTopology": lambda: NeckTopology(1, 1, 0),
     "TopologyProfile": lambda: TopologyProfile(*_PROFILE),
     "AcDims": lambda: ac_moduli_dims(NeckTopology(1, 1, 0), 2),
-    "IndexReport": lambda: dim_F_and_index(TopologyProfile(*_PROFILE)),
     "DimensionReport": lambda: full_report(TopologyProfile(*_PROFILE)),
     # lawlor
     "NeckParams": lambda: NeckParams([4.0, 1.0, 1.0]),

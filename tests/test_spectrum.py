@@ -435,6 +435,15 @@ class TestNSigma:
         lo, hi = sorted([d1, d2])
         assert n_sigma(data, lo) <= n_sigma(data, hi)
 
+    def test_repeated_eigenvalue_counts_as_multiplicity_at_does(self):
+        # exponents never repeats a lam, but a table that does is read
+        # entry by entry, by both readers
+        data = exponents(enumerate_spectrum(3, 6))
+        upper = [e for e in data.entries if e.branch == +1]
+        twice = data._replace(entries=(*data.entries, upper[1]))
+        assert twice.multiplicity_at(1) == 2 * data.multiplicity_at(1) == 12
+        assert n_sigma(twice, 1) == n_sigma(data, 1) + 6 == 13
+
     def test_negative_branch_counts_negatively(self):
         # in a generic table with exponents inside (delta, 0), the count
         # is minus the multiplicity sum
