@@ -12,12 +12,21 @@ strongly connected, which two reachability searches decide: component
 Areas come from the two breadth-first trees of those searches: each
 edge closes into a walk through component 1, and subtree counts sum the
 walks' unit circulations in O(q + n) for q components and n edges.
-Each edge is validated once, into a ``(tail, head, weight)`` tuple that
-every kernel unpacks, and both trees are built once per graph, on first
-use, and shared by :func:`feasible` and :func:`solve_areas`.  The areas
-are certified in Python ints as they are built: each edge's w_i A_i
-equals its integer flow over the least flow, and the integer flows
-balance at every component, which together are what
+Each edge is read once, in :class:`IntersectionGraph`: an :class:`Edge`
+or a plain triple whose int endpoints lie in 1..q and whose Fraction
+weight is positive is taken inline, by the type tests of :func:`_edge`,
+and any other value goes through :func:`_edge`.  The graph holds
+:class:`Edge` records, which every kernel unpacks.  Each edge is indexed
+once, by ``IntersectionGraph._build_trees``, whose one pass over the
+edges lists every component's edges in both directions before both
+searches run.  Only :func:`feasible` and :func:`solve_areas` use the
+trees: the first of them called on a graph builds them and keeps them in
+the graph for the other, and :func:`bipartition_oracle`,
+:func:`check_balance` and :func:`family_balance_region` never build
+them.  Each edge is then solved once, in one loop of :func:`solve_areas`
+that builds its area and certifies it in Python ints: each edge's
+w_i A_i equals its integer flow over the least flow, and the integer
+flows balance at every component, which together are what
 :func:`check_balance` decides.
 
 All feasibility and balance arithmetic here is exact over the rationals;
@@ -29,7 +38,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -77,11 +87,16 @@ _MAX_ORACLE_Q = 20
 def _edge(tail, head, weight) -> tuple:
     """The checked fields of one edge: the weight read by
     :func:`~slcones.errors.read_rational`, then tail and head by
-    :func:`~slcones.errors.as_int`.  A ``Fraction`` weight and ``int``
-    endpoints take those readers' first-line fast paths inline, with no
-    call; every other value goes to the reader, so each verdict and
-    message is the reader's."""
-    w = weight if isinstance(weight, Fraction) else read_rational(weight, "edge weight")
+    :func:`~slcones.errors.as_int`.  An ``int`` or ``Fraction`` weight and
+    ``int`` endpoints take those readers' first-line fast paths inline,
+    with no call; every other value goes to the reader, so each verdict
+    and message is the reader's."""
+    if type(weight) is int:  # as in as_rational
+        w = Fraction(weight)
+    elif isinstance(weight, Fraction):
+        w = weight
+    else:
+        w = read_rational(weight, "edge weight")
     if w.numerator <= 0:
         raise InputError(f"edge weight must be positive, got {shown(w)}")
     if type(tail) is not int:  # type() lets no bool through, as in as_int
@@ -108,15 +123,25 @@ class Edge(NamedTuple("Edge", [("tail", int), ("head", int), ("weight", Fraction
 class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", tuple)])):
     """Directed multigraph on components 1..q; self-loops allowed."""
 
-    # no __slots__: the cached _trees live in the instance __dict__
+    # no __slots__: the search trees, once built, live in the instance __dict__;
+    # until then this class attribute answers None
+    _trees = None
 
     def __new__(cls, q: int, edges: Sequence):
         q = as_int(q, "number of components q")
         if q < 1:
             raise InputError(f"need at least one component, got q = {shown(q)}")
-        new = tuple.__new__
-        norm = []
+        checked = []
+        append = checked.append
         for e in as_tuple(edges, "edges"):
+            # an Edge or a plain triple whose fields pass _edge's type()
+            # tests and lie in 1..q is read here; any other goes to _edge
+            if (type(e) is tuple or type(e) is Edge) and len(e) == 3:
+                u, v, w = e
+                if (type(u) is int and type(v) is int and type(w) is Fraction
+                        and w.numerator > 0 and 1 <= u <= q and 1 <= v <= q):
+                    append(e)
+                    continue
             try:
                 u, v, _ = e = _edge(*e)
             except TypeError:  # _edge's readers raise only InputError
@@ -125,8 +150,9 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
                 ) from None
             if not (1 <= u <= q and 1 <= v <= q):
                 raise InputError(f"edge endpoints must lie in 1..{shown(q)}, got {shown((u, v))}")
-            norm.append(new(Edge, e))
-        return new(cls, (q, tuple(norm)))
+            append(e)
+        new = tuple.__new__  # every checked triple becomes an Edge record here
+        return new(cls, (q, tuple(map(new, repeat(Edge), checked))))
 
     _replace = checked_replace
 
@@ -134,23 +160,24 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
     def n(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def _trees(self) -> list:
-        """The in-tree and the out-tree of the breadth-first searches from
-        component 1, each as ``(order, parent, via, below)``: the vertices
-        in visit order, each vertex's tree parent and the index of its tree
-        edge, and the count of non-loop edges into (in-tree) or out of
-        (out-tree) each vertex.  Each vertex lists the indices of its
-        edges, whose far end is their tail (in-tree) or head (out-tree),
-        and neighbours are scanned in edge order.  A graph with more than
-        n + 1 components cannot be connected, and is refused before any
-        list of length q is built."""
-        q = self.q
-        if q > self.n + 1:
+    def _build_trees(self) -> list:
+        """Build, keep as ``self._trees`` and return the in-tree and the
+        out-tree of the breadth-first searches from component 1, which
+        :func:`feasible` and :func:`solve_areas` call while ``self._trees``
+        is None.  Each tree is ``(order, parent, via, below)``: the
+        vertices in visit order, each vertex's tree parent and the index of
+        its tree edge, and the count of non-loop edges into (in-tree) or
+        out of (out-tree) each vertex.  One pass over the edges lists, for
+        each vertex, the indices of its edges in both directions; an edge's
+        far end is its tail (in-tree) or head (out-tree), and neighbours
+        are scanned in edge order.  A graph with more than n + 1 components
+        cannot be connected, and is refused before any list of length q is
+        built."""
+        q, edges = self.q, self.edges
+        if q > len(edges) + 1:
             _require_connected(self)
         into = [[] for _ in range(q + 1)]
         out = [[] for _ in range(q + 1)]
-        edges = self.edges
         for idx, (u, v, _) in enumerate(edges):
             if u != v:
                 into[v].append(idx)
@@ -169,6 +196,7 @@ class IntersectionGraph(NamedTuple("IntersectionGraph", [("q", int), ("edges", t
                         via[w] = idx
                         order.append(w)
             trees.append((order, parent, via, [len(a) for a in adj]))
+        self._trees = trees
         return trees
 
 
@@ -227,7 +255,8 @@ def feasible(g: IntersectionGraph) -> bool:
     :func:`solve_areas`) reach all q components, along the edges and
     against them.  A disconnected graph raises :class:`PreconditionError`.
     """
-    if all(len(order) == g.q for order, *_ in g._trees):
+    in_tree, out_tree = g._trees or g._build_trees()
+    if len(in_tree[0]) == len(out_tree[0]) == g.q:
         return True
     _require_connected(g)
     return False
@@ -291,18 +320,21 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
     below it, so the flows are subtree counts summed in each tree's visit
     order reversed: O(q + n) time and memory.
 
-    The areas are certified in Python ints in the same pass that builds
-    them.  With w = wn/wd and the returned A = an/ad in lowest terms,
+    One loop over the edges then solves each one: it reads the weight's
+    integer ratio, builds the area Fraction once, and certifies it in
+    Python ints from that Fraction's own ``as_integer_ratio``.  With
+    w = wn/wd and the returned A = an/ad in lowest terms,
     wn * an * lo == f * wd * ad says that w * A = f / lo exactly, for lo
-    the least flow; and the integer flows f must balance at every
-    component.  Together these prove what :func:`check_balance` proves:
-    the weighted flow w * A balances.  Positivity holds by construction,
-    since f >= 1, lo >= 1 and w > 0.  If either check fails,
-    :class:`NumericError` is raised.
+    the least flow; and the integer flows f, summed at each edge's ends in
+    the same loop, must balance at every component.  Together these prove
+    what :func:`check_balance` proves: the weighted flow w * A balances.
+    Positivity holds by construction, since f >= 1, lo >= 1 and w > 0.
+    If either check fails, :class:`NumericError` is raised.
     """
-    flows = [1] * g.n
-    for order, parent, via, below in g._trees:
-        if len(order) < g.q:
+    q, edges = g.q, g.edges
+    flows = [1] * len(edges)
+    for order, parent, via, below in g._trees or g._build_trees():
+        if len(order) < q:
             _require_connected(g)
             raise InfeasibleGraphError(
                 "graph is not strongly connected: no positive balanced areas exist"
@@ -311,23 +343,28 @@ def solve_areas(g: IntersectionGraph) -> BalanceSolution:
         for w in reversed(order[1:]):
             flows[via[w]] += below[w]
             below[parent[w]] += below[w]
-    if g.n == 0:
+    if not edges:
         return BalanceSolution(())
     lo = min(flows)
     areas = []
-    net = [0] * (g.q + 1)
-    for f, (u, v, w) in zip(flows, g.edges):
+    add = areas.append
+    net = [0] * (q + 1)
+    # Fraction defines no __init__, so its __new__ alone builds the area
+    # that Fraction(x, y) would, without type.__call__'s dispatch
+    ratio, new = Fraction, Fraction.__new__
+    for f, (u, v, w) in zip(flows, edges):
         wn, wd = w.as_integer_ratio()
-        a = Fraction(f * wd, lo * wn)
+        x, y = f * wd, lo * wn
+        a = new(ratio, x, y)
         an, ad = a.as_integer_ratio()
-        if wn * an * lo != f * wd * ad:  # w * A == f / lo
+        if an * y != ad * x:  # wn * an * lo == f * wd * ad: w * A == f / lo
             raise NumericError("computed areas do not balance the weighted flow")
-        areas.append(a)
+        add(a)
         net[u] += f
         net[v] -= f
     if any(net):
         raise NumericError("computed areas do not balance the weighted flow")
-    return BalanceSolution._make((tuple(areas),))
+    return tuple.__new__(BalanceSolution, (tuple(areas),))
 
 
 def _scaled_net(g: IntersectionGraph, A: Sequence) -> tuple:

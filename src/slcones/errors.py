@@ -14,9 +14,10 @@ strings), a finite float by :func:`as_finite`, a positive one by
 raises :class:`InputError` naming the argument, and none coerces a bool,
 a string or a non-finite value into a number.  Every message that echoes
 a caller's value passes it through :func:`shown`, so an integer too long
-to print still gives a message.  A record that checks its fields in
-``__new__`` has its constructor's parameters as fields, a property for
-any value computed from them, and :func:`checked_replace` as ``_replace``.
+to print still gives a message, and an over-long string a short one.  A
+record that checks its fields in ``__new__`` has its constructor's
+parameters as fields, a property for any value computed from them, and
+:func:`checked_replace` as ``_replace``.
 """
 from __future__ import annotations
 
@@ -53,13 +54,16 @@ def _digits(n: int) -> int:
 
 def shown(x):
     """``x`` as an error message should echo it: an int or a Fraction
-    with more than 50 digits is replaced by its digit count, also inside
-    a list, a tuple or a dict's values; anything else comes back as it
-    is, so a message formats it as before.  Call it on error paths only."""
+    with more than 50 digits is replaced by its digit count, and a string
+    of more than 50 characters by its length, also inside a list, a tuple
+    or a dict's values; anything else comes back as it is, so a message
+    formats it as before.  Call it on error paths only."""
     if type(x) in (tuple, list):
         return type(x)(map(shown, x))
     if type(x) is dict:
         return {k: shown(v) for k, v in x.items()}
+    if type(x) is str and len(x) > 50:
+        return _Shown(f"<string of {len(x)} characters>")
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         a, b = _digits(x.numerator), _digits(x.denominator)
         if max(a, b) > 50:
@@ -160,8 +164,8 @@ def as_rational(x, what: str) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if not isinstance(x, bool):
-        if isinstance(x, numbers.Rational):
-            return Fraction(x)
+        if isinstance(x, numbers.Rational):  # a numpy integer too: its parts become ints
+            return Fraction(int(x.numerator), int(x.denominator))
         if isinstance(x, numbers.Real):
             v = float(x)
             if math.isfinite(v):
@@ -192,8 +196,12 @@ def read_rational(x, what: str) -> Fraction:
                 raise InputError(f"{what} needs more than {MAX_DIGITS} digits")
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what} is not a valid rational: {x!r} ({exc})") from None
+        except ZeroDivisionError:
+            reason = "zero denominator"
+        except ValueError as exc:
+            # the text before the colon: Fraction's message then repeats the string
+            reason = str(exc).split(":")[0]
+        raise InputError(f"{what} is not a valid rational: {shown(x)!r} ({reason})")
     return as_rational(x, what)
 
 

@@ -699,15 +699,14 @@ class TestInternalGuards:
                               monkeypatch, capsys)
 
     def test_unbalanced_areas_exit_3(self, monkeypatch, capsys):
-        prop = consum.IntersectionGraph.__dict__["_trees"]
-
-        def miscounted(g, build=prop.func):
+        def miscounted(g, build=consum.IntersectionGraph._build_trees):
             # one subtree count too high: one more walk into component 1
             (order, parent, via, below), out_tree = build(g)
             below[order[-1]] += 1
-            return [(order, parent, via, below), out_tree]
+            g._trees = [(order, parent, via, below), out_tree]
+            return g._trees
 
-        monkeypatch.setattr(prop, "func", miscounted)
+        monkeypatch.setattr(consum.IntersectionGraph, "_build_trees", miscounted)
         golden = GOLDENS["consum"]
         code, out, err = _main(golden["argv"], golden["stdin"], monkeypatch, capsys)
         assert code == 3
@@ -1107,6 +1106,19 @@ class TestFuzz:
         start = time.perf_counter()
         assert _contract(args[0], args, stdin) == 2
         assert time.perf_counter() - start < 1.0
+
+    # each once echoed the string twice, in a line of 5 to 10 kB
+    @pytest.mark.parametrize("delta", ["x" + "9" * 5000, "1e" + "9" * 5000],
+                             ids=["not a number", "exponent past int's limit"])
+    def test_over_long_string_is_echoed_short(self, delta, monkeypatch, capsys):
+        args = ["spectrum", "--m", "3", "--cutoff", "8", f"--delta={delta}"]
+        assert _contract("spectrum", args) == 2
+        code, out, err = _main(args, "", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300, err
+        message = json.loads(err)["error"]["message"]
+        assert message.count(f"<string of {len(delta)} characters>") == 1, message
+        assert "9" * 51 not in message
 
     def test_over_long_answer_is_refused_not_printed(self, monkeypatch, capsys):
         # every entry fits the digit bound, but the locked ratio P/Q = 21 R^2,

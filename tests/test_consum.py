@@ -21,6 +21,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -382,20 +383,36 @@ _FIELD = st.one_of(
     st.just(10**30),
     st.booleans(),
     st.just(np.bool_(True)),
+    st.integers(0, 4).map(np.int64),
     st.sampled_from([1.0, 2.0, -1.0, 1.5, 0.1, math.nan, math.inf, -math.inf]),
     st.sampled_from(["3/7", "x", "2", "1/0"]),
     st.fractions(max_value=0, max_denominator=9),
     st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+    st.fractions(max_denominator=9).map(lambda f: _Weight(f.numerator, f.denominator)),
     st.none(),
 )
 _VALID_EDGE = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5))
+# int endpoints, some out of range, and a Fraction weight, some not
+# positive: the kind of edge IntersectionGraph reads inline when its
+# container is an Edge or a tuple, and _edge reads when it is a list
+_FRACTION_EDGE = st.tuples(
+    st.integers(0, 4), st.integers(0, 4),
+    st.fractions(min_value=-1, max_value=9, max_denominator=9),
+)
 _EDGE = st.one_of(
     _VALID_EDGE,
     _VALID_EDGE,
     _VALID_EDGE,
+    _FRACTION_EDGE,
+    _FRACTION_EDGE,
+    _FRACTION_EDGE.map(Edge._make),  # skips Edge's checks
+    _FRACTION_EDGE.filter(lambda e: e[2] > 0).map(lambda e: Edge(*e)),
+    _FRACTION_EDGE.map(list),
     st.tuples(_FIELD, _FIELD, _FIELD),
     st.tuples(_FIELD, _FIELD, _FIELD).map(Edge._make),  # skips Edge's checks
+    st.tuples(_FIELD, _FIELD, _FIELD).map(list),
     st.lists(_FIELD, max_size=5).filter(lambda f: len(f) != 3).map(tuple),
+    st.lists(_FIELD, min_size=2, max_size=4).filter(lambda f: len(f) != 3),
 )
 
 
@@ -472,8 +489,8 @@ class TestFeasible:
         assert IntersectionGraph(2, [Edge(2, 1, 3)]).edges == ((2, 1, 3),)
 
     @given(st.sampled_from([1, 2, 3] * 3 + [0, 2.0, True, "2", 1.5, math.nan]),
-           st.lists(_EDGE, max_size=4))
-    @settings(max_examples=300, deadline=None)
+           st.lists(_EDGE, max_size=6))
+    @settings(max_examples=400, deadline=None)
     def test_checks_equal_validation_oracle(self, q, edges):
         try:
             want = validation_oracle(q, edges)
@@ -486,9 +503,13 @@ class TestFeasible:
             return
         g = IntersectionGraph(q, edges)
         assert [tuple(e) for e in g.edges] == want
+        # int endpoints, and the weight's type is the oracle's: a Fraction,
+        # or the caller's own subclass of it
+        assert [tuple(map(type, e)) for e in g.edges] == [tuple(map(type, e)) for e in want]
         for e in g.edges:
             assert type(e) is Edge
-            assert (type(e.tail), type(e.head), type(e.weight)) == (int, int, Fraction)
+            assert (type(e.tail), type(e.head)) == (int, int)
+            assert type(e.weight) in (Fraction, _Weight)
         try:
             feasible(g)
         except PreconditionError:
@@ -497,14 +518,13 @@ class TestFeasible:
             assert _consum_cli(q, edges) == 0
 
     def test_trees_built_once_per_graph(self, monkeypatch):
-        prop = IntersectionGraph.__dict__["_trees"]
         built = []
 
-        def counted(g, build=prop.func):
+        def counted(g, build=IntersectionGraph._build_trees):
             built.append(g)
             return build(g)
 
-        monkeypatch.setattr(prop, "func", counted)
+        monkeypatch.setattr(IntersectionGraph, "_build_trees", counted)
         edges = chorded_cycle(7, 30).edges
         g = IntersectionGraph(30, edges)
         assert feasible(g)
@@ -587,6 +607,21 @@ class TestConnectivity:
             with pytest.raises(PreconditionError) as got:
                 call(g)
             assert str(got.value).endswith(want)
+
+    def test_many_components_refused_in_little_memory(self):
+        # lists of length q would take about 8 MB each at q = 10^6; the
+        # refusal comes before any is built
+        g = IntersectionGraph(10**6, [(1, 2, 1), (2, 1, 1)])
+        for call in (feasible, solve_areas):
+            tracemalloc.start()
+            try:
+                with pytest.raises(PreconditionError, match="found 999999 pieces"):
+                    call(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (call.__name__, peak)
+        assert g._trees is None
 
 
 class TestOracleAgreement:
@@ -743,7 +778,7 @@ class TestSolveAreas:
         # one subtree count of the in-tree one too high sends one more walk
         # from its vertex to component 1, so the flows no longer balance
         g = chorded_cycle(3, 12)
-        (order, parent, via, below), out_tree = g._trees
+        (order, parent, via, below), out_tree = g._build_trees()
         below = below[:]
         below[order[-1]] += 1
         monkeypatch.setitem(g.__dict__, "_trees", [(order, parent, via, below), out_tree])
@@ -1271,6 +1306,14 @@ class TestAsRational:
         assert as_rational(7, "x") == 7
         assert as_rational(10**40 + 1, "x") == 10**40 + 1
         assert as_rational(np.int64(-5), "x") == -5
+
+    def test_numpy_integer_reads_with_int_parts(self):
+        # Fraction(np.int64(-5)) keeps numpy parts, which shown() cannot
+        # measure, so a non-positive numpy weight raised AttributeError
+        x = as_rational(np.int64(-5), "x")
+        assert (type(x.numerator), type(x.denominator)) == (int, int)
+        with pytest.raises(InputError, match="^edge weight must be positive, got 0$"):
+            IntersectionGraph(2, [(1, 2, np.int64(0))])
 
     def test_floats_use_the_denominator_limit(self):
         assert as_rational(0.1, "x") == Fraction(1, 10)

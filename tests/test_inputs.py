@@ -316,6 +316,15 @@ def test_shown_replaces_only_over_long_numbers():
     assert shown(True) is True and shown("1") == "1"
 
 
+def test_shown_replaces_an_over_long_string():
+    assert shown("x" * 50) == "x" * 50
+    assert f"{shown('x' * 51)!r}" == "<string of 51 characters>"
+    assert str(shown({"a": ["1" * 5000]})) == "{'a': [<string of 5000 characters>]}"
+    with pytest.raises(InputError) as exc:
+        read_rational("1/0", "x")
+    assert str(exc.value) == "x is not a valid rational: '1/0' (zero denominator)"
+
+
 def abc_rational(x, what):
     """The reading of ``as_rational`` by the ``numbers`` ABCs alone, which
     its int and float fast paths must equal."""

@@ -1,7 +1,8 @@
 """The README's Layout block lists exactly the modules of the package,
 every module attribute the README names exists, every example output
 the README shows is a golden of ``goldens.json``, only the QUADPACK
-loader names scipy, and the CLI spells no record key by hand."""
+loader names scipy, the CLI spells no record key by hand, and every
+function the benchmark times exists."""
 import ast
 import importlib
 import importlib.util
@@ -125,3 +126,22 @@ def test_cli_spells_no_record_key():
     spelt = {node.value for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value in keys}
     assert not spelt, f"cli.py spells record keys by hand: {sorted(spelt)}"
+
+
+def test_perfbench_calls_only_functions_that_exist():
+    """The benchmark times the functions named by the keys of
+    ``perfbench/sweeps.py:FUNCTIONS``; each ``module.function`` must exist
+    in the package, so a change that moves one fails here rather than in a
+    benchmark run.  The file is read as text, not imported."""
+    tree = ast.parse((REPO / "perfbench" / "sweeps.py").read_text(encoding="utf-8"))
+    tables = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets)]
+    assert len(tables) == 1 and isinstance(tables[0], ast.Dict)
+    names = [ast.literal_eval(key) for key in tables[0].keys]
+    assert names  # the table lists the functions it times
+    missing = []
+    for name in names:
+        module, function = name.split(".")
+        if not callable(getattr(importlib.import_module(f"slcones.{module}"), function, None)):
+            missing.append(name)
+    assert not missing, f"perfbench/sweeps.py times functions that do not exist: {missing}"
